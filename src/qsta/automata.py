@@ -98,6 +98,18 @@ class NondetAutomaton:
     def transitions(self, state: str) -> Tuple[Transition, ...]:
         return self.delta.get(state, ())
 
+    def has_transition(
+        self, state: str, literals: FrozenSet, constraints: FrozenSet, succ: Optional[Tuple]
+    ) -> bool:
+        """Whether a transition of ``state`` carries exactly these literals,
+        constraints and (unless ``succ`` is None) successor states."""
+        return any(
+            t.literals == literals
+            and t.constraints == constraints
+            and (succ is None or t.succ == succ)
+            for t in self.transitions(state)
+        )
+
 
 Automaton = Union[AlternatingAutomaton, NondetAutomaton]
 
@@ -209,13 +221,7 @@ def validate(automaton: Automaton) -> List[str]:
             for target in transition.succ:
                 if target not in states:
                     defects.append(f"{where}: unknown state '{target}'")
-            positive = {
-                lit.name for lit in transition.literals if isinstance(lit, fm.PosLiteral)
-            }
-            negative = {
-                lit.name for lit in transition.literals if isinstance(lit, fm.NegLiteral)
-            }
-            for name in sorted(positive & negative):
+            for name in fm.complementary_names(transition.literals):
                 defects.append(f"{where}: complementary literal pair on '{name}'")
             for literal in transition.literals:
                 _check_literal(sig, literal, where, defects)
@@ -298,15 +304,6 @@ class SceneTreePrefix:
     root: SceneNode
 
 
-def _walk_run(prefix: RunPrefix) -> Iterator[Tuple[Word, RunNode]]:
-    stack: List[Tuple[Word, RunNode]] = [((), prefix.root)]
-    while stack:
-        word, node = stack.pop()
-        yield word, node
-        for index in range(len(node.children) - 1, -1, -1):
-            stack.append((word + (str(index),), node.children[index]))
-
-
 def _run_nodes_by_word(
     prefix: RunPrefix, directions: Sequence[str]
 ) -> Dict[Word, RunNode]:
@@ -351,7 +348,8 @@ class PrefixReport:
         return not self.defects
 
 
-def _scene_union(scene: SceneTreePrefix) -> Qcsp:
+def _scene_union(scene: SceneTreePrefix) -> QcspBuilder:
+    """A builder holding the union of every node's scene network."""
     builder = QcspBuilder()
     stack = [scene.root]
     while stack:
@@ -363,7 +361,7 @@ def _scene_union(scene: SceneTreePrefix) -> Qcsp:
         for var, rel in sorted(node.scene.selfs.items()):
             builder.add(var, var, rel)
         stack.extend(node.children)
-    return builder.build()
+    return builder
 
 
 def _component_of(network: Qcsp, seeds: Sequence) -> Qcsp:
@@ -419,14 +417,8 @@ def validate_run_prefix(
             f"root: state '{prefix.root.state}' is not the initial state"
         )
 
-    scene_union = _scene_union(scene)
-    tightened = QcspBuilder()
-    for var in scene_union.variables:
-        tightened.add_variable(var)
-    for (u, v), rel in scene_union.edges.items():
-        tightened.add(u, v, rel)
-    for var, rel in scene_union.selfs.items():
-        tightened.add(var, var, rel)
+    tightened = _scene_union(scene)
+    scene_union = tightened.build()
     needs_search: List[NodeVar] = []
 
     def visit(word: Word, run_node: RunNode, scene_node: SceneNode, depth: int) -> None:
@@ -436,20 +428,18 @@ def validate_run_prefix(
             report.defects.append(f"{where}: not a full tree of depth {prefix.depth}")
             return
 
-        options = automaton.transitions(run_node.state)
-        if not options:
+        if not automaton.transitions(run_node.state):
             report.defects.append(
                 f"{where}: state '{run_node.state}' has no transitions"
             )
         else:
-            def matches(t: Transition) -> bool:
-                if t.literals != run_node.literals or t.constraints != run_node.constraints:
-                    return False
-                if expected_children == 0:
-                    return True
-                return t.succ == tuple(child.state for child in run_node.children)
-
-            if not any(matches(t) for t in options):
+            succ = tuple(child.state for child in run_node.children)
+            if not automaton.has_transition(
+                run_node.state,
+                run_node.literals,
+                run_node.constraints,
+                succ if expected_children else None,
+            ):
                 report.defects.append(
                     f"{where}: label does not match any transition of '{run_node.state}'"
                 )
@@ -521,18 +511,10 @@ def _parse_word(text: str) -> Word:
     return tuple(text.split()) if text else ()
 
 
-def _literal_to_text(literal: Union[fm.PosLiteral, fm.NegLiteral]) -> str:
-    return fm.encode_generator(literal)
-
-
-def _literal_from_text(text: str) -> Union[fm.PosLiteral, fm.NegLiteral]:
-    return fm.parse_literal(text)
-
-
 def _run_node_to_json(node: RunNode) -> Dict:
     return {
         "state": node.state,
-        "literals": sorted(_literal_to_text(l) for l in node.literals),
+        "literals": sorted(fm.encode_generator(l) for l in node.literals),
         "constraints": sorted(c.encode() for c in node.constraints),
         "children": [_run_node_to_json(child) for child in node.children],
     }
@@ -553,7 +535,7 @@ def _run_node_from_json(payload: Dict) -> RunNode:
 
     return RunNode(
         state=payload["state"],
-        literals=frozenset(_literal_from_text(t) for t in payload["literals"]),
+        literals=frozenset(fm.parse_literal(t) for t in payload["literals"]),
         constraints=frozenset(parse_constraint(t) for t in payload["constraints"]),
         children=tuple(_run_node_from_json(c) for c in payload["children"]),
     )

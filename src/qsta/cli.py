@@ -2,8 +2,9 @@
 
 Exit codes: ``emptiness`` uses 0 for not-empty, 1 for empty; ``validate``
 and ``check-witness`` use 0 for clean, 1 for defects; every command uses 2
-for errors (syntax, invalid input automaton, resource limits).  Resource
-caps come from the environment: QSTA_MAX_DISJUNCTS, QSTA_MAX_SIM_STATES,
+for errors (syntax, invalid input automaton, resource limits) and for any
+other failure, so a crash never reads as a verdict.  Resource caps come
+from the environment: QSTA_MAX_DISJUNCTS, QSTA_MAX_SIM_STATES,
 QSTA_MAX_SEARCH_NODES.
 """
 
@@ -17,9 +18,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import emptiness as emp
-from .automata import AlternatingAutomaton, NondetAutomaton, metrics, validate, validate_run_prefix
+from .automata import AlternatingAutomaton, NondetAutomaton, validate
 from .dsl import load_automaton, print_automaton
-from .errors import DslSyntaxError, MalformedModelError, ResourceLimitError
 from .formula import DEFAULT_MAX_DISJUNCTS
 from .simulate import DEFAULT_MAX_SIM_STATES, sim_state_bound, simulate
 
@@ -100,7 +100,7 @@ def _cmd_emptiness(args: argparse.Namespace) -> int:
     for note in decision.diagnostics:
         print(f"note: {note}", file=sys.stderr)
     for defect in decision.prefix_defects:
-        print(f"warning: unfolded prefix: {defect}", file=sys.stderr)
+        print(f"warning: {defect}", file=sys.stderr)
     print(decision.verdict)
     if decision.nonempty:
         if args.witness:
@@ -121,28 +121,12 @@ def _cmd_check_witness(args: argparse.Namespace) -> int:
     automaton = _as_nondet(_load(args.file), origin=args.file)
     payload = json.loads(Path(args.witness).read_text(encoding="utf-8"))
     model = emp.witness_from_json(payload)
-    defects = emp.check_witness(automaton, model)
-    if not defects:
-        bounds = emp.check_bounds(model, metrics(automaton), len(automaton.states))
-        if not bounds.ok:
-            detail = (
-                f"internal {bounds.internal_count}/{bounds.internal_bound}, "
-                f"leaves {bounds.leaf_count}/{bounds.leaf_bound}"
-            )
-            defects.append(f"node bounds violated ({detail})")
-            for first, second in bounds.duplicate_signatures:
-                defects.append(f"internal nodes '{first}' and '{second}' share a signature")
-    if not defects:
-        depth = (
-            args.unfold_depth if args.unfold_depth is not None else 3 * model.height
-        )
-        prefix, sources = emp.unfold_with_sources(model, depth)
-        scene = emp.scene_from_witness(model, prefix, sources)
-        report = validate_run_prefix(automaton, prefix, scene)
-        defects.extend(f"unfold depth {depth}: {d}" for d in report.defects)
-    for defect in defects:
+    checked = emp._verify_witness(automaton, model, args.unfold_depth)
+    for note in checked.diagnostics:
+        print(f"note: {note}", file=sys.stderr)
+    for defect in checked.prefix_defects:
         print(defect)
-    if not defects:
+    if not checked.prefix_defects:
         print("ok")
         return 0
     return 1
@@ -183,14 +167,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except DslSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MalformedModelError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -252,12 +252,13 @@ def ftm_search(
     are tried in declared order, directions in signature order, so node
     creation is in preorder, which coincides with lexicographic order.  A
     new node whose (state, pending triples) signature matches an existing
-    internal node is closed as a leaf pointing back at it, except when the
-    match is a strict ancestor and the ancestor chain down to the new node
-    contains no accepting state: pumping such a loop could never satisfy
-    acceptance, so the configuration is rejected.  When a node on the
-    rightmost spine completes, the global constraint network is checked
-    once; inconsistency also rejects the configuration.
+    internal node is closed as a leaf pointing back at it.  The folded run
+    must pass an accepting state on every cycle (the Büchi condition), so a
+    fold that closes a cycle through non-accepting nodes only rejects the
+    configuration, whether or not the backnode is an ancestor; this is the
+    second depth-first search of nested DFS.  When a node on the rightmost
+    spine completes, the global constraint network is checked once;
+    inconsistency also rejects the configuration.
 
     Rejections backtrack chronologically: the most recently chosen
     transition anywhere in the tree advances to its next alternative and
@@ -272,7 +273,6 @@ def ftm_search(
     sig = automaton.sig
     k = sig.k
     order = WordOrder(sig.directions)
-    accepting = automaton.accepting
     met = compute_metrics(automaton)
     internal_bound, leaf_bound = _witness_bound(len(automaton.states), met, k)
     exact_total = internal_bound + leaf_bound
@@ -344,16 +344,6 @@ def ftm_search(
             decisions.pop()
         return False
 
-    def loop_is_rejecting(anchor: Word, word: Word, state: str) -> bool:
-        """True when anchor is a strict ancestor and no node on the chain
-        anchor..word (inclusive) carries an accepting state."""
-        if state in accepting:
-            return False
-        for cut in range(len(anchor), len(word)):
-            if index[word[:cut]].state in accepting:
-                return False
-        return True
-
     root = _SearchNode((), automaton.initial, frozenset(), k)
     register(root)
     by_signature[(root.state, root.ptpge)] = ()
@@ -385,9 +375,7 @@ def ftm_search(
         match = by_signature.get((state, ptpge))
         if match is not None:
             assert order.lex_lt(match, word)
-            if order.is_strict_prefix(match, word) and loop_is_rejecting(
-                match, word, state
-            ):
+            if _closes_rejecting_cycle(automaton, index, node.word, match):
                 if retract():
                     continue
                 return None, stats
@@ -408,6 +396,30 @@ def ftm_search(
             return None, stats
 
     return _freeze(sig.directions, index), stats
+
+
+def _closes_rejecting_cycle(
+    automaton: NondetAutomaton, nodes: Mapping[Word, object], parent: Word, backnode: Word
+) -> bool:
+    """Whether folding a leaf under ``parent`` onto ``backnode`` closes a
+    cycle of the folded run with no accepting state: whether the backnode
+    reaches the parent through non-accepting nodes only, where an internal
+    node leads to its children and a leaf to its backnode."""
+    seen: set = set()
+    stack = [backnode]
+    while stack:
+        word = stack.pop()
+        node = nodes.get(word)
+        if word in seen or node is None or node.state in automaton.accepting:
+            continue
+        if word == parent:
+            return True
+        seen.add(word)
+        if node.backnode is not None:
+            stack.append(node.backnode)
+        else:
+            stack.extend(word + (d,) for d in automaton.sig.directions)
+    return False
 
 
 def _freeze(directions: Tuple[str, ...], index: Mapping[Word, _SearchNode]) -> FiniteTreeModel:
@@ -648,15 +660,6 @@ def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[st
                 defects.append(f"{label}: backnode is not lexicographically smaller")
             if target.state != node.state or target.ptpge != node.ptpge:
                 defects.append(f"{label}: backnode signature differs")
-            if WordOrder.is_strict_prefix(node.backnode, word):
-                chain_states = [
-                    model.nodes[word[:cut]].state
-                    for cut in range(len(node.backnode), len(word))
-                ] + [node.state]
-                if not any(s in automaton.accepting for s in chain_states):
-                    defects.append(
-                        f"{label}: ancestor loop without an accepting state"
-                    )
         else:
             expected = tuple(word + (d,) for d in sig.directions)
             if node.children != expected:
@@ -665,20 +668,10 @@ def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[st
             for child_word in expected:
                 if child_word not in model.nodes:
                     defects.append(f"{label}: missing child '{' '.join(child_word)}'")
-            options = automaton.transitions(node.state)
-            matched = False
-            for t in options:
-                if (
-                    t.literals == node.literals
-                    and t.constraints == node.constraints
-                    and t.succ
-                    == tuple(
-                        model.nodes[c].state for c in expected if c in model.nodes
-                    )
-                ):
-                    matched = True
-                    break
-            if not matched:
+            succ = tuple(model.nodes[c].state for c in expected if c in model.nodes)
+            if not automaton.has_transition(
+                node.state, node.literals, node.constraints, succ
+            ):
                 defects.append(
                     f"{label}: label does not match any transition of '{node.state}'"
                 )
@@ -692,6 +685,15 @@ def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[st
                         "disagree with recomputation"
                     )
 
+    if not defects:
+        for word in model.leaf_words():
+            if _closes_rejecting_cycle(
+                automaton, model.nodes, word[:-1], model.nodes[word].backnode
+            ):
+                defects.append(
+                    f"node '{' '.join(word)}': fold closes a cycle without an "
+                    "accepting state"
+                )
     if not defects and not is_consistent(globalcsp(model)):
         defects.append("global constraint network is inconsistent")
     return defects
@@ -699,7 +701,10 @@ def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[st
 
 @dataclass
 class Decision:
-    """Outcome of ``decide``: the verdict plus witness-side reports."""
+    """Outcome of ``decide``: the verdict plus witness-side reports.
+
+    ``prefix_defects`` lists every defect the witness check found: those of
+    ``check_witness``, then node bounds, then the unfolded run prefix."""
 
     nonempty: bool
     witness: Optional[FiniteTreeModel] = None
@@ -720,6 +725,48 @@ def _prefix_size(k: int, depth: int) -> int:
     return (k ** (depth + 1) - 1) // (k - 1)
 
 
+def _verify_witness(
+    automaton: NondetAutomaton,
+    model: FiniteTreeModel,
+    unfold_depth: Optional[int] = None,
+    max_unfold_nodes: int = DEFAULT_MAX_UNFOLD_NODES,
+) -> Decision:
+    """Every check a witness gets, in ``decide`` and ``qsta check-witness``
+    alike: ``check_witness``, then the node bounds, then the unfolded run
+    validated against a scene from a consistent completion of the global
+    network.  A stage runs only when the earlier ones found no defect."""
+    checked = Decision(nonempty=True, witness=model)
+    defects = checked.prefix_defects
+    defects.extend(check_witness(automaton, model))
+    checked.bounds = bounds = check_bounds(
+        model, compute_metrics(automaton), len(automaton.states)
+    )
+    if not defects and not bounds.ok:
+        defects.append(
+            f"node bounds violated (internal {bounds.internal_count}/"
+            f"{bounds.internal_bound}, leaves {bounds.leaf_count}/{bounds.leaf_bound})"
+        )
+        for first, second in bounds.duplicate_signatures:
+            defects.append(f"internal nodes '{first}' and '{second}' share a signature")
+    if defects:
+        return checked
+
+    depth = unfold_depth if unfold_depth is not None else 3 * model.height
+    k = len(model.directions)
+    while depth > 1 and _prefix_size(k, depth) > max_unfold_nodes:
+        depth -= 1
+    if unfold_depth is None and depth != 3 * model.height:
+        checked.diagnostics.append(
+            f"unfold depth reduced to {depth} to respect max_unfold_nodes"
+        )
+    checked.unfold_depth = depth
+    prefix, sources = unfold_with_sources(model, depth)
+    scene = scene_from_witness(model, prefix, sources)
+    report = validate_run_prefix(automaton, prefix, scene)
+    defects.extend(f"unfolded prefix at depth {depth}: {d}" for d in report.defects)
+    return checked
+
+
 def decide(
     automaton: NondetAutomaton,
     *,
@@ -728,50 +775,22 @@ def decide(
     max_unfold_nodes: int = DEFAULT_MAX_UNFOLD_NODES,
 ) -> Decision:
     """Decide emptiness; a NonEmpty decision carries the witness together
-    with bound and unfold-validation reports.
+    with bound and validation reports.
 
-    The witness is unfolded to ``unfold_depth`` (default three times its
-    height, reduced if the full prefix would exceed ``max_unfold_nodes``
-    nodes) and validated against a scene built from a consistent completion
-    of its global constraint network.
+    The witness is checked as ``qsta check-witness`` checks it, and its run
+    is unfolded to ``unfold_depth`` (default three times its height,
+    reduced if the full prefix would exceed ``max_unfold_nodes`` nodes).
     """
     model, stats = ftm_search(automaton, max_nodes=max_nodes)
+    diagnostics = []
     if stats.bound_exceeded:
-        note = "search tree grew past the theoretical witness bound"
-        diagnostics = [note]
-    else:
-        diagnostics = []
+        diagnostics.append("search tree grew past the theoretical witness bound")
     if model is None:
         return Decision(nonempty=False, diagnostics=diagnostics, stats=stats)
-
-    met = compute_metrics(automaton)
-    bounds = check_bounds(model, met, len(automaton.states))
-    if not bounds.ok:
-        diagnostics.append("witness exceeds node bounds or repeats a signature")
-
-    depth = unfold_depth if unfold_depth is not None else 3 * model.height
-    k = len(model.directions)
-    while depth > 1 and _prefix_size(k, depth) > max_unfold_nodes:
-        depth -= 1
-    if unfold_depth is None and depth != 3 * model.height:
-        diagnostics.append(
-            f"unfold depth reduced to {depth} to respect max_unfold_nodes"
-        )
-
-    prefix, sources = unfold_with_sources(model, depth)
-    scene = scene_from_witness(model, prefix, sources)
-    report = validate_run_prefix(automaton, prefix, scene)
-    if report.defects:
-        diagnostics.append("unfolded prefix failed validation")
-    return Decision(
-        nonempty=True,
-        witness=model,
-        bounds=bounds,
-        prefix_defects=list(report.defects),
-        diagnostics=diagnostics,
-        stats=stats,
-        unfold_depth=depth,
-    )
+    decision = _verify_witness(automaton, model, unfold_depth, max_unfold_nodes)
+    decision.diagnostics = diagnostics + decision.diagnostics
+    decision.stats = stats
+    return decision
 
 
 # ---------------------------------------------------------------------------

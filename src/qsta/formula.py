@@ -31,6 +31,7 @@ __all__ = [
     "generators",
     "encode_generator",
     "parse_literal",
+    "complementary_names",
     "DEFAULT_MAX_DISJUNCTS",
 ]
 
@@ -112,6 +113,13 @@ def parse_literal(text: str) -> Union[PosLiteral, NegLiteral]:
     return NegLiteral(name) if text.startswith("!") else PosLiteral(name)
 
 
+def complementary_names(literals) -> List[str]:
+    """Concept names, sorted, that occur both as A and as !A."""
+    positive = {lit.name for lit in literals if isinstance(lit, PosLiteral)}
+    negative = {lit.name for lit in literals if isinstance(lit, NegLiteral)}
+    return sorted(positive & negative)
+
+
 @dataclass(frozen=True)
 class Disjunct:
     """One DNF disjunct, its generators grouped by kind."""
@@ -137,9 +145,7 @@ class Disjunct:
         return frozenset(gens)
 
     def is_admissible(self) -> bool:
-        positive = {g.name for g in self.literals if isinstance(g, PosLiteral)}
-        negative = {g.name for g in self.literals if isinstance(g, NegLiteral)}
-        return not (positive & negative)
+        return not complementary_names(self.literals)
 
     def sort_key(self) -> Tuple[str, ...]:
         return tuple(sorted(encode_generator(g) for g in self.generators))
@@ -200,10 +206,8 @@ def partition(
     Directions without moves are absent from the map.  Raises
     InadmissibleDisjunctError when the literal set contains both A and !A.
     """
-    if not disjunct.is_admissible():
-        positive = {g.name for g in disjunct.literals if isinstance(g, PosLiteral)}
-        negative = {g.name for g in disjunct.literals if isinstance(g, NegLiteral)}
-        clash = sorted(positive & negative)
+    clash = complementary_names(disjunct.literals)
+    if clash:
         raise InadmissibleDisjunctError(
             f"complementary literal pair on {', '.join(clash)}"
         )

@@ -110,9 +110,7 @@ def simulate(
         transitions: Dict[Tuple, Transition] = {}
         for choice in itertools.product(*per_member):
             literals = frozenset().union(*(d.literals for d in choice)) if choice else frozenset()
-            positive = {l.name for l in literals if isinstance(l, fm.PosLiteral)}
-            negative = {l.name for l in literals if isinstance(l, fm.NegLiteral)}
-            if positive & negative:
+            if fm.complementary_names(literals):
                 continue
             constraints = (
                 frozenset().union(*(d.constraints for d in choice)) if choice else frozenset()

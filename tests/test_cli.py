@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, exit codes, files and env caps."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -21,7 +22,44 @@ NONEMPTY = [
     "alt_spatial",
     "chain3",
 ]
-EMPTY = ["contradictory", "no_accept", "part_cycle"]
+EMPTY = ["contradictory", "no_accept", "part_cycle", "nonancestor_cycle"]
+
+# sha256 of the witness JSON and of the DOT that `emptiness --witness --dot`
+# writes for each non-empty corpus file; refactors must keep these bytes.
+GOLDEN_WITNESS_SHA256 = {
+    "alt_choice": (
+        "2293a880342e46ade7b11c18bccc5ba93dfd01b2ed31b6a955d9364759973713",
+        "92ebff4f80daf6d0f75f1e9631cd830d7ec776e101c4429f4a9be823b7b09487",
+    ),
+    "alt_spatial": (
+        "cead64f0d0b539042f3d5dbc7fd8bd012b6635ed4f74ccbd4157494f3db76023",
+        "c79632a6975e77a2f9644e854b30eefdc5bef42af5bf59087f7acb6dd6cdd2ca",
+    ),
+    "alt_univ": (
+        "29e3610cfb023af2d9adbc0871ee9a3029137fb235aaf94bb6ffe35d61d9d6d5",
+        "c79632a6975e77a2f9644e854b30eefdc5bef42af5bf59087f7acb6dd6cdd2ca",
+    ),
+    "chain3": (
+        "22dddeb487ddfc0eff78daeaf8a722e94d9da368771a9918a36fdef3ce0097f2",
+        "dfd06cb021cb861ad53e36ad741c2d3091410a6c14d306cf439785c58dbc9905",
+    ),
+    "constraints4": (
+        "2a9c6cba8f2970e0cf975c9fd63850f7847d52884fc6feefd75c72b37cbdc66b",
+        "c56c24bf3e927de6df6db85f5b56c9a194aeb79d860dccbfddb5686f4c327bf9",
+    ),
+    "eq_loop": (
+        "b6551f8ecd6c6d54d563c8eb7af80532f4b80ce7ddd5ae3c76dc73059e92d3f1",
+        "3b812d6f727fdc529fdf0404113bd477ff3bcef37fe7cb317c94acbc5db97937",
+    ),
+    "fallback": (
+        "a9d1c9958c8b04ffb8ffbcf3712704ae61ff3b19971da100c291faf95cd91e58",
+        "67283f6252f57c15df761298463efd3e1394e7ead3e31b6417a8c61154160d42",
+    ),
+    "self_loop": (
+        "0079055ab444c6c7b28e4e92c0e6a515e4511692c02eaede336100df47ac157a",
+        "9f9f24433281e2f3d3821f1a4429a243a7534fd2c0c366a5fbe6ab13576561f8",
+    ),
+}
 
 
 def corpus(name):
@@ -123,6 +161,31 @@ def test_emptiness_writes_witness_and_dot(tmp_path, capsys):
     assert d.read_text().startswith("digraph")
 
 
+def test_emptiness_witness_and_dot_bytes_are_pinned(tmp_path, capsys):
+    assert sorted(GOLDEN_WITNESS_SHA256) == sorted(NONEMPTY)
+    for name, pinned in GOLDEN_WITNESS_SHA256.items():
+        w = tmp_path / f"{name}.json"
+        d = tmp_path / f"{name}.dot"
+        assert main(["emptiness", corpus(name), "--witness", str(w), "--dot", str(d)]) == 0
+        capsys.readouterr()
+        got = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (w, d))
+        assert got == pinned, name
+
+
+def test_emptiness_crash_exits_two(tmp_path, capsys):
+    # the DSL parser recurses once per parenthesis
+    deep = tmp_path / "deep.aut"
+    deep.write_text(
+        "alternating {\n  directions: d1;\n  concepts: A;\n  features: g;\n"
+        "  states: q0;\n  initial: q0;\n  accepting: q0;\n"
+        "  delta q0 -> " + "(" * 3000 + "A" + ")" * 3000 + ";\n}\n"
+    )
+    assert main(["emptiness", str(deep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_emptiness_writes_no_witness_when_empty(tmp_path, capsys):
     w = tmp_path / "w.json"
     assert main(["emptiness", corpus("no_accept"), "--witness", str(w)]) == 1
@@ -185,6 +248,21 @@ def test_check_witness_rejects_non_witness_json(tmp_path, capsys):
     w.write_text('{"format": "other"}')
     assert main(["check-witness", corpus("eq_loop"), str(w)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_check_witness_rejects_a_cycle_without_accepting_state(capsys):
+    w = pathlib.Path(__file__).resolve().parent / "fixtures" / "nonancestor_cycle.witness.json"
+    assert main(["check-witness", corpus("nonancestor_cycle"), str(w)]) == 1
+    assert "without an accepting state" in capsys.readouterr().out
+
+
+def test_check_witness_crash_exits_two(tmp_path, capsys):
+    w = tmp_path / "w.json"
+    w.write_text('{"format": "finite-tree-model", "directions": ["d1","d2"], "nodes": []}')
+    assert main(["check-witness", corpus("eq_loop"), str(w)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_check_witness_rejects_broken_json(tmp_path, capsys):

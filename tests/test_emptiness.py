@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -36,7 +37,11 @@ from qsta import (
 )
 import qsta
 
+from gen_random import random_nondet
+from oracle_classic import classical_nonempty
+
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 EXPECTED_VERDICTS = {
     "self_loop": "not-empty",
@@ -50,6 +55,7 @@ EXPECTED_VERDICTS = {
     "alt_choice": "not-empty",
     "alt_spatial": "not-empty",
     "chain3": "not-empty",
+    "nonancestor_cycle": "empty",
 }
 
 
@@ -475,6 +481,22 @@ def test_check_witness_flags_rejecting_ancestor_loop():
     assert any("without an accepting state" in d for d in defects)
 
 
+def test_check_witness_flags_cycle_through_a_non_ancestor_fold():
+    # Written by a search that only rejected loops onto strict ancestors:
+    # leaf 'd2 d1' (state b) folds onto 'd1 d1', which is not its ancestor,
+    # and closes the cycle t -> b -> s -> t with no accepting state.
+    automaton = corpus_automaton("nonancestor_cycle")
+    payload = json.loads((FIXTURES / "nonancestor_cycle.witness.json").read_text())
+    model = witness_from_json(payload)
+    assert len(model.nodes) == 11
+    assert model.nodes[("d2", "d1")].backnode == ("d1", "d1")
+    defects = check_witness(automaton, model)
+    assert any(
+        d.startswith("node 'd2 d1'") and "without an accepting state" in d
+        for d in defects
+    )
+
+
 def test_check_witness_flags_inconsistent_network():
     automaton = corpus_automaton("contradictory")
     c_dc = parse_constraint("DC(g, d1 g)")
@@ -501,6 +523,17 @@ def test_check_witness_rejects_direction_mismatch():
     flipped = FiniteTreeModel(("a", "b"), dict(model.nodes))
     defects = check_witness(automaton, flipped)
     assert defects == ["witness directions differ from the automaton signature"]
+
+
+def test_decide_matches_classical_oracle_on_random_automata():
+    rng = random.Random(7)
+    wrong = []
+    for i in range(200):
+        automaton = random_nondet(rng, max_states=6, max_k=3)
+        decision = decide(automaton, max_unfold_nodes=30000)
+        if decision.nonempty != classical_nonempty(automaton):
+            wrong.append((i, decision.verdict))
+    assert wrong == []
 
 
 # ---------------------------------------------------------------------------
