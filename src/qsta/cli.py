@@ -3,7 +3,11 @@
 Exit codes: ``emptiness`` uses 0 for not-empty, 1 for empty; ``validate``
 and ``check-witness`` use 0 for clean, 1 for defects; every command uses 2
 for errors (syntax, invalid input automaton, resource limits) and for any
-other failure, so a crash never reads as a verdict.  Resource caps come
+other failure, so a crash never reads as a verdict.  ``emptiness`` and
+``check-witness`` run the same witness check, ``emptiness.check_witness``:
+``emptiness`` prints each defect it finds in its own witness as a
+``warning:`` line on stderr, ``check-witness`` prints them on stdout, or
+``ok`` when there are none.  Resource caps come
 from the environment: QSTA_MAX_DISJUNCTS, QSTA_MAX_SIM_STATES,
 QSTA_MAX_SEARCH_NODES.
 """
@@ -94,9 +98,7 @@ def _cmd_emptiness(args: argparse.Namespace) -> int:
         env = os.environ.get("QSTA_MAX_SEARCH_NODES")
         if env is not None:
             max_nodes = _env_int("QSTA_MAX_SEARCH_NODES", 0)
-    decision = emp.decide(
-        automaton, max_nodes=max_nodes, unfold_depth=args.unfold_depth
-    )
+    decision = emp.decide(automaton, max_nodes=max_nodes)
     for note in decision.diagnostics:
         print(f"note: {note}", file=sys.stderr)
     for defect in decision.prefix_defects:
@@ -121,12 +123,10 @@ def _cmd_check_witness(args: argparse.Namespace) -> int:
     automaton = _as_nondet(_load(args.file), origin=args.file)
     payload = json.loads(Path(args.witness).read_text(encoding="utf-8"))
     model = emp.witness_from_json(payload)
-    checked = emp._verify_witness(automaton, model, args.unfold_depth)
-    for note in checked.diagnostics:
-        print(f"note: {note}", file=sys.stderr)
-    for defect in checked.prefix_defects:
+    defects = emp.check_witness(automaton, model)
+    for defect in defects:
         print(defect)
-    if not checked.prefix_defects:
+    if not defects:
         print("ok")
         return 0
     return 1
@@ -154,14 +154,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_empty.add_argument("file")
     p_empty.add_argument("--witness", help="write the witness as JSON")
     p_empty.add_argument("--dot", help="write the witness as DOT")
-    p_empty.add_argument("--unfold-depth", type=int, default=None)
     p_empty.add_argument("--max-nodes", type=int, default=None)
     p_empty.set_defaults(run=_cmd_emptiness)
 
     p_check = sub.add_parser("check-witness", help="re-validate a stored witness")
     p_check.add_argument("file")
     p_check.add_argument("witness")
-    p_check.add_argument("--unfold-depth", type=int, default=None)
     p_check.set_defaults(run=_cmd_check_witness)
 
     args = parser.parse_args(argv)

@@ -56,6 +56,10 @@ __all__ = [
 _PUNCT = set("{}()<>:;,|&!=")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# Parentheses nest formulas by recursion, here and in the formula
+# algorithms, so deeper input is a syntax error, not a RecursionError.
+MAX_FORMULA_NESTING = 100
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -153,6 +157,7 @@ class _Parser:
     def __init__(self, tokens: List[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -213,8 +218,12 @@ class _Parser:
     def formula_atom(self) -> fm.Formula:
         token = self.peek()
         if self.at_punct("("):
+            if self.nesting == MAX_FORMULA_NESTING:
+                raise self.fail(f"formula nested deeper than {MAX_FORMULA_NESTING} levels")
             self.next()
+            self.nesting += 1
             inner = self.formula()
+            self.nesting -= 1
             self.expect_punct(")")
             return inner
         if self.at_punct("!"):

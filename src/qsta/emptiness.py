@@ -23,7 +23,6 @@ from .automata import (
     SceneNode,
     SceneTreePrefix,
     metrics as compute_metrics,
-    validate_run_prefix,
 )
 from .errors import MalformedModelError, ResourceLimitError
 from .relalg import EQ_RELATION, Qcsp, QcspBuilder, consistent_scenario, is_consistent
@@ -53,8 +52,6 @@ __all__ = [
 ]
 
 Word = Tuple[str, ...]
-
-DEFAULT_MAX_UNFOLD_NODES = 200_000
 
 
 class WordOrder:
@@ -478,7 +475,8 @@ def globalcsp(model: FiniteTreeModel) -> Qcsp:
 
 
 # ---------------------------------------------------------------------------
-# Unfolding and witness post-checks
+# Unfolding: library tools that materialize a prefix of the folded run and
+# a scene for it; ``check_witness`` needs neither.
 
 
 def unfold_with_sources(
@@ -617,7 +615,14 @@ def check_bounds(model: FiniteTreeModel, met: Metrics, size_q: int) -> BoundsRep
 
 
 def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[str]:
-    """Structural defects of a claimed witness for the given automaton."""
+    """Defects of a claimed witness for the given automaton; [] when sound.
+
+    Per node: structure, the transition match, complementary literals and
+    the pending triples.  Then, only if those pass, the Büchi rule on every
+    fold, the consistency of the global network and the node bounds.  Each
+    node of the unfolded run copies an internal node checked here, so the
+    checks cover the whole run without unfolding it.
+    """
     defects: List[str] = []
     sig = automaton.sig
     order = WordOrder(sig.directions)
@@ -675,6 +680,8 @@ def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[st
                 defects.append(
                     f"{label}: label does not match any transition of '{node.state}'"
                 )
+            for name in fm.complementary_names(node.literals):
+                defects.append(f"{label}: complementary literal pair on '{name}'")
             for child_word, direction in zip(expected, sig.directions):
                 child = model.nodes.get(child_word)
                 if child is not None and child.ptpge != backconstraints_step(
@@ -696,6 +703,15 @@ def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[st
                 )
     if not defects and not is_consistent(globalcsp(model)):
         defects.append("global constraint network is inconsistent")
+    if not defects:
+        bounds = check_bounds(model, compute_metrics(automaton), len(automaton.states))
+        if not bounds.ok:
+            defects.append(
+                f"node bounds violated (internal {bounds.internal_count}/"
+                f"{bounds.internal_bound}, leaves {bounds.leaf_count}/{bounds.leaf_bound})"
+            )
+            for first, second in bounds.duplicate_signatures:
+                defects.append(f"internal nodes '{first}' and '{second}' share a signature")
     return defects
 
 
@@ -703,8 +719,9 @@ def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[st
 class Decision:
     """Outcome of ``decide``: the verdict plus witness-side reports.
 
-    ``prefix_defects`` lists every defect the witness check found: those of
-    ``check_witness``, then node bounds, then the unfolded run prefix."""
+    ``prefix_defects`` lists what ``check_witness`` finds in the witness,
+    the same lines ``qsta check-witness`` prints; it is empty for a sound
+    witness."""
 
     nonempty: bool
     witness: Optional[FiniteTreeModel] = None
@@ -712,74 +729,24 @@ class Decision:
     prefix_defects: List[str] = field(default_factory=list)
     diagnostics: List[str] = field(default_factory=list)
     stats: Optional[SearchStats] = None
-    unfold_depth: int = 0
 
     @property
     def verdict(self) -> str:
         return "not-empty" if self.nonempty else "empty"
 
 
-def _prefix_size(k: int, depth: int) -> int:
-    if k == 1:
-        return depth + 1
-    return (k ** (depth + 1) - 1) // (k - 1)
-
-
-def _verify_witness(
-    automaton: NondetAutomaton,
-    model: FiniteTreeModel,
-    unfold_depth: Optional[int] = None,
-    max_unfold_nodes: int = DEFAULT_MAX_UNFOLD_NODES,
-) -> Decision:
-    """Every check a witness gets, in ``decide`` and ``qsta check-witness``
-    alike: ``check_witness``, then the node bounds, then the unfolded run
-    validated against a scene from a consistent completion of the global
-    network.  A stage runs only when the earlier ones found no defect."""
-    checked = Decision(nonempty=True, witness=model)
-    defects = checked.prefix_defects
-    defects.extend(check_witness(automaton, model))
-    checked.bounds = bounds = check_bounds(
-        model, compute_metrics(automaton), len(automaton.states)
-    )
-    if not defects and not bounds.ok:
-        defects.append(
-            f"node bounds violated (internal {bounds.internal_count}/"
-            f"{bounds.internal_bound}, leaves {bounds.leaf_count}/{bounds.leaf_bound})"
-        )
-        for first, second in bounds.duplicate_signatures:
-            defects.append(f"internal nodes '{first}' and '{second}' share a signature")
-    if defects:
-        return checked
-
-    depth = unfold_depth if unfold_depth is not None else 3 * model.height
-    k = len(model.directions)
-    while depth > 1 and _prefix_size(k, depth) > max_unfold_nodes:
-        depth -= 1
-    if unfold_depth is None and depth != 3 * model.height:
-        checked.diagnostics.append(
-            f"unfold depth reduced to {depth} to respect max_unfold_nodes"
-        )
-    checked.unfold_depth = depth
-    prefix, sources = unfold_with_sources(model, depth)
-    scene = scene_from_witness(model, prefix, sources)
-    report = validate_run_prefix(automaton, prefix, scene)
-    defects.extend(f"unfolded prefix at depth {depth}: {d}" for d in report.defects)
-    return checked
-
-
 def decide(
     automaton: NondetAutomaton,
     *,
     max_nodes: Optional[int] = None,
-    unfold_depth: Optional[int] = None,
-    max_unfold_nodes: int = DEFAULT_MAX_UNFOLD_NODES,
+    max_unfold_nodes: Optional[int] = None,
 ) -> Decision:
     """Decide emptiness; a NonEmpty decision carries the witness together
-    with bound and validation reports.
+    with its bounds report and the defects ``check_witness`` finds in it.
 
-    The witness is checked as ``qsta check-witness`` checks it, and its run
-    is unfolded to ``unfold_depth`` (default three times its height,
-    reduced if the full prefix would exceed ``max_unfold_nodes`` nodes).
+    ``max_unfold_nodes`` is accepted for older callers and ignored: the
+    witness is no longer unfolded, since ``check_witness`` settles every
+    node of the run the witness folds up.
     """
     model, stats = ftm_search(automaton, max_nodes=max_nodes)
     diagnostics = []
@@ -787,10 +754,14 @@ def decide(
         diagnostics.append("search tree grew past the theoretical witness bound")
     if model is None:
         return Decision(nonempty=False, diagnostics=diagnostics, stats=stats)
-    decision = _verify_witness(automaton, model, unfold_depth, max_unfold_nodes)
-    decision.diagnostics = diagnostics + decision.diagnostics
-    decision.stats = stats
-    return decision
+    return Decision(
+        nonempty=True,
+        witness=model,
+        bounds=check_bounds(model, compute_metrics(automaton), len(automaton.states)),
+        prefix_defects=check_witness(automaton, model),
+        diagnostics=diagnostics,
+        stats=stats,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -838,6 +809,8 @@ def witness_to_json(model: FiniteTreeModel) -> Dict:
 
 
 def witness_from_json(payload: Dict) -> FiniteTreeModel:
+    if not isinstance(payload, dict):
+        raise MalformedModelError("malformed witness document: not a JSON object")
     if payload.get("format") != "finite-tree-model":
         raise MalformedModelError("not a finite-tree-model document")
     try:
@@ -867,7 +840,7 @@ def witness_from_json(payload: Dict) -> FiniteTreeModel:
                     for t in raw["ptpge"]
                 ),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedModelError(f"malformed witness document: {exc}") from exc
     return FiniteTreeModel(directions=directions, nodes=nodes)
 

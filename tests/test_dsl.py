@@ -232,6 +232,20 @@ def test_alternating_parentheses_override_precedence():
     assert isinstance(body.children[1], fm.Or)
 
 
+def test_formula_nesting_is_limited():
+    def doc(depth):
+        return (
+            "alternating {\n  directions: d1;\n  concepts: A;\n  features: g;\n"
+            "  states: q0;\n  initial: q0;\n  accepting: q0;\n"
+            "  delta q0 -> " + "(" * depth + "A" + ")" * depth + ";\n}\n"
+        )
+
+    assert dict(parse_document(doc(100)).delta)["q0"] == fm.PosLiteral("A")
+    e = err(doc(101))
+    assert e.bare_message == "formula nested deeper than 100 levels"
+    assert (e.line, e.column) == (8, 115)
+
+
 def test_alternating_constraint_with_relation_set():
     doc = parse_document(
         "alternating {\n  directions: d1;\n  concepts: ;\n  features: g h;\n"

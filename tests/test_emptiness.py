@@ -28,16 +28,19 @@ from qsta import (
     parse_constraint,
     parse_document,
     resolve_variable,
+    scene_from_witness,
     simulate,
     unfold,
     unfold_with_sources,
+    validate,
+    validate_run_prefix,
     witness_from_json,
     witness_to_dot,
     witness_to_json,
 )
 import qsta
 
-from gen_random import random_nondet
+from gen_random import direct_reading, random_nondet, random_nondet_shaped
 from oracle_classic import classical_nonempty
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -404,25 +407,6 @@ def test_unfold_sources_point_at_internal_nodes():
     assert sources[("d1", "d1")] == ("d1",)  # the d1 d1 leaf copies d1
 
 
-def test_decide_validates_at_three_times_height_by_default():
-    decision = decide(corpus_automaton("eq_loop"))
-    assert decision.unfold_depth == 3 * decision.witness.height
-    assert decision.prefix_defects == []
-
-
-def test_decide_honors_explicit_unfold_depth():
-    decision = decide(corpus_automaton("eq_loop"), unfold_depth=1)
-    assert decision.unfold_depth == 1
-    assert decision.prefix_defects == []
-
-
-def test_decide_reduces_unfold_depth_for_huge_prefixes():
-    decision = decide(corpus_automaton("chain3"), max_unfold_nodes=15)
-    assert decision.unfold_depth < 3 * decision.witness.height
-    assert any("unfold depth reduced" in d for d in decision.diagnostics)
-    assert decision.prefix_defects == []
-
-
 # ---------------------------------------------------------------------------
 # Witness checking
 
@@ -537,6 +521,139 @@ def test_decide_matches_classical_oracle_on_random_automata():
 
 
 # ---------------------------------------------------------------------------
+# check_witness against the materialized run it stands for
+
+PREFIX_NODE_CAP = 2000
+
+
+def _prefix_size(k, depth):
+    return depth + 1 if k == 1 else (k ** (depth + 1) - 1) // (k - 1)
+
+
+def _refold(model):
+    """Recompute pending triples top down and point each leaf at the
+    lexicographically smaller internal node of its signature, if any, so
+    that a mutant stays as close to a sound witness as it can."""
+    order = WordOrder(model.directions)
+    nodes = dict(model.nodes)
+    for word in nodes:
+        if word and word[:-1] in nodes:
+            ptpge = backconstraints_step(nodes[word[:-1]], word[-1])
+            nodes[word] = dataclasses.replace(nodes[word], ptpge=ptpge)
+    by_signature = {}
+    for word, node in nodes.items():
+        if not node.is_leaf:
+            by_signature.setdefault((node.state, node.ptpge), word)
+    for word, node in nodes.items():
+        match = by_signature.get((node.state, node.ptpge))
+        if node.is_leaf and match is not None and order.lex_lt(match, word):
+            nodes[word] = dataclasses.replace(node, backnode=match)
+    return FiniteTreeModel(model.directions, nodes)
+
+
+def _mutants(automaton, model, rng):
+    """Seeded mutations of a witness: retarget a fold, relabel a node with
+    another transition of its state, change a state, fold a subtree away,
+    drop literals."""
+    order = WordOrder(model.directions)
+    internal = model.internal_words()
+    out = []
+    leaves = model.leaf_words()
+    if leaves:
+        word = rng.choice(leaves)
+        out.append(replace_node(model, word, backnode=rng.choice(internal)))
+    word = rng.choice(internal)
+    node = model.nodes[word]
+    others = [
+        t
+        for t in automaton.transitions(node.state)
+        if (t.literals, t.constraints) != (node.literals, node.constraints)
+    ]
+    if others:
+        picked = rng.choice(others)
+        relabelled = replace_node(
+            model, word, literals=picked.literals, constraints=picked.constraints
+        )
+        out.append(_refold(relabelled))
+    word = rng.choice(list(model.nodes))
+    states = [q for q in automaton.states if q != model.nodes[word].state]
+    if states:
+        out.append(_refold(replace_node(model, word, state=rng.choice(states))))
+    if len(internal) > 1:
+        word = rng.choice(internal[1:])
+        nodes = {
+            w: n for w, n in model.nodes.items() if not WordOrder.is_strict_prefix(word, w)
+        }
+        target = rng.choice([w for w in internal if order.lex_lt(w, word)])
+        nodes[word] = dataclasses.replace(
+            nodes[word],
+            literals=frozenset(),
+            constraints=frozenset(),
+            children=(),
+            backnode=target,
+        )
+        out.append(_refold(FiniteTreeModel(model.directions, nodes)))
+    labelled = [w for w in internal if model.nodes[w].literals]
+    if labelled:
+        word = rng.choice(labelled)
+        kept = frozenset(l for l in model.nodes[word].literals if rng.random() < 0.5)
+        out.append(replace_node(model, word, literals=kept))
+    return out
+
+
+def _differential_automata():
+    for name, want in EXPECTED_VERDICTS.items():
+        if want == "not-empty":
+            yield name, corpus_automaton(name)
+    rng = random.Random(31337)
+    for i in range(50):
+        shaped = random_nondet_shaped(rng)
+        yield f"c5-{i}-simulated", simulate(shaped)
+        yield f"c5-{i}-direct", direct_reading(shaped)
+    rng = random.Random(7)
+    for i in range(100):
+        yield f"nd-{i}", random_nondet(rng, max_states=6, max_k=3)
+
+
+def test_check_witness_implies_a_sound_unfolded_run():
+    rng = random.Random(2002)
+    accepted = 0
+    problems = []
+    for name, automaton in _differential_automata():
+        model, _ = ftm_search(automaton)
+        if model is None:
+            continue
+        for index, candidate in enumerate([model] + _mutants(automaton, model, rng)):
+            if check_witness(automaton, candidate):
+                continue
+            accepted += 1
+            k = len(candidate.directions)
+            for depth in sorted({1, 2, 3 * candidate.height}):
+                if _prefix_size(k, depth) > PREFIX_NODE_CAP:
+                    continue
+                prefix, sources = unfold_with_sources(candidate, depth)
+                scene = scene_from_witness(candidate, prefix, sources)
+                defects = validate_run_prefix(automaton, prefix, scene).defects
+                if defects:
+                    problems.append((name, index, depth, defects[0]))
+    assert problems == []
+    assert accepted > 0
+
+
+def test_check_witness_flags_complementary_literals():
+    # validate rejects this automaton; decide, a library call, still runs
+    automaton = load_automaton(
+        "nondet { directions: d1 d2; concepts: A; features: g; states: q0;"
+        " initial: q0; accepting: q0;"
+        " delta q0 -> { L={A !A}; X={}; succ=(q0, q0) }; }"
+    )
+    assert validate(automaton)
+    defect = "node '': complementary literal pair on 'A'"
+    assert defect in check_witness(automaton, ftm_search(automaton)[0])
+    assert defect in decide(automaton).prefix_defects
+
+
+# ---------------------------------------------------------------------------
 # Resource limits and stats
 
 
@@ -587,6 +704,8 @@ def test_witness_json_matches_schema():
 def test_witness_from_json_rejects_foreign_documents():
     with pytest.raises(MalformedModelError):
         witness_from_json({"format": "something-else"})
+    with pytest.raises(MalformedModelError, match="malformed witness document"):
+        witness_from_json([])
     with pytest.raises(MalformedModelError):
         witness_from_json(
             {"format": "finite-tree-model", "directions": ["d1"], "nodes": {"": {}}}
