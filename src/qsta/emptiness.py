@@ -5,8 +5,9 @@ that is regular: determined by finitely many (state, pending-triple-set)
 signatures.  Such a run is represented by a finite tree whose leaves point
 back at matching internal nodes.  The search below builds that tree depth
 first, trying transitions in declared order and directions in signature
-order, and closes the construction with one consistency check of the global
-constraint network collected over the internal nodes.
+order.  When the root completes, so does the tree, and one consistency
+check of the global constraint network over the internal nodes closes the
+construction.
 """
 
 from __future__ import annotations
@@ -78,13 +79,6 @@ class WordOrder:
     @staticmethod
     def is_strict_prefix(left: Word, right: Word) -> bool:
         return len(left) < len(right) and right[: len(left)] == left
-
-    def is_rightmost(self, word: Word) -> bool:
-        """Whether the word lies on the rightmost spine (all last direction)."""
-        if not self.directions:
-            return True
-        last = self.directions[-1]
-        return all(d == last for d in word)
 
 
 @dataclass(frozen=True)
@@ -253,8 +247,8 @@ def ftm_search(
     must pass an accepting state on every cycle (the Büchi condition), so a
     fold that closes a cycle through non-accepting nodes only rejects the
     configuration, whether or not the backnode is an ancestor; this is the
-    second depth-first search of nested DFS.  When a node on the rightmost
-    spine completes, the global constraint network is checked once;
+    second depth-first search of nested DFS.  When the root completes, the
+    tree is complete and the global constraint network is checked once;
     inconsistency also rejects the configuration.
 
     Rejections backtrack chronologically: the most recently chosen
@@ -281,7 +275,6 @@ def ftm_search(
     created: List[_SearchNode] = []
     decisions: List[_SearchNode] = []
     slot = {d: i for i, d in enumerate(sig.directions)}
-    csp_ok = False
     serial = 0
 
     def register(node: _SearchNode) -> None:
@@ -352,13 +345,11 @@ def ftm_search(
     while frames:
         node, j = frames[-1]
         if j == k:
-            if order.is_rightmost(node.word) and not csp_ok:
+            if not node.word:
                 stats.csp_checks += 1
-                if is_consistent(globalcsp(_freeze(sig.directions, index))):
-                    csp_ok = True
-                elif retract():
-                    continue
-                else:
+                if not is_consistent(globalcsp(_freeze(sig.directions, index))):
+                    if retract():
+                        continue
                     return None, stats
             frames.pop()
             if frames:

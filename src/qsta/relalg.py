@@ -13,9 +13,8 @@ variable and itself cannot be stored pairwise, so they are kept in a separate
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 __all__ = [
     "ATOMS",
@@ -130,24 +129,6 @@ def _mask_of(atoms: Iterable[str]) -> int:
     return mask
 
 
-# Converse and composition, precomputed per atom as masks.
-_CONVERSE_BY_BIT: Dict[int, int] = {
-    _ATOM_BIT[a]: _ATOM_BIT[_CONVERSE_ATOM[a]] for a in ATOMS
-}
-_COMPOSE_MASK: Dict[Tuple[int, int], int] = {
-    (_ATOM_BIT[a], _ATOM_BIT[b]): _mask_of(_COMPOSITION_ATOMS[a][b])
-    for a in ATOMS
-    for b in ATOMS
-}
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
 @dataclass(frozen=True, order=True)
 class Relation:
     """A subset of the eight RCC8 atoms."""
@@ -237,22 +218,36 @@ def parse_relation(text: str) -> Relation:
     return Relation.of(text)
 
 
+def _unions(per_atom: List[int]) -> List[int]:
+    """For every mask, the union of per_atom's entries over the mask's atoms."""
+    table = [0] * (_FULL_MASK + 1)
+    for m in range(1, _FULL_MASK + 1):
+        table[m] = table[m & (m - 1)] | per_atom[(m & -m).bit_length() - 1]
+    return table
+
+
+# Converse of every mask, and composition of each atom with every mask.
+_CONVERSE = _unions([_ATOM_BIT[_CONVERSE_ATOM[a]] for a in ATOMS])
+_ATOM_COMPOSE = [_unions([_mask_of(_COMPOSITION_ATOMS[a][b]) for b in ATOMS]) for a in ATOMS]
+
+
+def _compose(first: int, second: int) -> int:
+    """Weak composition of masks: the union of the rows of first's atoms."""
+    out = 0
+    while first:
+        low = first & -first
+        out |= _ATOM_COMPOSE[low.bit_length() - 1][second]
+        first ^= low
+    return out
+
+
 def converse(rel: Relation) -> Relation:
-    mask = 0
-    for bit in _bits(rel.mask):
-        mask |= _CONVERSE_BY_BIT[bit]
-    return Relation(mask)
+    return Relation(_CONVERSE[rel.mask])
 
 
 def compose(first: Relation, second: Relation) -> Relation:
     """Weak composition: the union of table entries over all atom pairs."""
-    mask = 0
-    for a in _bits(first.mask):
-        for b in _bits(second.mask):
-            mask |= _COMPOSE_MASK[(a, b)]
-            if mask == _FULL_MASK:
-                return Relation(_FULL_MASK)
-    return Relation(mask)
+    return Relation(_compose(first.mask, second.mask))
 
 
 Variable = Tuple  # any hashable, totally ordered identifier
@@ -335,16 +330,92 @@ class QcspBuilder:
         )
 
 
-def _edge_matrix(network: Qcsp) -> Dict[Tuple[Variable, Variable], Relation]:
-    """Dense ordered-pair map over the network's variables."""
-    out: Dict[Tuple[Variable, Variable], Relation] = {}
-    for u, v in itertools.permutations(network.variables, 2):
-        out[(u, v)] = network.relation(u, v)
-    return out
+# The solver works on a dense, converse-closed matrix of masks over the
+# network's variables; the diagonal is unused.  A queue is a set of pairs
+# i < j: closing the triangles through (i, j) closes those through (j, i).
+Matrix = List[List[int]]
 
 
-def _selfs_ok(network: Qcsp) -> bool:
-    return all("EQ" in rel for rel in network.selfs.values())
+def _closed_matrix(network: Qcsp) -> Optional[Matrix]:
+    """The network as a path-consistent mask matrix, or None when a self
+    constraint lacks EQ or a relation empties."""
+    if not all("EQ" in rel for rel in network.selfs.values()):
+        return None
+    index = {v: i for i, v in enumerate(network.variables)}
+    n = len(index)
+    m = [[_FULL_MASK] * n for _ in range(n)]
+    for (u, v), rel in network.edges.items():
+        if rel.is_empty():
+            return None
+        if u in index and v in index:
+            m[index[u]][index[v]] = rel.mask
+    # A full pair cannot tighten a triangle: it composes to the full relation.
+    queue = {(i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] != _FULL_MASK}
+    return m if _close(m, queue) else None
+
+
+def _close(m: Matrix, queue: Set[Tuple[int, int]]) -> bool:
+    """Path consistency in place: C(x,k) &= C(x,y) o C(y,k) for every queued
+    pair (x, y), both ways round, until nothing changes; False when a
+    relation empties.  The result is the greatest path-consistent
+    refinement of m, whatever the queue order."""
+    n = len(m)
+    while queue:
+        pair = queue.pop()
+        for x, y in (pair, pair[::-1]):
+            row_x, row_y, through = m[x], m[y], m[x][y]
+            for k in range(n):
+                if k == x or k == y or row_y[k] == _FULL_MASK:
+                    continue
+                new = row_x[k] & _compose(through, row_y[k])
+                if new != row_x[k]:
+                    if not new:
+                        return False
+                    row_x[k], m[k][x] = new, _CONVERSE[new]
+                    queue.add((x, k) if x < k else (k, x))
+    return True
+
+
+def _scenario(m: Matrix) -> Optional[Matrix]:
+    """An atomic path-consistent refinement of the closed matrix m, hence
+    consistent (Renz & Nebel, AIJ 108, 1999), or None.  Depth first over the
+    atoms, in ``ATOMS`` order, of the first pair i < j with the fewest atoms,
+    with a stack of (closed matrix, pair, atoms left); a branch copies the
+    closed matrix, fixes the pair and re-closes from that pair only."""
+    stack: List[Tuple[Matrix, int, int, int]] = []
+    closed = True
+    while True:
+        if closed:
+            branch, fewest = None, len(ATOMS) + 1
+            for i, row in enumerate(m):
+                for j in range(i + 1, len(m)):
+                    if row[j] & (row[j] - 1) and row[j].bit_count() < fewest:
+                        branch, fewest = (i, j), row[j].bit_count()
+            if branch is None:
+                return m
+            i, j = branch
+            stack.append((m, i, j, m[i][j]))
+        if not stack:
+            return None
+        m, i, j, left = stack.pop()
+        atom = left & -left
+        if left != atom:
+            stack.append((m, i, j, left ^ atom))
+            m = [row[:] for row in m]
+        m[i][j], m[j][i] = atom, _CONVERSE[atom]
+        closed = _close(m, {(i, j)})
+
+
+def _network(network: Qcsp, m: Matrix) -> Qcsp:
+    """The matrix as a network like the input, without its full pairs."""
+    variables = network.variables
+    edges = {
+        (u, v): Relation(m[i][j])
+        for i, u in enumerate(variables)
+        for j, v in enumerate(variables)
+        if i != j and m[i][j] != _FULL_MASK
+    }
+    return Qcsp(variables, edges, dict(network.selfs))
 
 
 def path_consistency(network: Qcsp) -> Optional[Qcsp]:
@@ -355,80 +426,14 @@ def path_consistency(network: Qcsp) -> Optional[Qcsp]:
     EQ-free self constraint) empties; None is the ordinary "inconsistent"
     answer, not an error.
     """
-    if not _selfs_ok(network):
-        return None
-    if any(rel.is_empty() for rel in network.edges.values()):
-        return None
-    variables = network.variables
-    if len(variables) < 2:
-        return Qcsp(variables, {}, dict(network.selfs))
-    matrix = _edge_matrix(network)
-    queue = list(matrix.keys())
-    queued = set(queue)
-
-    def tighten(a: Variable, c: Variable, through: Relation) -> bool:
-        old = matrix[(a, c)]
-        new = old & through
-        if new.mask == old.mask:
-            return True
-        if new.is_empty():
-            return False
-        matrix[(a, c)] = new
-        matrix[(c, a)] = converse(new)
-        for pair in ((a, c), (c, a)):
-            if pair not in queued:
-                queue.append(pair)
-                queued.add(pair)
-        return True
-
-    while queue:
-        i, j = queue.pop()
-        queued.discard((i, j))
-        for k in variables:
-            if k == i or k == j:
-                continue
-            # Re-check the two triangles that route through the changed edge.
-            if not tighten(i, k, compose(matrix[(i, j)], matrix[(j, k)])):
-                return None
-            if not tighten(k, j, compose(matrix[(k, i)], matrix[(i, j)])):
-                return None
-    edges = {pair: rel for pair, rel in matrix.items() if not rel.is_full()}
-    return Qcsp(variables, edges, dict(network.selfs))
-
-
-def _refine(network: Qcsp, u: Variable, v: Variable, rel: Relation) -> Qcsp:
-    edges = dict(network.edges)
-    edges[(u, v)] = rel
-    edges[(v, u)] = converse(rel)
-    return Qcsp(network.variables, edges, dict(network.selfs))
-
-
-def _search_scenario(network: Qcsp) -> Optional[Qcsp]:
-    closed = path_consistency(network)
-    if closed is None:
-        return None
-    branch_pair = None
-    branch_rel = None
-    for u, v in itertools.combinations(closed.variables, 2):
-        rel = closed.relation(u, v)
-        if not rel.is_atomic():
-            if branch_rel is None or len(rel) < len(branch_rel):
-                branch_pair = (u, v)
-                branch_rel = rel
-    if branch_pair is None:
-        # Fully atomic and path consistent, which decides RCC8 scenarios.
-        return closed
-    u, v = branch_pair
-    for atom in branch_rel.atoms:
-        result = _search_scenario(_refine(closed, u, v, Relation.of(atom)))
-        if result is not None:
-            return result
-    return None
+    m = _closed_matrix(network)
+    return None if m is None else _network(network, m)
 
 
 def is_consistent(network: Qcsp) -> bool:
     """Decide consistency by refinement search with path-consistency pruning."""
-    return _search_scenario(network) is not None
+    m = _closed_matrix(network)
+    return m is not None and _scenario(m) is not None
 
 
 def consistent_scenario(network: Qcsp) -> Optional[Qcsp]:
@@ -438,12 +443,6 @@ def consistent_scenario(network: Qcsp) -> Optional[Qcsp]:
     input (missing pairs of the input count as full), or None when the
     network is inconsistent.
     """
-    scenario = _search_scenario(network)
-    if scenario is None:
-        return None
-    # The search branches until every pair, declared or implied, is atomic.
-    edges = {
-        (u, v): scenario.relation(u, v)
-        for u, v in itertools.permutations(scenario.variables, 2)
-    }
-    return Qcsp(scenario.variables, edges, dict(scenario.selfs))
+    m = _closed_matrix(network)
+    scenario = None if m is None else _scenario(m)
+    return None if scenario is None else _network(network, scenario)

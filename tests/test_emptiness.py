@@ -88,13 +88,9 @@ def test_word_order_follows_declaration_not_alphabet():
 
 
 def test_word_order_prefix_and_rightmost():
-    order = WordOrder(("d1", "d2"))
     assert WordOrder.is_strict_prefix((), ("d1",))
     assert WordOrder.is_prefix(("d1",), ("d1",))
     assert not WordOrder.is_strict_prefix(("d2",), ("d1", "d2"))
-    assert order.is_rightmost(())
-    assert order.is_rightmost(("d2", "d2"))
-    assert not order.is_rightmost(("d2", "d1"))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ package's static data; the scenario searcher gives an independent
 consistency verdict.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracle_grid as og
 import oracle_networks as on
-from gen_random import network_from_choices, random_atomic_choices
+from gen_random import network_from_choices, random_atomic_choices, random_mixed_network
 from qsta import (
     ATOMS,
     EQ_RELATION,
@@ -30,6 +31,9 @@ from qsta import (
 )
 
 relations = st.sets(st.sampled_from(ATOMS)).map(lambda s: Relation.of(*s))
+
+# The scenarios consistent_scenario finds for the mixed networks below.
+MIXED_SCENARIOS_SHA256 = "375e9f7c2bf28901a3c8c0276b7498bc98342ad0c7ef2f7f22aef239325161a3"
 
 
 def atomic(name):
@@ -88,6 +92,7 @@ def test_converse_is_involution_on_all_relations():
     for mask in range(256):
         rel = Relation.of(*(a for i, a in enumerate(ATOMS) if mask >> i & 1))
         assert converse(converse(rel)) == rel
+        assert set(converse(rel)) == {on.ORACLE_CONVERSE[a] for a in rel}
 
 
 def test_composition_identity_laws():
@@ -114,15 +119,19 @@ def test_compose_tpp_tpp_frozen():
 
 
 def test_compose_distributes_over_union():
-    rng = random.Random(11)
-    for _ in range(50):
-        r = Relation.of(*(a for a in ATOMS if rng.random() < 0.4)) | atomic("PO")
-        s = Relation.of(*(a for a in ATOMS if rng.random() < 0.4)) | atomic("EC")
-        expected = Relation.empty()
-        for a in r:
-            for b in s:
-                expected = expected | compose(atomic(a), atomic(b))
-        assert compose(r, s) == expected
+    """Every pair of relations composes to the union of the independent
+    transcription's entries over their atom pairs."""
+    rels = [
+        Relation.of(*(a for i, a in enumerate(ATOMS) if mask >> i & 1))
+        for mask in range(256)
+    ]
+    for r in rels:
+        for s in rels:
+            expected = set()
+            for a in r:
+                for b in s:
+                    expected |= on.ORACLE_COMPOSITION[(a, b)]
+            assert set(compose(r, s)) == expected, (r, s)
 
 
 def test_compose_dc_full_is_full():
@@ -277,6 +286,47 @@ def test_peircean_law_lifts_to_unions(r, s):
 @given(relations)
 def test_relation_complement_is_involution(r):
     assert r.complement().complement() == r
+
+
+def test_mixed_networks_agree_with_oracle():
+    """Non-atomic, partially constrained networks: the verdict matches the
+    brute-force oracle, every scenario is an atomic, allowed, consistent
+    refinement, and the scenarios found are pinned by hash."""
+    rng = random.Random(4321)
+    rendered = []
+    for _ in range(200):
+        n_vars = rng.randint(2, 6)
+        network, allowed = random_mixed_network(rng, n_vars)
+        want = on.oracle_consistent(n_vars, allowed)
+        assert is_consistent(network) == want, allowed
+        scenario = consistent_scenario(network)
+        assert (scenario is not None) == want, allowed
+        if scenario is None:
+            rendered.append("-")
+            continue
+        atoms = {}
+        for i, j in itertools.combinations(range(n_vars), 2):
+            rel = scenario.relation(i, j)
+            assert rel.is_atomic() and rel.issubset(network.relation(i, j))
+            atoms[(i, j)] = str(rel)
+        assert on.oracle_consistent_atoms(n_vars, atoms), allowed
+        rendered.append(" ".join(atoms.values()))
+    digest = hashlib.sha256("\n".join(rendered).encode()).hexdigest()
+    assert digest == MIXED_SCENARIOS_SHA256
+
+
+def test_search_deeper_than_the_recursion_limit():
+    """{DC,EC} on every pair of 46 variables branches on all 1 035 pairs,
+    one level each, past Python's default recursion limit of 1 000."""
+    builder = QcspBuilder()
+    for u, v in itertools.combinations(range(46), 2):
+        builder.add(u, v, Relation.of("DC", "EC"))
+    network = builder.build()
+    assert is_consistent(network)
+    scenario = consistent_scenario(network)
+    assert scenario is not None
+    for u, v in itertools.permutations(range(46), 2):
+        assert scenario.relation(u, v).is_atomic()
 
 
 def test_monotonicity_of_consistency():
