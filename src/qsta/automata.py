@@ -328,7 +328,7 @@ def csp_of_run_prefix(prefix: RunPrefix, directions: Sequence[str]) -> Qcsp:
     """
     builder = QcspBuilder()
     for word, node in _run_nodes_by_word(prefix, directions).items():
-        for constraint in sorted(node.constraints, key=SpatialConstraint.sort_key):
+        for constraint in node.constraints:
             first, second = constraint.args
             var_a: NodeVar = (word + first.path, first.feature)
             var_b: NodeVar = (word + second.path, second.feature)
@@ -450,7 +450,7 @@ def validate_run_prefix(
             if isinstance(literal, fm.NegLiteral) and literal.name in scene_node.concepts:
                 report.defects.append(f"{where}: literal !{literal.name} contradicts scene")
 
-        for constraint in sorted(run_node.constraints, key=SpatialConstraint.sort_key):
+        for constraint in sorted(run_node.constraints, key=SpatialConstraint.encode):
             first, second = constraint.args
             if (
                 len(word) + len(first.path) > prefix.depth

@@ -30,7 +30,7 @@ from .simulate import DEFAULT_MAX_SIM_STATES, sim_state_bound, simulate
 __all__ = ["main"]
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_int(name: str, default: Optional[int]) -> Optional[int]:
     raw = os.environ.get(name)
     if raw is None:
         return default
@@ -92,12 +92,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_emptiness(args: argparse.Namespace) -> int:
-    automaton = _as_nondet(_load(args.file), origin=args.file)
     max_nodes: Optional[int] = args.max_nodes
     if max_nodes is None:
-        env = os.environ.get("QSTA_MAX_SEARCH_NODES")
-        if env is not None:
-            max_nodes = _env_int("QSTA_MAX_SEARCH_NODES", 0)
+        max_nodes = _env_int("QSTA_MAX_SEARCH_NODES", None)
+    elif max_nodes <= 0:
+        raise ValueError(f"--max-nodes must be positive, got {max_nodes}")
+    automaton = _as_nondet(_load(args.file), origin=args.file)
     decision = emp.decide(automaton, max_nodes=max_nodes)
     for note in decision.diagnostics:
         print(f"note: {note}", file=sys.stderr)
@@ -132,7 +132,7 @@ def _cmd_check_witness(args: argparse.Namespace) -> int:
     return 1
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsta",
         description="Tree automata with qualitative spatial constraints.",
@@ -161,8 +161,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_check.add_argument("file")
     p_check.add_argument("witness")
     p_check.set_defaults(run=_cmd_check_witness)
+    return parser
 
-    args = parser.parse_args(argv)
+
+_PARSER = _build_parser()
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         return args.run(args)
     except Exception as exc:

@@ -572,7 +572,7 @@ def automaton_to_document(automaton: Automaton) -> AutomatonDocument:
                                 sorted(t.literals, key=fm.encode_generator)
                             ),
                             constraints=tuple(
-                                sorted(t.constraints, key=SpatialConstraint.sort_key)
+                                sorted(t.constraints, key=SpatialConstraint.encode)
                             ),
                             succ=t.succ,
                         )

@@ -204,19 +204,17 @@ class _SearchNode:
         "ptpge",
         "literals",
         "constraints",
-        "children",
         "backnode",
         "serial",
         "choice",
     )
 
-    def __init__(self, word: Word, state: str, ptpge: FrozenSet[PtpTriple], k: int):
+    def __init__(self, word: Word, state: str, ptpge: FrozenSet[PtpTriple]):
         self.word = word
         self.state = state
         self.ptpge = ptpge
         self.literals: Optional[FrozenSet] = None
         self.constraints: Optional[FrozenSet[SpatialConstraint]] = None
-        self.children: List[Optional[_SearchNode]] = [None] * k
         self.backnode: Optional[Word] = None
         self.serial = 0
         self.choice = 0
@@ -294,14 +292,12 @@ def ftm_search(
             stats.bound_exceeded = True
 
     def drop_after(anchor: _SearchNode) -> None:
-        """Remove every node registered after anchor, newest first, so each
-        dropped node's parent is still present when its slot is cleared."""
+        """Remove every node registered and every decision taken after anchor."""
         while created and created[-1].serial > anchor.serial:
             node = created.pop()
             del index[node.word]
             if node.backnode is None:
                 del by_signature[(node.state, node.ptpge)]
-            index[node.word[:-1]].children[slot[node.word[-1]]] = None
         while decisions and decisions[-1].serial > anchor.serial:
             decisions.pop()
 
@@ -334,7 +330,7 @@ def ftm_search(
             decisions.pop()
         return False
 
-    root = _SearchNode((), automaton.initial, frozenset(), k)
+    root = _SearchNode((), automaton.initial, frozenset())
     register(root)
     by_signature[(root.state, root.ptpge)] = ()
     decisions.append(root)
@@ -347,7 +343,7 @@ def ftm_search(
         if j == k:
             if not node.word:
                 stats.csp_checks += 1
-                if not is_consistent(globalcsp(_freeze(sig.directions, index))):
+                if not is_consistent(globalcsp(index)):
                     if retract():
                         continue
                     return None, stats
@@ -367,16 +363,14 @@ def ftm_search(
                 if retract():
                     continue
                 return None, stats
-            leaf = _SearchNode(word, state, ptpge, k)
+            leaf = _SearchNode(word, state, ptpge)
             leaf.backnode = match
             register(leaf)
-            node.children[j] = leaf
             frames[-1][1] += 1
             continue
-        child = _SearchNode(word, state, ptpge, k)
+        child = _SearchNode(word, state, ptpge)
         register(child)
         by_signature[(state, ptpge)] = word
-        node.children[j] = child
         decisions.append(child)
         if apply_choice(child):
             frames.append([child, 0])
@@ -426,7 +420,9 @@ def _freeze(directions: Tuple[str, ...], index: Mapping[Word, _SearchNode]) -> F
     return FiniteTreeModel(directions=directions, nodes=nodes)
 
 
-def resolve_variable(model: FiniteTreeModel, word: Word, chain: ChainTerm) -> Tuple[Word, str]:
+def resolve_variable(
+    nodes: Mapping[Word, object], word: Word, chain: ChainTerm
+) -> Tuple[Word, str]:
     """Walk a feature chain from a node, routing through backnodes, down to
     the internal node whose feature the chain names.
 
@@ -439,7 +435,7 @@ def resolve_variable(model: FiniteTreeModel, word: Word, chain: ChainTerm) -> Tu
         if fuel == 0:
             raise MalformedModelError("variable resolution does not terminate")
         fuel -= 1
-        node = model.nodes.get(word)
+        node = nodes.get(word)
         if node is None:
             raise MalformedModelError(f"missing node '{' '.join(word)}'")
         if node.backnode is not None:
@@ -451,16 +447,17 @@ def resolve_variable(model: FiniteTreeModel, word: Word, chain: ChainTerm) -> Tu
         path = path[1:]
 
 
-def globalcsp(model: FiniteTreeModel) -> Qcsp:
-    """The union, over internal nodes in preorder, of each node's
-    constraints with arguments resolved to (internal node, feature)
-    variables; repeated pairs intersect and the result is converse closed."""
+def globalcsp(nodes: Mapping[Word, object]) -> Qcsp:
+    """The union, over internal nodes, of each node's constraints with
+    arguments resolved to (internal node, feature) variables; repeated pairs
+    intersect, so order does not matter, and the result is converse closed."""
     builder = QcspBuilder()
-    for word in model.internal_words():
-        node = model.nodes[word]
-        for constraint in sorted(node.constraints, key=SpatialConstraint.sort_key):
-            first = resolve_variable(model, word, constraint.args[0])
-            second = resolve_variable(model, word, constraint.args[1])
+    for word, node in nodes.items():
+        if node.backnode is not None:
+            continue
+        for constraint in node.constraints:
+            first = resolve_variable(nodes, word, constraint.args[0])
+            second = resolve_variable(nodes, word, constraint.args[1])
             builder.add(first, second, constraint.rel)
     return builder.build()
 
@@ -518,7 +515,7 @@ def scene_from_witness(
     assigns to its resolved variable pair (EQ when both ends resolve to the
     same variable)."""
     directions = model.directions
-    network = globalcsp(model)
+    network = globalcsp(model.nodes)
     scenario = consistent_scenario(network)
     if scenario is None:
         raise MalformedModelError("global constraint network is inconsistent")
@@ -526,7 +523,7 @@ def scene_from_witness(
     builder = QcspBuilder()
 
     def collect(word: Word, node: RunNode) -> None:
-        for constraint in sorted(node.constraints, key=SpatialConstraint.sort_key):
+        for constraint in node.constraints:
             first, second = constraint.args
             word_a = word + first.path
             word_b = word + second.path
@@ -692,7 +689,7 @@ def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[st
                     f"node '{' '.join(word)}': fold closes a cycle without an "
                     "accepting state"
                 )
-    if not defects and not is_consistent(globalcsp(model)):
+    if not defects and not is_consistent(globalcsp(model.nodes)):
         defects.append("global constraint network is inconsistent")
     if not defects:
         bounds = check_bounds(model, compute_metrics(automaton), len(automaton.states))

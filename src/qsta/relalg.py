@@ -306,8 +306,8 @@ class QcspBuilder:
 
     def __init__(self, variables: Iterable[Variable] = ()) -> None:
         self._variables = set(variables)
-        self._edges: Dict[Tuple[Variable, Variable], Relation] = {}
-        self._selfs: Dict[Variable, Relation] = {}
+        self._edges: Dict[Tuple[Variable, Variable], int] = {}
+        self._selfs: Dict[Variable, int] = {}
 
     def add_variable(self, v: Variable) -> None:
         self._variables.add(v)
@@ -316,17 +316,16 @@ class QcspBuilder:
         self._variables.add(u)
         self._variables.add(v)
         if u == v:
-            self._selfs[u] = self._selfs.get(u, Relation.full()) & rel
+            self._selfs[u] = self._selfs.get(u, _FULL_MASK) & rel.mask
             return
-        self._edges[(u, v)] = self._edges.get((u, v), Relation.full()) & rel
-        conv = converse(rel)
-        self._edges[(v, u)] = self._edges.get((v, u), Relation.full()) & conv
+        self._edges[(u, v)] = self._edges.get((u, v), _FULL_MASK) & rel.mask
+        self._edges[(v, u)] = self._edges.get((v, u), _FULL_MASK) & _CONVERSE[rel.mask]
 
     def build(self) -> Qcsp:
         return Qcsp(
             variables=tuple(sorted(self._variables)),
-            edges=dict(self._edges),
-            selfs=dict(self._selfs),
+            edges={pair: Relation(mask) for pair, mask in self._edges.items()},
+            selfs={v: Relation(mask) for v, mask in self._selfs.items()},
         )
 
 

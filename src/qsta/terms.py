@@ -46,9 +46,6 @@ class SpatialConstraint:
     def encode(self) -> str:
         return f"{self.rel}({self.args[0]}, {self.args[1]})"
 
-    def sort_key(self) -> str:
-        return self.encode()
-
     def __str__(self) -> str:
         return self.encode()
 

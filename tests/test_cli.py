@@ -199,6 +199,11 @@ def test_emptiness_writes_no_witness_when_empty(tmp_path, capsys):
 def test_emptiness_respects_max_nodes_flag(capsys):
     assert main(["emptiness", corpus("eq_loop"), "--max-nodes", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+    for value in ("0", "-3"):
+        assert main(["emptiness", corpus("eq_loop"), "--max-nodes", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --max-nodes must be positive, got {value}\n"
 
 
 def test_emptiness_rejects_malformed_automaton(tmp_path, capsys):
@@ -337,3 +342,33 @@ def test_module_entry_point_roundtrip(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout == "not-empty\n"
+
+
+def test_witness_bytes_do_not_depend_on_hash_seed(tmp_path):
+    # set iteration order follows the hash seed; the witness bytes must not
+    script = (
+        "import sys\n"
+        "from qsta.cli import main\n"
+        "corpus, out = sys.argv[1], sys.argv[2]\n"
+        "for name in sys.argv[3:]:\n"
+        "    assert main(['emptiness', f'{corpus}/{name}.aut', '--witness',\n"
+        "                 f'{out}/{name}.json', '--dot', f'{out}/{name}.dot']) == 0, name\n"
+    )
+    src = str(CORPUS.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        out.mkdir()
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(CORPUS), str(out), *GOLDEN_WITNESS_SHA256],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+        )
+        assert result.returncode == 0, result.stderr
+        for name, pinned in GOLDEN_WITNESS_SHA256.items():
+            got = tuple(
+                hashlib.sha256((out / f"{name}.{ext}").read_bytes()).hexdigest()
+                for ext in ("json", "dot")
+            )
+            assert got == pinned, (seed, name)

@@ -275,16 +275,16 @@ def test_search_revisits_completed_sibling_subtrees():
 
 def test_resolve_variable_steps_through_internal_children():
     model = decide(corpus_automaton("eq_loop")).witness
-    assert resolve_variable(model, (), ChainTerm((), "g")) == ((), "g")
-    assert resolve_variable(model, (), ChainTerm(("d1",), "g")) == (("d1",), "g")
+    assert resolve_variable(model.nodes, (), ChainTerm((), "g")) == ((), "g")
+    assert resolve_variable(model.nodes, (), ChainTerm(("d1",), "g")) == (("d1",), "g")
 
 
 def test_resolve_variable_routes_through_backnodes():
     model = decide(corpus_automaton("eq_loop")).witness
     # d1's d1-child is a leaf folding back to d1: the chain lands on d1 itself
-    assert resolve_variable(model, ("d1",), ChainTerm(("d1",), "g")) == (("d1",), "g")
+    assert resolve_variable(model.nodes, ("d1",), ChainTerm(("d1",), "g")) == (("d1",), "g")
     # two steps from the root pass through the fold as well
-    assert resolve_variable(model, (), ChainTerm(("d1", "d1"), "g")) == (("d1",), "g")
+    assert resolve_variable(model.nodes, (), ChainTerm(("d1", "d1"), "g")) == (("d1",), "g")
 
 
 def test_resolve_variable_rejects_backnode_cycles():
@@ -297,23 +297,31 @@ def test_resolve_variable_rejects_backnode_cycles():
         },
     )
     with pytest.raises(MalformedModelError):
-        resolve_variable(bad, ("d1",), ChainTerm((), "g"))
+        resolve_variable(bad.nodes, ("d1",), ChainTerm((), "g"))
 
 
 def test_resolve_variable_rejects_missing_words():
     model = decide(corpus_automaton("self_loop")).witness
     with pytest.raises(MalformedModelError):
-        resolve_variable(model, ("d1", "d1"), ChainTerm((), "g"))
+        resolve_variable(model.nodes, ("d1", "d1"), ChainTerm((), "g"))
 
 
 def test_globalcsp_of_eq_loop_folds_to_a_self_pair():
     model = decide(corpus_automaton("eq_loop")).witness
-    network = globalcsp(model)
+    network = globalcsp(model.nodes)
     # root constraint: edge between the root's and the child's g regions
     assert str(network.relation(((), "g"), (("d1",), "g"))) == "EQ"
     # child constraint folds onto the child itself: an EQ self entry
     assert str(network.self_relation((("d1",), "g"))) == "EQ"
     assert is_consistent(network)
+
+
+def test_globalcsp_does_not_depend_on_node_order():
+    for name, verdict in EXPECTED_VERDICTS.items():
+        if verdict == "not-empty":
+            model = decide(corpus_automaton(name)).witness
+            reversed_nodes = dict(reversed(list(model.nodes.items())))
+            assert globalcsp(reversed_nodes) == globalcsp(model.nodes), name
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,16 @@ def test_network_converse_closed_and_total():
     assert n.relation("b", "a") == atomic("TPPI")
     with pytest.raises(ValueError):
         n.relation("a", "a")
+    # repeated pairs intersect, a reversed pair through its converse
+    n = _network(
+        ("a", "b", "{TPP,EQ}"),
+        ("b", "a", "{TPPI,DC}"),
+        ("a", "a", "{EQ,DC}"),
+        ("a", "a", "{EQ,PO}"),
+    )
+    assert n.relation("a", "b") == atomic("TPP")
+    assert n.relation("b", "a") == atomic("TPPI")
+    assert n.self_relation("a") == atomic("EQ")
 
 
 def test_network_self_edges_require_eq():
