@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import formula as fm
-from .relalg import Qcsp, QcspBuilder, Relation, is_consistent, parse_relation
+from .relalg import Qcsp, QcspBuilder, is_consistent
 from .terms import ChainTerm, SpatialConstraint
 
 __all__ = [
@@ -33,12 +33,7 @@ __all__ = [
     "PrefixReport",
     "validate",
     "metrics",
-    "csp_of_run_prefix",
     "validate_run_prefix",
-    "run_prefix_to_json",
-    "run_prefix_from_json",
-    "scene_prefix_to_json",
-    "scene_prefix_from_json",
 ]
 
 Word = Tuple[str, ...]
@@ -304,38 +299,6 @@ class SceneTreePrefix:
     root: SceneNode
 
 
-def _run_nodes_by_word(
-    prefix: RunPrefix, directions: Sequence[str]
-) -> Dict[Word, RunNode]:
-    """Index nodes by direction words (children follow signature order)."""
-    out: Dict[Word, RunNode] = {}
-
-    def visit(word: Word, node: RunNode) -> None:
-        out[word] = node
-        for index, child in enumerate(node.children):
-            visit(word + (directions[index],), child)
-
-    visit((), prefix.root)
-    return out
-
-
-def csp_of_run_prefix(prefix: RunPrefix, directions: Sequence[str]) -> Qcsp:
-    """The constraint network demanded by all constraints in the prefix.
-
-    Variables are (node word, feature) pairs; chain targets may point past
-    the prefix frontier, those variables are still created.  Repeated pairs
-    intersect and the result is converse closed.
-    """
-    builder = QcspBuilder()
-    for word, node in _run_nodes_by_word(prefix, directions).items():
-        for constraint in node.constraints:
-            first, second = constraint.args
-            var_a: NodeVar = (word + first.path, first.feature)
-            var_b: NodeVar = (word + second.path, second.feature)
-            builder.add(var_a, var_b, constraint.rel)
-    return builder.build()
-
-
 @dataclass
 class PrefixReport:
     """Outcome of validating a run prefix against an automaton and scene."""
@@ -498,122 +461,3 @@ def validate_run_prefix(
             )
     return report
 
-
-# ---------------------------------------------------------------------------
-# JSON forms (schemas/run_prefix.schema.json, schemas/scene_prefix.schema.json)
-
-
-def _render_word(word: Word) -> str:
-    return " ".join(word)
-
-
-def _parse_word(text: str) -> Word:
-    return tuple(text.split()) if text else ()
-
-
-def _run_node_to_json(node: RunNode) -> Dict:
-    return {
-        "state": node.state,
-        "literals": sorted(fm.encode_generator(l) for l in node.literals),
-        "constraints": sorted(c.encode() for c in node.constraints),
-        "children": [_run_node_to_json(child) for child in node.children],
-    }
-
-
-def run_prefix_to_json(prefix: RunPrefix) -> Dict:
-    return {
-        "format": "run-prefix",
-        "version": 1,
-        "k": prefix.k,
-        "depth": prefix.depth,
-        "root": _run_node_to_json(prefix.root),
-    }
-
-
-def _run_node_from_json(payload: Dict) -> RunNode:
-    from .terms import parse_constraint
-
-    return RunNode(
-        state=payload["state"],
-        literals=frozenset(fm.parse_literal(t) for t in payload["literals"]),
-        constraints=frozenset(parse_constraint(t) for t in payload["constraints"]),
-        children=tuple(_run_node_from_json(c) for c in payload["children"]),
-    )
-
-
-def run_prefix_from_json(payload: Dict) -> RunPrefix:
-    if payload.get("format") != "run-prefix":
-        raise ValueError("not a run-prefix document")
-    return RunPrefix(
-        k=payload["k"], depth=payload["depth"], root=_run_node_from_json(payload["root"])
-    )
-
-
-def _var_to_json(var: NodeVar) -> Dict:
-    return {"node": _render_word(var[0]), "feature": var[1]}
-
-
-def _var_from_json(payload: Dict) -> NodeVar:
-    return (_parse_word(payload["node"]), payload["feature"])
-
-
-def _qcsp_to_json(network: Qcsp) -> Dict:
-    edges = []
-    for (u, v), rel in sorted(network.edges.items()):
-        if u <= v:  # one direction suffices, converse closure restores the rest
-            edges.append({"a": _var_to_json(u), "b": _var_to_json(v), "rel": str(rel)})
-    selfs = [
-        {"var": _var_to_json(v), "rel": str(rel)}
-        for v, rel in sorted(network.selfs.items())
-    ]
-    return {"edges": edges, "selfs": selfs}
-
-
-def _qcsp_from_json(payload: Dict) -> Qcsp:
-    builder = QcspBuilder()
-    for entry in payload.get("edges", ()):
-        builder.add(
-            _var_from_json(entry["a"]),
-            _var_from_json(entry["b"]),
-            parse_relation(entry["rel"]),
-        )
-    for entry in payload.get("selfs", ()):
-        var = _var_from_json(entry["var"])
-        builder.add(var, var, parse_relation(entry["rel"]))
-    return builder.build()
-
-
-def _scene_node_to_json(node: SceneNode) -> Dict:
-    return {
-        "concepts": sorted(node.concepts),
-        "scene": _qcsp_to_json(node.scene),
-        "children": [_scene_node_to_json(child) for child in node.children],
-    }
-
-
-def scene_prefix_to_json(scene: SceneTreePrefix) -> Dict:
-    return {
-        "format": "scene-prefix",
-        "version": 1,
-        "k": scene.k,
-        "depth": scene.depth,
-        "root": _scene_node_to_json(scene.root),
-    }
-
-
-def _scene_node_from_json(payload: Dict) -> SceneNode:
-    return SceneNode(
-        concepts=frozenset(payload["concepts"]),
-        scene=_qcsp_from_json(payload["scene"]),
-        children=tuple(_scene_node_from_json(c) for c in payload["children"]),
-    )
-
-
-def scene_prefix_from_json(payload: Dict) -> SceneTreePrefix:
-    if payload.get("format") != "scene-prefix":
-        raise ValueError("not a scene-prefix document")
-    return SceneTreePrefix(
-        k=payload["k"],
-        depth=payload["depth"],
-        root=_scene_node_from_json(payload["root"]),
-    )

@@ -41,7 +41,6 @@ __all__ = [
     "ftm_search",
     "globalcsp",
     "resolve_variable",
-    "unfold",
     "unfold_with_sources",
     "scene_from_witness",
     "check_bounds",
@@ -470,8 +469,9 @@ def globalcsp(nodes: Mapping[Word, object]) -> Qcsp:
 def unfold_with_sources(
     model: FiniteTreeModel, depth: int
 ) -> Tuple[RunPrefix, Dict[Word, Word]]:
-    """Unfold to the given depth, also returning, per prefix word, the
-    internal model node it copies."""
+    """The depth-D truncation of the regular run the model folds up (every
+    leaf copy continues with the subtree at its backnode), together with,
+    per prefix word, the internal model node it copies."""
     directions = model.directions
     sources: Dict[Word, Word] = {}
 
@@ -496,12 +496,6 @@ def unfold_with_sources(
 
     root = build((), (), depth)
     return RunPrefix(k=len(directions), depth=depth, root=root), sources
-
-
-def unfold(model: FiniteTreeModel, depth: int) -> RunPrefix:
-    """The depth-D truncation of the regular run the model folds up:
-    every leaf copy continues with the subtree at its backnode."""
-    return unfold_with_sources(model, depth)[0]
 
 
 def scene_from_witness(
@@ -732,9 +726,9 @@ def decide(
     """Decide emptiness; a NonEmpty decision carries the witness together
     with its bounds report and the defects ``check_witness`` finds in it.
 
-    ``max_unfold_nodes`` is accepted for older callers and ignored: the
-    witness is no longer unfolded, since ``check_witness`` settles every
-    node of the run the witness folds up.
+    ``max_unfold_nodes`` is ignored and kept only for its one remaining
+    caller, ``bench/workloads.py``: the witness is no longer unfolded, since
+    ``check_witness`` settles every node of the run the witness folds up.
     """
     model, stats = ftm_search(automaton, max_nodes=max_nodes)
     diagnostics = []

@@ -11,10 +11,6 @@ class ResourceLimitError(RuntimeError):
     """
 
 
-class InadmissibleDisjunctError(ValueError):
-    """A disjunct carries a complementary literal pair and cannot be used."""
-
-
 class MalformedModelError(ValueError):
     """A finite tree model violates its structural contract."""
 

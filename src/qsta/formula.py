@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Tuple, Union
+from typing import FrozenSet, Iterator, List, Tuple, Union
 
-from .errors import InadmissibleDisjunctError, ResourceLimitError
+from .errors import ResourceLimitError
 from .terms import SpatialConstraint
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "Generator",
     "Disjunct",
     "dnf",
-    "partition",
     "generators",
     "encode_generator",
     "parse_literal",
@@ -97,12 +96,18 @@ def encode_generator(gen: Generator) -> str:
 
 
 def generators(formula: Formula) -> Iterator[Generator]:
-    """Yield every generator occurrence, left to right."""
-    if isinstance(formula, (And, Or)):
-        for child in formula.children:
-            yield from generators(child)
-    else:
-        yield formula
+    """Yield every generator occurrence, left to right.
+
+    An explicit stack rather than recursion, so formulas built through the
+    library are not limited by their nesting depth.
+    """
+    stack: List[Formula] = [formula]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (And, Or)):
+            stack.extend(reversed(node.children))
+        else:
+            yield node
 
 
 def parse_literal(text: str) -> Union[PosLiteral, NegLiteral]:
@@ -144,9 +149,6 @@ class Disjunct:
         gens.extend(self.moves)
         return frozenset(gens)
 
-    def is_admissible(self) -> bool:
-        return not complementary_names(self.literals)
-
     def sort_key(self) -> Tuple[str, ...]:
         return tuple(sorted(encode_generator(g) for g in self.generators))
 
@@ -183,39 +185,13 @@ def dnf(formula: Formula, *, max_disjuncts: int = DEFAULT_MAX_DISJUNCTS) -> List
     lists.
     """
     raw = _expand(formula, max_disjuncts)
-    unique = sorted(set(raw), key=len)
     kept: List[FrozenSet[Generator]] = []
-    for candidate in unique:
-        if any(existing < candidate for existing in kept):
-            continue
-        kept.append(candidate)
+    for _, same_size in itertools.groupby(sorted(set(raw), key=len), key=len):
+        # Only a strictly smaller set can be a strict subset, so each size
+        # class is checked against the kept disjuncts of the sizes before it.
+        smaller = tuple(kept)
+        kept.extend([c for c in same_size if not any(s < c for s in smaller)])
     disjuncts = [Disjunct.from_generators(gens) for gens in kept]
     disjuncts.sort(key=Disjunct.sort_key)
     return disjuncts
 
-
-def partition(
-    disjunct: Disjunct,
-) -> Tuple[
-    FrozenSet[Union[PosLiteral, NegLiteral]],
-    FrozenSet[SpatialConstraint],
-    Dict[str, FrozenSet[str]],
-]:
-    """Split a disjunct into literals, constraints, and moves by direction.
-
-    Directions without moves are absent from the map.  Raises
-    InadmissibleDisjunctError when the literal set contains both A and !A.
-    """
-    clash = complementary_names(disjunct.literals)
-    if clash:
-        raise InadmissibleDisjunctError(
-            f"complementary literal pair on {', '.join(clash)}"
-        )
-    moves_by_direction: Dict[str, set] = {}
-    for move in disjunct.moves:
-        moves_by_direction.setdefault(move.direction, set()).add(move.state)
-    return (
-        disjunct.literals,
-        disjunct.constraints,
-        {d: frozenset(states) for d, states in moves_by_direction.items()},
-    )

@@ -275,19 +275,6 @@ class Qcsp:
     def self_relation(self, v: Variable) -> Relation:
         return self.selfs.get(v, Relation.full())
 
-    def constrained_pairs(self) -> Tuple[Tuple[Variable, Variable], ...]:
-        return tuple(sorted(self.edges))
-
-    def refines(self, other: "Qcsp") -> bool:
-        """True when every edge of self is contained in other's edge."""
-        for pair, rel in self.edges.items():
-            if not rel.issubset(other.edges.get(pair, Relation.full())):
-                return False
-        for var, rel in self.selfs.items():
-            if not rel.issubset(other.selfs.get(var, Relation.full())):
-                return False
-        return True
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Qcsp):
             return NotImplemented

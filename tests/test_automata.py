@@ -2,7 +2,6 @@
 
 import pytest
 
-import qsta.automata as am
 import qsta.formula as fm
 from qsta import (
     AlternatingAutomaton,
@@ -10,7 +9,6 @@ from qsta import (
     Metrics,
     NondetAutomaton,
     QcspBuilder,
-    Relation,
     RunNode,
     RunPrefix,
     SceneNode,
@@ -18,7 +16,6 @@ from qsta import (
     Signature,
     SpatialConstraint,
     Transition,
-    csp_of_run_prefix,
     metrics,
     parse_relation,
     validate,
@@ -169,6 +166,24 @@ def test_validate_alternating_missing_formula_and_bad_names():
     assert any("unknown state 'q9'" in d for d in defects)
 
 
+def test_validate_alternating_formula_nested_beyond_recursion_limit():
+    # The DSL caps nesting, but formulas built through the library are not.
+    leaves = [fm.PosLiteral("A") if i % 2 else fm.NegLiteral("B") for i in range(3000)]
+    formula = fm.Move("d1", "q0")
+    for i, leaf in reversed(list(enumerate(leaves))):
+        formula = (fm.And if i % 2 else fm.Or)((leaf, formula))
+    got = list(fm.generators(formula))
+    assert got == leaves + [fm.Move("d1", "q0")]
+    a = AlternatingAutomaton(
+        sig=sig2(),
+        states=("q0",),
+        initial="q0",
+        accepting=frozenset({"q0"}),
+        delta={"q0": formula},
+    )
+    assert validate(a) == []
+
+
 def test_transitions_default_empty():
     a = nondet({"q0": ()})
     assert a.transitions("q0") == ()
@@ -245,14 +260,6 @@ def full_run(depth):
     return RunPrefix(k=2, depth=depth, root=node(0))
 
 
-def test_csp_of_run_prefix_collects_constraints_at_words():
-    prefix = full_run(1)
-    network = csp_of_run_prefix(prefix, ("d1", "d2"))
-    assert network.relation(((), "g"), ((), "h")) == Relation.of("TPP")
-    assert network.relation((("d1",), "g"), (("d1",), "h")) == Relation.of("TPP")
-    assert network.relation((("d2",), "g"), (("d2",), "h")) == Relation.of("TPP")
-
-
 def test_validate_run_prefix_accepts_matching_scene():
     report = validate_run_prefix(universal_automaton(), full_run(2), scene_everywhere(2))
     assert report.defects == []
@@ -316,23 +323,3 @@ def test_validate_run_prefix_reports_beyond_horizon_constraints():
     assert report.defects == []
     assert report.unchecked  # the chain runs past the prefix horizon
 
-
-# -- serialization ----------------------------------------------------------
-
-
-def test_run_prefix_json_round_trip():
-    prefix = full_run(2)
-    payload = am.run_prefix_to_json(prefix)
-    assert payload["format"] == "run-prefix"
-    assert am.run_prefix_from_json(payload) == prefix
-
-
-def test_scene_prefix_json_round_trip():
-    scene = scene_everywhere(2)
-    payload = am.scene_prefix_to_json(scene)
-    assert payload["format"] == "scene-prefix"
-    back = am.scene_prefix_from_json(payload)
-    assert back.k == scene.k and back.depth == scene.depth
-    assert back.root.concepts == scene.root.concepts
-    assert back.root.scene.edges == scene.root.scene.edges
-    assert len(back.root.children) == len(scene.root.children)

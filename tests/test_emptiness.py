@@ -30,7 +30,6 @@ from qsta import (
     resolve_variable,
     scene_from_witness,
     simulate,
-    unfold,
     unfold_with_sources,
     validate,
     validate_run_prefix,
@@ -382,7 +381,7 @@ def test_corpus_witnesses_respect_bounds():
 
 def test_unfold_depth_zero_is_just_the_root():
     model = decide(corpus_automaton("eq_loop")).witness
-    prefix = unfold(model, 0)
+    prefix = unfold_with_sources(model, 0)[0]
     assert prefix.depth == 0
     assert prefix.root.children == ()
     assert prefix.root.state == "q0"
@@ -390,7 +389,7 @@ def test_unfold_depth_zero_is_just_the_root():
 
 def test_unfold_copies_folded_subtrees():
     model = decide(corpus_automaton("eq_loop")).witness
-    prefix = unfold(model, 3)
+    prefix = unfold_with_sources(model, 3)[0]
     # full binary tree: the folds guarantee every level is fully populated
     def count(node):
         return 1 + sum(count(c) for c in node.children)
@@ -518,7 +517,7 @@ def test_decide_matches_classical_oracle_on_random_automata():
     wrong = []
     for i in range(200):
         automaton = random_nondet(rng, max_states=6, max_k=3)
-        decision = decide(automaton, max_unfold_nodes=30000)
+        decision = decide(automaton)
         if decision.nonempty != classical_nonempty(automaton):
             wrong.append((i, decision.verdict))
     assert wrong == []

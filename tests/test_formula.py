@@ -1,4 +1,4 @@
-"""Positive boolean formulas, DNF conversion, and disjunct partitioning."""
+"""Positive boolean formulas and DNF conversion."""
 
 import itertools
 import random
@@ -8,19 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen_random import eval_formula, random_monotone_formula
-from qsta import ChainTerm, InadmissibleDisjunctError, ResourceLimitError, SpatialConstraint, parse_relation
+from qsta import ChainTerm, ResourceLimitError, SpatialConstraint, parse_relation
 from qsta.formula import (
     And,
     Constraint,
-    Disjunct,
     Move,
     NegLiteral,
     Or,
     PosLiteral,
+    complementary_names,
     dnf,
     encode_generator,
     parse_literal,
-    partition,
 )
 
 
@@ -72,16 +71,16 @@ def test_dnf_removes_duplicates_and_supersets():
 
 def test_dnf_keeps_inadmissible_disjuncts_for_later_filtering():
     # dnf is pure monotone normalization; complementary pairs are weeded
-    # out by whoever partitions the disjunct.
+    # out by whoever consumes the disjunct.
     f = Or((And((lit("a"), NegLiteral("a"))), lit("b")))
     sets = [d.generators for d in dnf(f)]
     assert frozenset({lit("a"), NegLiteral("a")}) in sets
     assert frozenset({lit("b")}) in sets
-    flags = {
-        frozenset(d.generators): d.is_admissible() for d in dnf(f)
+    clashes = {
+        frozenset(d.generators): complementary_names(d.literals) for d in dnf(f)
     }
-    assert flags[frozenset({lit("a"), NegLiteral("a")})] is False
-    assert flags[frozenset({lit("b")})] is True
+    assert clashes[frozenset({lit("a"), NegLiteral("a")})] == ["a"]
+    assert clashes[frozenset({lit("b")})] == []
 
 
 def test_dnf_deterministic_order():
@@ -124,41 +123,6 @@ def test_dnf_truth_table_equivalence_random():
                 all(truth[g] for g in d.generators) for d in disjuncts
             )
             assert direct == via_dnf
-
-
-# -- partition ------------------------------------------------------------
-
-
-def test_partition_regroups_by_kind():
-    d = Disjunct.from_generators(
-        frozenset(
-            {
-                lit("A"),
-                tpp_g_d1h(),
-                Move("d1", "q1"),
-                Move("d1", "q2"),
-                Move("d2", "q1"),
-            }
-        )
-    )
-    literals, constraints, moves = partition(d)
-    assert literals == frozenset({lit("A")})
-    assert constraints == frozenset({tpp_g_d1h().constraint})
-    assert moves == {"d1": frozenset({"q1", "q2"}), "d2": frozenset({"q1"})}
-
-
-def test_partition_rejects_complementary_pair():
-    d = Disjunct.from_generators(frozenset({lit("A"), NegLiteral("A")}))
-    assert not d.is_admissible()
-    with pytest.raises(InadmissibleDisjunctError):
-        partition(d)
-
-
-def test_partition_empty_disjunct():
-    literals, constraints, moves = partition(Disjunct.from_generators(frozenset()))
-    assert literals == frozenset()
-    assert constraints == frozenset()
-    assert moves == {}
 
 
 # -- odds and ends ----------------------------------------------------------

@@ -255,9 +255,9 @@ def test_consistent_scenario_refines_and_stays_consistent():
     n = _network(("a", "b", "{TPP,EQ}"), ("b", "c", "{DC,EC}"))
     scenario = consistent_scenario(n)
     assert scenario is not None
-    assert scenario.refines(n)
-    for (u, v) in scenario.constrained_pairs():
-        assert scenario.relation(u, v).is_atomic()
+    for (u, v), rel in scenario.edges.items():
+        assert rel.issubset(n.relation(u, v))
+        assert rel.is_atomic()
     assert is_consistent(scenario)
     assert consistent_scenario(_network(("a", "b", "EQ"), ("b", "c", "EQ"), ("a", "c", "DC"))) is None
 
