@@ -7,13 +7,16 @@ back at matching internal nodes.  The search below builds that tree depth
 first, trying transitions in declared order and directions in signature
 order.  When the root completes, so does the tree, and one consistency
 check of the global constraint network over the internal nodes closes the
-construction.
+construction.  The search resolves each constraint's chains once, as the
+nodes they reach are registered, and decides that check from its log of
+resolved constraints; ``globalcsp`` rebuilds the same network from a
+finished model for ``check_witness``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from . import formula as fm
 from .automata import (
@@ -26,7 +29,14 @@ from .automata import (
     metrics as compute_metrics,
 )
 from .errors import MalformedModelError, ResourceLimitError
-from .relalg import EQ_RELATION, Qcsp, QcspBuilder, consistent_scenario, is_consistent
+from .relalg import (
+    EQ_RELATION,
+    Qcsp,
+    QcspBuilder,
+    consistent_scenario,
+    is_consistent,
+    masks_consistent,
+)
 from .terms import ChainTerm, SpatialConstraint, parse_chain, parse_constraint
 
 __all__ = [
@@ -197,8 +207,14 @@ class SearchStats:
 
 
 class _SearchNode:
+    """A live node of the search.  ``rank`` is the word as direction slots,
+    so ranks compare in the lexicographic word order; ``mark`` holds the
+    lengths of the resolution trail and log right after the node was
+    registered, the state a retract to this node restores."""
+
     __slots__ = (
         "word",
+        "rank",
         "state",
         "ptpge",
         "literals",
@@ -206,10 +222,14 @@ class _SearchNode:
         "backnode",
         "serial",
         "choice",
+        "mark",
     )
 
-    def __init__(self, word: Word, state: str, ptpge: FrozenSet[PtpTriple]):
+    def __init__(
+        self, word: Word, rank: Tuple[int, ...], state: str, ptpge: FrozenSet[PtpTriple]
+    ):
         self.word = word
+        self.rank = rank
         self.state = state
         self.ptpge = ptpge
         self.literals: Optional[FrozenSet] = None
@@ -217,6 +237,14 @@ class _SearchNode:
         self.backnode: Optional[Word] = None
         self.serial = 0
         self.choice = 0
+        self.mark = (0, 0)
+
+
+# A network variable of the search: an internal node and a feature.
+_Variable = Tuple[_SearchNode, str]
+# A chain walk waiting on a word: (steps taken, first variable or None,
+# issuing word, constraint), the arguments of ``walk`` after the word.
+_Walk = Tuple[int, Optional[_Variable], Word, SpatialConstraint]
 
 
 def _witness_bound(size_q: int, met: Metrics, k: int) -> Tuple[int, int]:
@@ -246,21 +274,23 @@ def ftm_search(
     configuration, whether or not the backnode is an ancestor; this is the
     second depth-first search of nested DFS.  When the root completes, the
     tree is complete and the global constraint network is checked once;
-    inconsistency also rejects the configuration.
+    inconsistency also rejects the configuration.  That network is not
+    rebuilt per tree: each constraint is resolved to its (internal node,
+    feature) variables when the last node its chains reach is registered,
+    and the check decides the log of resolved constraints.
 
     Rejections backtrack chronologically: the most recently chosen
     transition anywhere in the tree advances to its next alternative and
-    every node created after that decision is discarded.  Sibling subtrees
-    built earlier under the same parent are therefore revisited before the
-    parent abandons its own choice; the verdict does not depend on the
-    order transitions are declared in.
+    every node created and constraint resolved after that decision is
+    discarded.  Sibling subtrees built earlier under the same parent are
+    therefore revisited before the parent abandons its own choice; the
+    verdict does not depend on the order transitions are declared in.
 
     ``max_nodes`` caps the live tree size; the default is twice the
     theoretical witness bound.
     """
     sig = automaton.sig
     k = sig.k
-    order = WordOrder(sig.directions)
     met = compute_metrics(automaton)
     internal_bound, leaf_bound = _witness_bound(len(automaton.states), met, k)
     exact_total = internal_bound + leaf_bound
@@ -268,11 +298,51 @@ def ftm_search(
 
     stats = SearchStats()
     index: Dict[Word, _SearchNode] = {}
-    by_signature: Dict[Tuple[str, FrozenSet[PtpTriple]], Word] = {}
+    by_signature: Dict[Tuple[str, FrozenSet[PtpTriple]], _SearchNode] = {}
     created: List[_SearchNode] = []
     decisions: List[_SearchNode] = []
-    slot = {d: i for i, d in enumerate(sig.directions)}
+    # backconstraints_step depends on the parent's constraints and pending
+    # triples and the direction only, so each result is computed once.
+    steps: Dict[Tuple[FrozenSet, FrozenSet[PtpTriple], str], FrozenSet[PtpTriple]] = {}
     serial = 0
+
+    # Each issued constraint is resolved once, by walking its chains as
+    # ``resolve_variable`` does, and logged as (variable, variable, mask).
+    # A walk whose next word is not registered yet waits on that word; in
+    # preorder the word is registered later or dropped by a retract.  The
+    # trail records every wait, (word, None), and every wake-up,
+    # (word, walks), so a retract can undo them in reverse.
+    log: List[Tuple[_Variable, _Variable, int]] = []
+    waiting: Dict[Word, List[_Walk]] = {}
+    trail: List[Tuple[Word, Optional[List[_Walk]]]] = []
+
+    def walk(
+        word: Word,
+        pos: int,
+        first: Optional[_Variable],
+        origin: Word,
+        constraint: SpatialConstraint,
+    ) -> None:
+        """Walk the constraint's first chain from ``word``, ``pos`` steps
+        in; once it resolves to ``first``, walk the second from ``origin``."""
+        chain = constraint.args[0 if first is None else 1]
+        while True:
+            node = index.get(word)
+            if node is None:
+                waiting.setdefault(word, []).append((pos, first, origin, constraint))
+                trail.append((word, None))
+                return
+            if node.backnode is not None:
+                word = node.backnode
+            elif pos < len(chain.path):
+                word += (chain.path[pos],)
+                pos += 1
+            elif first is None:
+                first = (node, chain.feature)
+                word, pos, chain = origin, 0, constraint.args[1]
+            else:
+                log.append((first, (node, chain.feature), constraint.rel.mask))
+                return
 
     def register(node: _SearchNode) -> None:
         nonlocal serial
@@ -289,9 +359,16 @@ def ftm_search(
         stats.peak_nodes = max(stats.peak_nodes, len(index))
         if len(index) > exact_total:
             stats.bound_exceeded = True
+        walks = waiting.pop(node.word, None)
+        if walks is not None:
+            trail.append((node.word, walks))
+            for walk_state in walks:
+                walk(node.word, *walk_state)
+        node.mark = (len(trail), len(log))
 
     def drop_after(anchor: _SearchNode) -> None:
-        """Remove every node registered and every decision taken after anchor."""
+        """Remove every node registered, decision taken and constraint
+        resolved or left waiting after anchor was registered."""
         while created and created[-1].serial > anchor.serial:
             node = created.pop()
             del index[node.word]
@@ -299,6 +376,16 @@ def ftm_search(
                 del by_signature[(node.state, node.ptpge)]
         while decisions and decisions[-1].serial > anchor.serial:
             decisions.pop()
+        trail_mark, log_mark = anchor.mark
+        while len(trail) > trail_mark:
+            word, walks = trail.pop()
+            if walks is not None:
+                waiting[word] = walks
+            elif len(waiting[word]) > 1:
+                waiting[word].pop()
+            else:
+                del waiting[word]
+        del log[log_mark:]
 
     def apply_choice(node: _SearchNode) -> bool:
         choices = automaton.transitions(node.state)
@@ -307,6 +394,8 @@ def ftm_search(
         picked = choices[node.choice]
         node.literals = picked.literals
         node.constraints = picked.constraints
+        for constraint in picked.constraints:
+            walk(node.word, 0, None, node.word, constraint)
         return True
 
     # frames mirror the active ancestor chain; frames[-1] is the node whose
@@ -318,20 +407,20 @@ def ftm_search(
         in the tree; False when the whole space is exhausted."""
         while decisions:
             node = decisions[-1]
+            drop_after(node)
             node.choice += 1
             if apply_choice(node):
-                drop_after(node)
                 del frames[:]
-                for depth, component in enumerate(node.word):
-                    frames.append([index[node.word[:depth]], slot[component]])
+                for depth, j in enumerate(node.rank):
+                    frames.append([index[node.word[:depth]], j])
                 frames.append([node, 0])
                 return True
             decisions.pop()
         return False
 
-    root = _SearchNode((), automaton.initial, frozenset())
+    root = _SearchNode((), (), automaton.initial, frozenset())
     register(root)
-    by_signature[(root.state, root.ptpge)] = ()
+    by_signature[(root.state, root.ptpge)] = root
     decisions.append(root)
     if not apply_choice(root):
         return None, stats
@@ -341,8 +430,9 @@ def ftm_search(
         node, j = frames[-1]
         if j == k:
             if not node.word:
+                assert not waiting, "a complete tree resolves every chain"
                 stats.csp_checks += 1
-                if not is_consistent(globalcsp(index)):
+                if not _log_consistent(log):
                     if retract():
                         continue
                     return None, stats
@@ -350,26 +440,29 @@ def ftm_search(
             if frames:
                 frames[-1][1] += 1
             continue
-        choice = automaton.transitions(node.state)[node.choice]
         direction = sig.directions[j]
         word = node.word + (direction,)
-        state = choice.succ[j]
-        ptpge = backconstraints_step(node, direction)
+        rank = node.rank + (j,)
+        state = automaton.transitions(node.state)[node.choice].succ[j]
+        step = (node.constraints, node.ptpge, direction)
+        ptpge = steps.get(step)
+        if ptpge is None:
+            ptpge = steps[step] = backconstraints_step(node, direction)
         match = by_signature.get((state, ptpge))
         if match is not None:
-            assert order.lex_lt(match, word)
-            if _closes_rejecting_cycle(automaton, index, node.word, match):
+            assert match.rank < rank
+            if _closes_rejecting_cycle(automaton, index, node.word, match.word):
                 if retract():
                     continue
                 return None, stats
-            leaf = _SearchNode(word, state, ptpge)
-            leaf.backnode = match
+            leaf = _SearchNode(word, rank, state, ptpge)
+            leaf.backnode = match.word
             register(leaf)
             frames[-1][1] += 1
             continue
-        child = _SearchNode(word, state, ptpge)
+        child = _SearchNode(word, rank, state, ptpge)
         register(child)
-        by_signature[(state, ptpge)] = word
+        by_signature[(state, ptpge)] = child
         decisions.append(child)
         if apply_choice(child):
             frames.append([child, 0])
@@ -377,6 +470,15 @@ def ftm_search(
             return None, stats
 
     return _freeze(sig.directions, index), stats
+
+
+def _log_consistent(log: Sequence[Tuple[_Variable, _Variable, int]]) -> bool:
+    """Decide the network of a resolution log over a dense variable index."""
+    ids: Dict[_Variable, int] = {}
+    constraints = [
+        (ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)), mask) for a, b, mask in log
+    ]
+    return masks_consistent(len(ids), constraints)
 
 
 def _closes_rejecting_cycle(

@@ -154,26 +154,43 @@ class Disjunct:
 
 
 def _expand(formula: Formula, cap: int) -> List[FrozenSet[Generator]]:
-    if isinstance(formula, Or):
-        out: List[FrozenSet[Generator]] = []
-        for child in formula.children:
-            out.extend(_expand(child, cap))
-            if len(out) > cap:
-                raise ResourceLimitError(
-                    f"DNF exceeds {cap} disjuncts; raise the cap to proceed"
-                )
-        return out
-    if isinstance(formula, And):
-        product: List[FrozenSet[Generator]] = [frozenset()]
-        for child in formula.children:
-            branches = _expand(child, cap)
-            if len(product) * len(branches) > cap:
-                raise ResourceLimitError(
-                    f"DNF exceeds {cap} disjuncts; raise the cap to proceed"
-                )
-            product = [a | b for a, b in itertools.product(product, branches)]
-        return product
-    return [frozenset((formula,))]
+    """The disjuncts of ``formula`` before absorption, in expansion order.
+
+    Children are expanded left to right on an explicit stack of frames
+    [node, children done, partial result] rather than by recursion, so
+    formulas built through the library are not limited by their nesting
+    depth.  An Or checks the cap after each child, an And before each
+    product.
+    """
+    stack: List[list] = []
+    node = formula
+    while True:
+        while isinstance(node, (And, Or)):
+            stack.append([node, 0, [frozenset()] if isinstance(node, And) else []])
+            node = node.children[0]
+        done: List[FrozenSet[Generator]] = [frozenset((node,))]
+        while stack:
+            frame = stack[-1]
+            parent, partial = frame[0], frame[2]
+            if isinstance(parent, Or):
+                partial.extend(done)
+                if len(partial) > cap:
+                    raise ResourceLimitError(
+                        f"DNF exceeds {cap} disjuncts; raise the cap to proceed"
+                    )
+            else:
+                if len(partial) * len(done) > cap:
+                    raise ResourceLimitError(
+                        f"DNF exceeds {cap} disjuncts; raise the cap to proceed"
+                    )
+                frame[2] = [a | b for a, b in itertools.product(partial, done)]
+            frame[1] += 1
+            if frame[1] < len(parent.children):
+                node = parent.children[frame[1]]
+                break
+            done = stack.pop()[2]
+        else:
+            return done
 
 
 def dnf(formula: Formula, *, max_disjuncts: int = DEFAULT_MAX_DISJUNCTS) -> List[Disjunct]:

@@ -33,6 +33,7 @@ ATOMS: Tuple[str, ...] = ("DC", "EC", "PO", "TPP", "NTPP", "TPPI", "NTPPI", "EQ"
 
 _ATOM_BIT: Dict[str, int] = {name: 1 << i for i, name in enumerate(ATOMS)}
 _FULL_MASK = (1 << len(ATOMS)) - 1
+_EQ_MASK = _ATOM_BIT["EQ"]
 
 _CONVERSE_ATOM = {
     "DC": "DC",
@@ -322,22 +323,31 @@ class QcspBuilder:
 Matrix = List[List[int]]
 
 
-def _closed_matrix(network: Qcsp) -> Optional[Matrix]:
-    """The network as a path-consistent mask matrix, or None when a self
-    constraint lacks EQ or a relation empties."""
-    if not all("EQ" in rel for rel in network.selfs.values()):
-        return None
-    index = {v: i for i, v in enumerate(network.variables)}
-    n = len(index)
+def _closed_matrix(n: int, constraints: Iterable[Tuple[int, int, int]]) -> Optional[Matrix]:
+    """Constraints (i, j, mask) over variables 0..n-1 as a path-consistent
+    mask matrix, or None when a relation empties.  Repeated pairs
+    intersect; a pair i == j holds exactly when its mask admits EQ."""
     m = [[_FULL_MASK] * n for _ in range(n)]
-    for (u, v), rel in network.edges.items():
-        if rel.is_empty():
+    for i, j, mask in constraints:
+        if i == j:
+            if not mask & _EQ_MASK:
+                return None
+            continue
+        mask &= m[i][j]
+        if not mask:
             return None
-        if u in index and v in index:
-            m[index[u]][index[v]] = rel.mask
+        m[i][j], m[j][i] = mask, _CONVERSE[mask]
     # A full pair cannot tighten a triangle: it composes to the full relation.
     queue = {(i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] != _FULL_MASK}
     return m if _close(m, queue) else None
+
+
+def _masks(network: Qcsp) -> Tuple[int, List[Tuple[int, int, int]]]:
+    """The network as ``_closed_matrix`` arguments, variables in their order."""
+    index = {v: i for i, v in enumerate(network.variables)}
+    constraints = [(index[v], index[v], rel.mask) for v, rel in network.selfs.items()]
+    constraints += [(index[u], index[v], rel.mask) for (u, v), rel in network.edges.items()]
+    return len(index), constraints
 
 
 def _close(m: Matrix, queue: Set[Tuple[int, int]]) -> bool:
@@ -412,14 +422,21 @@ def path_consistency(network: Qcsp) -> Optional[Qcsp]:
     EQ-free self constraint) empties; None is the ordinary "inconsistent"
     answer, not an error.
     """
-    m = _closed_matrix(network)
+    m = _closed_matrix(*_masks(network))
     return None if m is None else _network(network, m)
+
+
+def masks_consistent(n: int, constraints: Iterable[Tuple[int, int, int]]) -> bool:
+    """Decide a network given as masks: constraints (i, j, mask) over
+    variables 0..n-1, read as in ``_closed_matrix``.  ``is_consistent``
+    and the emptiness search both decide through here."""
+    m = _closed_matrix(n, constraints)
+    return m is not None and _scenario(m) is not None
 
 
 def is_consistent(network: Qcsp) -> bool:
     """Decide consistency by refinement search with path-consistency pruning."""
-    m = _closed_matrix(network)
-    return m is not None and _scenario(m) is not None
+    return masks_consistent(*_masks(network))
 
 
 def consistent_scenario(network: Qcsp) -> Optional[Qcsp]:
@@ -429,6 +446,6 @@ def consistent_scenario(network: Qcsp) -> Optional[Qcsp]:
     input (missing pairs of the input count as full), or None when the
     network is inconsistent.
     """
-    m = _closed_matrix(network)
+    m = _closed_matrix(*_masks(network))
     scenario = None if m is None else _scenario(m)
     return None if scenario is None else _network(network, scenario)

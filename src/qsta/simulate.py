@@ -10,7 +10,7 @@ states of the output, together with the accept-all sink.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Mapping, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from . import formula as fm
 from .automata import AlternatingAutomaton, NondetAutomaton, Transition

@@ -1,6 +1,8 @@
 """Emptiness search, witness structure, unfolding and serialization."""
 
 import dataclasses
+import hashlib
+import importlib.util
 import json
 import pathlib
 import random
@@ -266,6 +268,32 @@ def test_search_revisits_completed_sibling_subtrees():
     # the surviving configuration carries no constraints anywhere
     for model in (first.witness, second.witness):
         assert all(not n.constraints for n in model.nodes.values())
+
+
+def test_retried_subtree_keeps_constraints_resolved_after_it():
+    """The root's constraints reach node d2, which is built after the d1
+    subtree.  When the first tree fails, the retry at d1 rebuilds d2, and
+    the root's constraints must resolve again there: TPP and DC on the
+    same pair make every tree inconsistent."""
+    automaton = load_automaton(
+        """
+        nondet {
+          directions: d1 d2;
+          concepts: ;
+          features: f g;
+          states: r a t;
+          initial: r;
+          accepting: t;
+          delta r -> { L={}; X={TPP(f, d2 g) DC(f, d2 g)}; succ=(a, t) };
+          delta a -> { L={}; X={DC(f, f)}; succ=(t, t) }
+                   | { L={}; X={}; succ=(t, t) };
+          delta t -> { L={}; X={}; succ=(t, t) };
+        }
+        """
+    )
+    decision = decide(automaton)
+    assert decision.verdict == "empty"
+    assert decision.stats.csp_checks == 2
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +644,40 @@ def _differential_automata():
     rng = random.Random(7)
     for i in range(100):
         yield f"nd-{i}", random_nondet(rng, max_states=6, max_k=3)
+
+
+FALLBACK = pathlib.Path(__file__).resolve().parent.parent / "bench" / "fallback.py"
+
+# sha256 of the lines below over _search_outcomes(), computed before the
+# search resolved its constraints incrementally; any change to what the
+# search builds, rejects or returns changes it.
+SEARCH_OUTCOMES_SHA256 = "e8e766e43915876b8c416541f771e3f70d30f61feae4576b279fc2fd0906b0f5"
+
+
+def _search_outcomes():
+    spec = importlib.util.spec_from_file_location("bench_fallback", FALLBACK)
+    fallback = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fallback)
+    automata = [(name, corpus_automaton(name)) for name in EXPECTED_VERDICTS]
+    automata += [(n, a) for n, a in _differential_automata() if n.startswith(("c5-", "nd-"))]
+    rng = random.Random(1)
+    for i in range(12):
+        text, _ = fallback.fallback_instance(rng, i)
+        automata.append((f"fb-{i}", load_automaton(text)))
+    for name, automaton in automata:
+        model, stats = ftm_search(automaton)
+        witness = "" if model is None else hashlib.sha256(
+            json.dumps(witness_to_json(model), sort_keys=True).encode()
+        ).hexdigest()
+        yield (
+            f"{name} {model is not None} {witness} {stats.nodes_created} "
+            f"{stats.peak_nodes} {stats.csp_checks} {stats.bound_exceeded}"
+        )
+
+
+def test_search_outcomes_are_pinned():
+    digest = hashlib.sha256("\n".join(_search_outcomes()).encode()).hexdigest()
+    assert digest == SEARCH_OUTCOMES_SHA256
 
 
 def test_check_witness_implies_a_sound_unfolded_run():

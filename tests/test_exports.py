@@ -1,5 +1,7 @@
-"""Every exported name resolves, and so does every layer the benchmark traces."""
+"""Every exported name resolves, and so does every layer the benchmark
+traces; every name a module imports is used."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -40,3 +42,27 @@ def test_traced_layers_exist():
             if not callable(getattr(module, name, None))
         )
     assert missing == []
+
+
+def _unused_imports(source):
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(pathlib.Path(qsta.__file__).parent.glob("*.py")):
+        unused.extend(f"{path.name}: {name}" for name in _unused_imports(path.read_text()))
+    assert unused == []

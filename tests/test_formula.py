@@ -1,5 +1,6 @@
 """Positive boolean formulas and DNF conversion."""
 
+import hashlib
 import itertools
 import random
 
@@ -94,9 +95,37 @@ def test_dnf_cap_raises():
     clauses = tuple(
         Or((lit(f"a{i}"), lit(f"b{i}"))) for i in range(14)
     )
-    with pytest.raises(ResourceLimitError):
+    message = "^DNF exceeds 10000 disjuncts; raise the cap to proceed$"
+    with pytest.raises(ResourceLimitError, match=message):
         dnf(And(clauses))
     assert len(dnf(And(clauses), max_disjuncts=2**14)) == 2**14
+    message = "^DNF exceeds 2 disjuncts; raise the cap to proceed$"
+    with pytest.raises(ResourceLimitError, match=message):
+        dnf(Or((lit("a"), lit("b"), lit("c"))), max_disjuncts=2)
+
+
+def test_dnf_of_a_chain_deeper_than_the_recursion_limit():
+    f = lit("B0")
+    for i in range(1, 2001):
+        f = And((f, lit(f"B{i}")))
+    (disjunct,) = dnf(f)
+    assert disjunct.literals == frozenset(lit(f"B{i}") for i in range(2001))
+
+
+# sha256 of dnf's output on criterion 3's 100 formulas, computed while the
+# expansion still recursed.
+CRITERION_3_DNF_SHA256 = "b32854a7431f6c15534848ba92671bf798867609ade9e0e7346187ea21c60a0b"
+
+
+def test_dnf_output_is_pinned_on_criterion_3_formulas():
+    rng = random.Random(77)
+    lines = []
+    for _ in range(100):
+        generators = [PosLiteral(f"p{j}") for j in range(rng.randint(1, 6))]
+        formula = random_monotone_formula(rng, generators, depth=3)
+        lines.append(repr([sorted_key(d.generators) for d in dnf(formula)]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CRITERION_3_DNF_SHA256
 
 
 def test_dnf_idempotent_on_own_output():
