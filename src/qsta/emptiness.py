@@ -209,8 +209,8 @@ class SearchStats:
 class _SearchNode:
     """A live node of the search.  ``rank`` is the word as direction slots,
     so ranks compare in the lexicographic word order; ``mark`` holds the
-    lengths of the resolution trail and log right after the node was
-    registered, the state a retract to this node restores."""
+    lengths of the resolution trail, log and variable list right after the
+    node was registered, the state a retract to this node restores."""
 
     __slots__ = (
         "word",
@@ -237,7 +237,7 @@ class _SearchNode:
         self.backnode: Optional[Word] = None
         self.serial = 0
         self.choice = 0
-        self.mark = (0, 0)
+        self.mark = (0, 0, 0)
 
 
 # A network variable of the search: an internal node and a feature.
@@ -311,10 +311,21 @@ def ftm_search(
     # A walk whose next word is not registered yet waits on that word; in
     # preorder the word is registered later or dropped by a retract.  The
     # trail records every wait, (word, None), and every wake-up,
-    # (word, walks), so a retract can undo them in reverse.
-    log: List[Tuple[_Variable, _Variable, int]] = []
+    # (word, walks), so a retract can undo them in reverse.  A variable gets
+    # its dense id, its position in ``variables``, when it is first logged,
+    # so the log is the root check's network as it stands.
+    log: List[Tuple[int, int, int]] = []
+    variables: List[_Variable] = []
+    ids: Dict[_Variable, int] = {}
     waiting: Dict[Word, List[_Walk]] = {}
     trail: List[Tuple[Word, Optional[List[_Walk]]]] = []
+
+    def var_id(variable: _Variable) -> int:
+        i = ids.get(variable)
+        if i is None:
+            i = ids[variable] = len(variables)
+            variables.append(variable)
+        return i
 
     def walk(
         word: Word,
@@ -341,7 +352,7 @@ def ftm_search(
                 first = (node, chain.feature)
                 word, pos, chain = origin, 0, constraint.args[1]
             else:
-                log.append((first, (node, chain.feature), constraint.rel.mask))
+                log.append((var_id(first), var_id((node, chain.feature)), constraint.rel.mask))
                 return
 
     def register(node: _SearchNode) -> None:
@@ -364,7 +375,7 @@ def ftm_search(
             trail.append((node.word, walks))
             for walk_state in walks:
                 walk(node.word, *walk_state)
-        node.mark = (len(trail), len(log))
+        node.mark = (len(trail), len(log), len(variables))
 
     def drop_after(anchor: _SearchNode) -> None:
         """Remove every node registered, decision taken and constraint
@@ -376,7 +387,7 @@ def ftm_search(
                 del by_signature[(node.state, node.ptpge)]
         while decisions and decisions[-1].serial > anchor.serial:
             decisions.pop()
-        trail_mark, log_mark = anchor.mark
+        trail_mark, log_mark, variables_mark = anchor.mark
         while len(trail) > trail_mark:
             word, walks = trail.pop()
             if walks is not None:
@@ -386,6 +397,8 @@ def ftm_search(
             else:
                 del waiting[word]
         del log[log_mark:]
+        while len(variables) > variables_mark:
+            del ids[variables.pop()]
 
     def apply_choice(node: _SearchNode) -> bool:
         choices = automaton.transitions(node.state)
@@ -432,7 +445,7 @@ def ftm_search(
             if not node.word:
                 assert not waiting, "a complete tree resolves every chain"
                 stats.csp_checks += 1
-                if not _log_consistent(log):
+                if not masks_consistent(len(variables), log):
                     if retract():
                         continue
                     return None, stats
@@ -470,15 +483,6 @@ def ftm_search(
             return None, stats
 
     return _freeze(sig.directions, index), stats
-
-
-def _log_consistent(log: Sequence[Tuple[_Variable, _Variable, int]]) -> bool:
-    """Decide the network of a resolution log over a dense variable index."""
-    ids: Dict[_Variable, int] = {}
-    constraints = [
-        (ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)), mask) for a, b, mask in log
-    ]
-    return masks_consistent(len(ids), constraints)
 
 
 def _closes_rejecting_cycle(

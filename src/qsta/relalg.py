@@ -4,6 +4,11 @@ The eight atoms (DC, EC, PO, TPP, NTPP, TPPI, NTPPI, EQ) are jointly
 exhaustive and pairwise disjoint, so a relation is just a set of atoms and
 is stored as an 8-bit mask.  Converse and composition are table driven; the
 composition table is the standard published one for RCC8 (weak composition).
+The converse of every mask and the composition of every atom with every mask
+are tables built at import.  The composition of a whole mask with every mask
+is a 256-byte row, built the first time that mask is composed and kept, so
+path consistency does one row index per triangle and importing the package
+builds no row.
 
 A ``Qcsp`` holds one relation per ordered pair of variables, kept converse
 closed, with missing pairs meaning the full relation.  Constraints between a
@@ -232,14 +237,23 @@ _CONVERSE = _unions([_ATOM_BIT[_CONVERSE_ATOM[a]] for a in ATOMS])
 _ATOM_COMPOSE = [_unions([_mask_of(_COMPOSITION_ATOMS[a][b]) for b in ATOMS]) for a in ATOMS]
 
 
-def _compose(first: int, second: int) -> int:
-    """Weak composition of masks: the union of the rows of first's atoms."""
-    out = 0
-    while first:
-        low = first & -first
-        out |= _ATOM_COMPOSE[low.bit_length() - 1][second]
-        first ^= low
-    return out
+# _ROWS[first][second] is the weak composition of mask first with mask
+# second.  Each row is built on first use: a process that composes few
+# masks pays for few rows, and import pays for none.
+_ROWS: List[Optional[bytes]] = [None] * (_FULL_MASK + 1)
+
+
+def _row(first: int) -> bytes:
+    """The composition of mask first with every mask: the union of the
+    ``_ATOM_COMPOSE`` rows of first's atoms, built once."""
+    row = _ROWS[first]
+    if row is None:
+        union = [0] * (_FULL_MASK + 1)
+        for atom, per_mask in enumerate(_ATOM_COMPOSE):
+            if first >> atom & 1:
+                union = [a | b for a, b in zip(union, per_mask)]
+        row = _ROWS[first] = bytes(union)
+    return row
 
 
 def converse(rel: Relation) -> Relation:
@@ -248,7 +262,7 @@ def converse(rel: Relation) -> Relation:
 
 def compose(first: Relation, second: Relation) -> Relation:
     """Weak composition: the union of table entries over all atom pairs."""
-    return Relation(_compose(first.mask, second.mask))
+    return Relation(_row(first.mask)[second.mask])
 
 
 Variable = Tuple  # any hashable, totally ordered identifier
@@ -343,10 +357,19 @@ def _closed_matrix(n: int, constraints: Iterable[Tuple[int, int, int]]) -> Optio
 
 
 def _masks(network: Qcsp) -> Tuple[int, List[Tuple[int, int, int]]]:
-    """The network as ``_closed_matrix`` arguments, variables in their order."""
+    """The network as ``_closed_matrix`` arguments, variables in their order.
+    Raises ValueError when an edge or self constraint names a variable that
+    is not among the network's variables."""
     index = {v: i for i, v in enumerate(network.variables)}
-    constraints = [(index[v], index[v], rel.mask) for v, rel in network.selfs.items()]
-    constraints += [(index[u], index[v], rel.mask) for (u, v), rel in network.edges.items()]
+    constraints = []
+    for v, rel in network.selfs.items():
+        if v not in index:
+            raise ValueError(f"self constraint on {v!r}, which is not a variable of the network")
+        constraints.append((index[v], index[v], rel.mask))
+    for (u, v), rel in network.edges.items():
+        if u not in index or v not in index:
+            raise ValueError(f"edge {(u, v)!r} names a variable that is not in the network")
+        constraints.append((index[u], index[v], rel.mask))
     return len(index), constraints
 
 
@@ -354,16 +377,20 @@ def _close(m: Matrix, queue: Set[Tuple[int, int]]) -> bool:
     """Path consistency in place: C(x,k) &= C(x,y) o C(y,k) for every queued
     pair (x, y), both ways round, until nothing changes; False when a
     relation empties.  The result is the greatest path-consistent
-    refinement of m, whatever the queue order."""
+    refinement of m, whatever the queue order.  C(x,y) stays fixed while
+    its triangles are revised (k differs from x and y), so its composition
+    row is fetched once per pair and direction, and each triangle costs
+    one index into it."""
     n = len(m)
     while queue:
         pair = queue.pop()
         for x, y in (pair, pair[::-1]):
-            row_x, row_y, through = m[x], m[y], m[x][y]
+            row_x, row_y = m[x], m[y]
+            comp = _ROWS[row_x[y]] or _row(row_x[y])
             for k in range(n):
                 if k == x or k == y or row_y[k] == _FULL_MASK:
                     continue
-                new = row_x[k] & _compose(through, row_y[k])
+                new = row_x[k] & comp[row_y[k]]
                 if new != row_x[k]:
                     if not new:
                         return False

@@ -1,11 +1,15 @@
 """Every exported name resolves, and so does every layer the benchmark
-traces; every name a module imports is used."""
+traces; every name a module imports is used; importing builds no
+composition row."""
 
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import qsta
 
@@ -66,3 +70,23 @@ def test_no_unused_imports():
     for path in sorted(pathlib.Path(qsta.__file__).parent.glob("*.py")):
         unused.extend(f"{path.name}: {name}" for name in _unused_imports(path.read_text()))
     assert unused == []
+
+
+def test_import_builds_no_composition_row():
+    # every CLI call pays the import (the benchmark's setup_s), so the
+    # composition rows are built on first use, never at import
+    script = (
+        "import qsta, qsta.cli\n"
+        "from qsta import relalg\n"
+        "print(sum(row is not None for row in relalg._ROWS))\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"

@@ -20,6 +20,7 @@ from gen_random import network_from_choices, random_atomic_choices, random_mixed
 from qsta import (
     ATOMS,
     EQ_RELATION,
+    Qcsp,
     QcspBuilder,
     Relation,
     compose,
@@ -323,6 +324,96 @@ def test_mixed_networks_agree_with_oracle():
         rendered.append(" ".join(atoms.values()))
     digest = hashlib.sha256("\n".join(rendered).encode()).hexdigest()
     assert digest == MIXED_SCENARIOS_SHA256
+
+
+def _oracle_closure(n_vars, allowed):
+    """The greatest path-consistent refinement, by sweeping every triangle
+    until nothing changes, over oracle_networks' tables: a dict of
+    ordered pairs to atom sets, or None when a relation empties."""
+    full = frozenset(on.ATOM_NAMES)
+    memo = {}
+
+    def compose(r, s):
+        if (r, s) not in memo:
+            memo[(r, s)] = frozenset().union(
+                *(on.ORACLE_COMPOSITION[(a, b)] for a in r for b in s)
+            )
+        return memo[(r, s)]
+
+    rel = {}
+    for i, j in itertools.permutations(range(n_vars), 2):
+        atoms = allowed.get((i, j)) if i < j else None
+        if i > j and (j, i) in allowed:
+            atoms = frozenset(on.ORACLE_CONVERSE[a] for a in allowed[(j, i)])
+        rel[(i, j)] = full if atoms is None else atoms
+    changed = True
+    while changed:
+        changed = False
+        for i, k, j in itertools.permutations(range(n_vars), 3):
+            new = rel[(i, j)] & compose(rel[(i, k)], rel[(k, j)])
+            if new != rel[(i, j)]:
+                if not new:
+                    return None
+                rel[(i, j)] = new
+                rel[(j, i)] = frozenset(on.ORACLE_CONVERSE[a] for a in new)
+                changed = True
+    return rel
+
+
+def _planted_network(rng, n_vars):
+    """Grid regions' scenario with 30% of the pairs dropped and the rest
+    widened by two atoms: consistent, with closures to compute."""
+    atoms = og.random_scenario_network(rng, n_vars, 6)
+    pairs = list(itertools.combinations(range(n_vars), 2))
+    dropped = set(rng.sample(pairs, round(0.3 * len(pairs))))
+    builder = QcspBuilder(range(n_vars))
+    allowed = {}
+    for pair in pairs:
+        if pair in dropped:
+            continue
+        atom = atoms[pair]
+        rel = Relation.of(atom, *rng.sample([a for a in ATOMS if a != atom], 2))
+        builder.add(*pair, rel)
+        allowed[pair] = frozenset(rel)
+    return builder.build(), allowed
+
+
+def test_path_consistency_matches_triangle_fixpoint():
+    """path_consistency equals a naive fixpoint over the transcribed
+    tables on random mixed networks and on planted ones of 8-12 variables."""
+    rng = random.Random(4321)
+    cases = []
+    for _ in range(200):
+        n_vars = rng.randint(2, 6)
+        cases.append((n_vars, *random_mixed_network(rng, n_vars)))
+    planted_rng = random.Random(8)
+    for n_vars in (8, 10, 12) * 5:
+        cases.append((n_vars, *_planted_network(planted_rng, n_vars)))
+    closed = 0
+    for n_vars, network, allowed in cases:
+        want = _oracle_closure(n_vars, allowed)
+        got = path_consistency(network)
+        assert (got is None) == (want is None), allowed
+        if got is None:
+            continue
+        closed += 1
+        for i, j in itertools.permutations(range(n_vars), 2):
+            assert frozenset(got.relation(i, j)) == want[(i, j)], (allowed, i, j)
+    assert closed >= 15
+
+
+@pytest.mark.parametrize("solve", [is_consistent, consistent_scenario, path_consistency])
+@pytest.mark.parametrize(
+    "edges, selfs, named",
+    [
+        ({(0, 1): Relation.of("DC"), (1, 0): Relation.of("DC")}, {}, r"edge \(0, 1\)"),
+        ({}, {2: EQ_RELATION}, "self constraint on 2"),
+    ],
+    ids=["edge", "self"],
+)
+def test_network_naming_unknown_variables_is_rejected(solve, edges, selfs, named):
+    with pytest.raises(ValueError, match=named):
+        solve(Qcsp((0,), edges, selfs))
 
 
 def test_search_deeper_than_the_recursion_limit():
