@@ -330,7 +330,6 @@ def _oracle_closure(n_vars, allowed):
     """The greatest path-consistent refinement, by sweeping every triangle
     until nothing changes, over oracle_networks' tables: a dict of
     ordered pairs to atom sets, or None when a relation empties."""
-    full = frozenset(on.ATOM_NAMES)
     memo = {}
 
     def compose(r, s):
@@ -340,12 +339,12 @@ def _oracle_closure(n_vars, allowed):
             )
         return memo[(r, s)]
 
-    rel = {}
-    for i, j in itertools.permutations(range(n_vars), 2):
-        atoms = allowed.get((i, j)) if i < j else None
-        if i > j and (j, i) in allowed:
-            atoms = frozenset(on.ORACLE_CONVERSE[a] for a in allowed[(j, i)])
-        rel[(i, j)] = full if atoms is None else atoms
+    def converse(r):
+        return frozenset(on.ORACLE_CONVERSE[a] for a in r)
+
+    rel = dict.fromkeys(itertools.permutations(range(n_vars), 2), frozenset(on.ATOM_NAMES))
+    for (i, j), atoms in allowed.items():
+        rel[(i, j)], rel[(j, i)] = atoms, converse(atoms)
     changed = True
     while changed:
         changed = False
@@ -354,8 +353,7 @@ def _oracle_closure(n_vars, allowed):
             if new != rel[(i, j)]:
                 if not new:
                     return None
-                rel[(i, j)] = new
-                rel[(j, i)] = frozenset(on.ORACLE_CONVERSE[a] for a in new)
+                rel[(i, j)], rel[(j, i)] = new, converse(new)
                 changed = True
     return rel
 
