@@ -47,6 +47,15 @@ def _load(path: str):
     return load_automaton(Path(path).read_text(encoding="utf-8"))
 
 
+def _simulate(automaton: AlternatingAutomaton) -> NondetAutomaton:
+    """Simulate under the caps QSTA_MAX_SIM_STATES and QSTA_MAX_DISJUNCTS."""
+    return simulate(
+        automaton,
+        max_states=_env_int("QSTA_MAX_SIM_STATES", DEFAULT_MAX_SIM_STATES),
+        max_disjuncts=_env_int("QSTA_MAX_DISJUNCTS", DEFAULT_MAX_DISJUNCTS),
+    )
+
+
 def _as_nondet(automaton, *, origin: str) -> NondetAutomaton:
     """Validate and, for alternating input, simulate first."""
     defects = validate(automaton)
@@ -55,11 +64,7 @@ def _as_nondet(automaton, *, origin: str) -> NondetAutomaton:
             print(f"{origin}: {defect}", file=sys.stderr)
         raise ValueError(f"{origin}: automaton is not well formed")
     if isinstance(automaton, AlternatingAutomaton):
-        return simulate(
-            automaton,
-            max_states=_env_int("QSTA_MAX_SIM_STATES", DEFAULT_MAX_SIM_STATES),
-            max_disjuncts=_env_int("QSTA_MAX_DISJUNCTS", DEFAULT_MAX_DISJUNCTS),
-        )
+        return _simulate(automaton)
     return automaton
 
 
@@ -80,11 +85,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         for defect in defects:
             print(f"{args.file}: {defect}", file=sys.stderr)
         return 2
-    result = simulate(
-        automaton,
-        max_states=_env_int("QSTA_MAX_SIM_STATES", DEFAULT_MAX_SIM_STATES),
-        max_disjuncts=_env_int("QSTA_MAX_DISJUNCTS", DEFAULT_MAX_DISJUNCTS),
-    )
+    result = _simulate(automaton)
     Path(args.output).write_text(print_automaton(result), encoding="utf-8")
     print(f"states: {len(result.states)}")
     print(f"bound: {sim_state_bound(len(automaton.states), len(automaton.accepting))}")

@@ -56,8 +56,9 @@ __all__ = [
 _PUNCT = set("{}()<>:;,|&!=")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# Parentheses nest formulas by recursion, here and in the formula
-# algorithms, so deeper input is a syntax error, not a RecursionError.
+# The parser (``_Parser.formula_atom``) and the printer (``_formula_text``)
+# follow parenthesised formulas by recursion, so deeper input is a syntax
+# error, not a RecursionError.
 MAX_FORMULA_NESTING = 100
 
 

@@ -208,9 +208,11 @@ class SearchStats:
 
 class _SearchNode:
     """A live node of the search.  ``rank`` is the word as direction slots,
-    so ranks compare in the lexicographic word order; ``mark`` holds the
-    lengths of the resolution trail, log and variable list right after the
-    node was registered, the state a retract to this node restores."""
+    so ranks compare in the lexicographic word order.  ``mark`` holds the
+    lengths of the wait list, log and variable list right after the node
+    was registered and the walks waiting on its word woke: the state a
+    retract to this node restores before it tries the node's next
+    transition."""
 
     __slots__ = (
         "word",
@@ -220,7 +222,6 @@ class _SearchNode:
         "literals",
         "constraints",
         "backnode",
-        "serial",
         "choice",
         "mark",
     )
@@ -235,7 +236,6 @@ class _SearchNode:
         self.literals: Optional[FrozenSet] = None
         self.constraints: Optional[FrozenSet[SpatialConstraint]] = None
         self.backnode: Optional[Word] = None
-        self.serial = 0
         self.choice = 0
         self.mark = (0, 0, 0)
 
@@ -284,7 +284,14 @@ def ftm_search(
     every node created and constraint resolved after that decision is
     discarded.  Sibling subtrees built earlier under the same parent are
     therefore revisited before the parent abandons its own choice; the
-    verdict does not depend on the order transitions are declared in.
+    verdict does not depend on the order transitions are declared in.  The
+    live nodes are kept in registration order, and the internal ones among
+    them are exactly the open decisions, so a retract truncates that list
+    back to the last of them and the resolution state back to that node's
+    mark.  The search's position is one cursor ``(node, j)``, the node
+    whose child in direction slot ``j`` is built next; a complete non-root
+    node hands it to its parent's next slot, and a retract to the advanced
+    node's first slot.
 
     ``max_nodes`` caps the live tree size; the default is twice the
     theoretical witness bound.
@@ -299,26 +306,28 @@ def ftm_search(
     stats = SearchStats()
     index: Dict[Word, _SearchNode] = {}
     by_signature: Dict[Tuple[str, FrozenSet[PtpTriple]], _SearchNode] = {}
+    # The live nodes in registration order; the internal ones are the open
+    # decisions, the most recent last.
     created: List[_SearchNode] = []
-    decisions: List[_SearchNode] = []
     # backconstraints_step depends on the parent's constraints and pending
     # triples and the direction only, so each result is computed once.
     steps: Dict[Tuple[FrozenSet, FrozenSet[PtpTriple], str], FrozenSet[PtpTriple]] = {}
-    serial = 0
 
     # Each issued constraint is resolved once, by walking its chains as
     # ``resolve_variable`` does, and logged as (variable, variable, mask).
-    # A walk whose next word is not registered yet waits on that word; in
-    # preorder the word is registered later or dropped by a retract.  The
-    # trail records every wait, (word, None), and every wake-up,
-    # (word, walks), so a retract can undo them in reverse.  A variable gets
-    # its dense id, its position in ``variables``, when it is first logged,
-    # so the log is the root check's network as it stands.
+    # A walk whose next word is not registered yet waits on that word, and
+    # ``waits`` records the word of each wait in order.  Registering a word
+    # wakes its walks without removing them: no walk waits on a live word,
+    # and once a retract drops the word its walks wait on it again, as
+    # before it was built.  A retract therefore pops one walk off
+    # ``waiting[word]`` for each wait issued after its mark.  A variable
+    # gets its dense id, its position in ``variables``, when it is first
+    # logged, so the log is the root check's network as it stands.
     log: List[Tuple[int, int, int]] = []
     variables: List[_Variable] = []
     ids: Dict[_Variable, int] = {}
     waiting: Dict[Word, List[_Walk]] = {}
-    trail: List[Tuple[Word, Optional[List[_Walk]]]] = []
+    waits: List[Word] = []
 
     def var_id(variable: _Variable) -> int:
         i = ids.get(variable)
@@ -341,7 +350,7 @@ def ftm_search(
             node = index.get(word)
             if node is None:
                 waiting.setdefault(word, []).append((pos, first, origin, constraint))
-                trail.append((word, None))
+                waits.append(word)
                 return
             if node.backnode is not None:
                 word = node.backnode
@@ -356,49 +365,20 @@ def ftm_search(
                 return
 
     def register(node: _SearchNode) -> None:
-        nonlocal serial
         if len(index) >= limit:
             raise ResourceLimitError(
                 f"search tree exceeded {limit} nodes "
                 f"(witness bound {exact_total}; raise max_nodes to override)"
             )
-        node.serial = serial
-        serial += 1
         index[node.word] = node
         created.append(node)
         stats.nodes_created += 1
         stats.peak_nodes = max(stats.peak_nodes, len(index))
         if len(index) > exact_total:
             stats.bound_exceeded = True
-        walks = waiting.pop(node.word, None)
-        if walks is not None:
-            trail.append((node.word, walks))
-            for walk_state in walks:
-                walk(node.word, *walk_state)
-        node.mark = (len(trail), len(log), len(variables))
-
-    def drop_after(anchor: _SearchNode) -> None:
-        """Remove every node registered, decision taken and constraint
-        resolved or left waiting after anchor was registered."""
-        while created and created[-1].serial > anchor.serial:
-            node = created.pop()
-            del index[node.word]
-            if node.backnode is None:
-                del by_signature[(node.state, node.ptpge)]
-        while decisions and decisions[-1].serial > anchor.serial:
-            decisions.pop()
-        trail_mark, log_mark, variables_mark = anchor.mark
-        while len(trail) > trail_mark:
-            word, walks = trail.pop()
-            if walks is not None:
-                waiting[word] = walks
-            elif len(waiting[word]) > 1:
-                waiting[word].pop()
-            else:
-                del waiting[word]
-        del log[log_mark:]
-        while len(variables) > variables_mark:
-            del ids[variables.pop()]
+        for walk_state in waiting.get(node.word, ()):
+            walk(node.word, *walk_state)
+        node.mark = (len(waits), len(log), len(variables))
 
     def apply_choice(node: _SearchNode) -> bool:
         choices = automaton.transitions(node.state)
@@ -411,78 +391,75 @@ def ftm_search(
             walk(node.word, 0, None, node.word, constraint)
         return True
 
-    # frames mirror the active ancestor chain; frames[-1] is the node whose
-    # child in direction slot j is built next.
-    frames: List[List] = []
-
-    def retract() -> bool:
-        """Advance the most recent transition decision still open anywhere
-        in the tree; False when the whole space is exhausted."""
-        while decisions:
-            node = decisions[-1]
-            drop_after(node)
-            node.choice += 1
-            if apply_choice(node):
-                del frames[:]
-                for depth, j in enumerate(node.rank):
-                    frames.append([index[node.word[:depth]], j])
-                frames.append([node, 0])
-                return True
-            decisions.pop()
-        return False
+    def retract() -> Optional[_SearchNode]:
+        """Drop the nodes registered after the most recent open decision,
+        restore its mark and advance it; return the advanced node, or None
+        when the whole space is exhausted."""
+        while created:
+            node = created[-1]
+            if node.backnode is None:
+                waits_mark, log_mark, variables_mark = node.mark
+                while len(waits) > waits_mark:
+                    word = waits.pop()
+                    waiting[word].pop()
+                    if not waiting[word]:
+                        del waiting[word]
+                del log[log_mark:]
+                while len(variables) > variables_mark:
+                    del ids[variables.pop()]
+                node.choice += 1
+                if apply_choice(node):
+                    return node
+                del by_signature[(node.state, node.ptpge)]
+            created.pop()
+            del index[node.word]
+        return None
 
     root = _SearchNode((), (), automaton.initial, frozenset())
     register(root)
     by_signature[(root.state, root.ptpge)] = root
-    decisions.append(root)
     if not apply_choice(root):
         return None, stats
-    frames.append([root, 0])
 
-    while frames:
-        node, j = frames[-1]
-        if j == k:
-            if not node.word:
-                assert not waiting, "a complete tree resolves every chain"
-                stats.csp_checks += 1
-                if not masks_consistent(len(variables), log):
-                    if retract():
-                        continue
-                    return None, stats
-            frames.pop()
-            if frames:
-                frames[-1][1] += 1
-            continue
-        direction = sig.directions[j]
-        word = node.word + (direction,)
-        rank = node.rank + (j,)
-        state = automaton.transitions(node.state)[node.choice].succ[j]
-        step = (node.constraints, node.ptpge, direction)
-        ptpge = steps.get(step)
-        if ptpge is None:
-            ptpge = steps[step] = backconstraints_step(node, direction)
-        match = by_signature.get((state, ptpge))
-        if match is not None:
-            assert match.rank < rank
-            if _closes_rejecting_cycle(automaton, index, node.word, match.word):
-                if retract():
+    node, j = root, 0
+    while True:
+        if j < k:
+            direction = sig.directions[j]
+            word = node.word + (direction,)
+            rank = node.rank + (j,)
+            state = automaton.transitions(node.state)[node.choice].succ[j]
+            step = (node.constraints, node.ptpge, direction)
+            ptpge = steps.get(step)
+            if ptpge is None:
+                ptpge = steps[step] = backconstraints_step(node, direction)
+            match = by_signature.get((state, ptpge))
+            if match is None:
+                child = _SearchNode(word, rank, state, ptpge)
+                register(child)
+                by_signature[(state, ptpge)] = child
+                if apply_choice(child):
+                    node, j = child, 0
                     continue
-                return None, stats
-            leaf = _SearchNode(word, rank, state, ptpge)
-            leaf.backnode = match.word
-            register(leaf)
-            frames[-1][1] += 1
+            else:
+                assert match.rank < rank
+                if not _closes_rejecting_cycle(automaton, index, node.word, match.word):
+                    leaf = _SearchNode(word, rank, state, ptpge)
+                    leaf.backnode = match.word
+                    register(leaf)
+                    j += 1
+                    continue
+        elif node.word:
+            node, j = index[node.word[:-1]], node.rank[-1] + 1
             continue
-        child = _SearchNode(word, rank, state, ptpge)
-        register(child)
-        by_signature[(state, ptpge)] = child
-        decisions.append(child)
-        if apply_choice(child):
-            frames.append([child, 0])
-        elif not retract():
+        else:
+            assert all(word in index for word in waiting), "a complete tree resolves every chain"
+            stats.csp_checks += 1
+            if masks_consistent(len(variables), log):
+                return _freeze(sig.directions, index), stats
+        # The configuration is rejected.
+        node, j = retract(), 0
+        if node is None:
             return None, stats
-
-    return _freeze(sig.directions, index), stats
 
 
 def _closes_rejecting_cycle(
@@ -896,13 +873,21 @@ def witness_to_json(model: FiniteTreeModel) -> Dict:
     }
 
 
+def _json_array(raw: Dict, field: str) -> List:
+    """``raw[field]``, which the schema requires to be an array."""
+    value = raw[field]
+    if not isinstance(value, list):
+        raise TypeError(f"{field!r} is not an array")
+    return value
+
+
 def witness_from_json(payload: Dict) -> FiniteTreeModel:
     if not isinstance(payload, dict):
         raise MalformedModelError("malformed witness document: not a JSON object")
     if payload.get("format") != "finite-tree-model":
         raise MalformedModelError("not a finite-tree-model document")
     try:
-        directions = tuple(payload["directions"])
+        directions = tuple(_json_array(payload, "directions"))
         order = WordOrder(directions)
         entries = []
         for key, raw in payload["nodes"].items():
@@ -915,9 +900,11 @@ def witness_from_json(payload: Dict) -> FiniteTreeModel:
             nodes[word] = FtmNode(
                 word=word,
                 state=raw["state"],
-                literals=frozenset(fm.parse_literal(t) for t in raw["literals"]),
-                constraints=frozenset(parse_constraint(t) for t in raw["constraints"]),
-                children=tuple(_parse_word_key(c) for c in raw["children"]),
+                literals=frozenset(fm.parse_literal(t) for t in _json_array(raw, "literals")),
+                constraints=frozenset(
+                    parse_constraint(t) for t in _json_array(raw, "constraints")
+                ),
+                children=tuple(_parse_word_key(c) for c in _json_array(raw, "children")),
                 backnode=None if backnode is None else _parse_word_key(backnode),
                 ptpge=frozenset(
                     PtpTriple(
@@ -925,7 +912,7 @@ def witness_from_json(payload: Dict) -> FiniteTreeModel:
                         t["argIndex"],
                         parse_chain(t["remainingChain"]),
                     )
-                    for t in raw["ptpge"]
+                    for t in _json_array(raw, "ptpge")
                 ),
             )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

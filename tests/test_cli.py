@@ -297,18 +297,24 @@ def test_env_cap_on_search_nodes(monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_env_cap_on_simulation_states(monkeypatch, tmp_path, capsys):
+def _simulating_argv(command, tmp_path):
+    """A command line that simulates corpus/alt_choice.aut."""
+    argv = [command, corpus("alt_choice")]
+    return argv + ["-o", str(tmp_path / "o.aut")] if command == "simulate" else argv
+
+
+@pytest.mark.parametrize("command", ["simulate", "emptiness"])
+def test_env_cap_on_simulation_states(command, monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("QSTA_MAX_SIM_STATES", "1")
-    out_file = tmp_path / "o.aut"
-    assert main(["simulate", corpus("alt_choice"), "-o", str(out_file)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert main(_simulating_argv(command, tmp_path)) == 2
+    assert capsys.readouterr().err == "error: more than 1 simulation states\n"
 
 
-def test_env_cap_on_disjuncts(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["simulate", "emptiness"])
+def test_env_cap_on_disjuncts(command, monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("QSTA_MAX_DISJUNCTS", "1")
-    out_file = tmp_path / "o.aut"
-    assert main(["simulate", corpus("alt_choice"), "-o", str(out_file)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert main(_simulating_argv(command, tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: DNF exceeds 1 disjuncts; ")
 
 
 def test_env_cap_must_be_a_positive_integer(monkeypatch, capsys):

@@ -296,6 +296,34 @@ def test_retried_subtree_keeps_constraints_resolved_after_it():
     assert decision.stats.csp_checks == 2
 
 
+def test_retract_to_a_node_keeps_the_constraints_its_registration_resolved():
+    """The root's constraints wait on d1 and resolve when d1 is registered.
+    d1's first transition only leads to a rejecting cycle, so the search
+    retracts to d1 itself and tries its second; the constraints d1's
+    registration resolved still stand, and TPP and DC on the same pair make
+    the one complete tree inconsistent."""
+    automaton = load_automaton(
+        """
+        nondet {
+          directions: d1 d2;
+          concepts: ;
+          features: f g;
+          states: r a n t;
+          initial: r;
+          accepting: t;
+          delta r -> { L={}; X={TPP(f, d1 g) DC(f, d1 g)}; succ=(a, t) };
+          delta a -> { L={}; X={}; succ=(n, n) }
+                   | { L={}; X={}; succ=(t, t) };
+          delta n -> { L={}; X={}; succ=(n, n) };
+          delta t -> { L={}; X={}; succ=(t, t) };
+        }
+        """
+    )
+    decision = decide(automaton)
+    assert decision.verdict == "empty"
+    assert decision.stats.csp_checks == 1
+
+
 # ---------------------------------------------------------------------------
 # Variable resolution and the global network
 
@@ -775,6 +803,17 @@ def test_witness_from_json_rejects_foreign_documents():
         witness_from_json(
             {"format": "finite-tree-model", "directions": ["d1"], "nodes": {"": {}}}
         )
+    # the schema requires arrays; a string must not read as its characters
+    payload = witness_to_json(decide(corpus_automaton("alt_choice")).witness)
+    for field in ("directions", "literals", "constraints", "children", "ptpge"):
+        document = json.loads(json.dumps(payload))
+        where = document if field == "directions" else document["nodes"][""]
+        where[field] = "A"
+        with pytest.raises(
+            MalformedModelError,
+            match=f"malformed witness document: '{field}' is not an array",
+        ):
+            witness_from_json(document)
 
 
 def test_witness_dot_lists_every_node_and_fold():
