@@ -1,4 +1,5 @@
-"""Text format for automata: parse, print, and elaborate to automaton objects.
+"""Text format for automata: text parses straight into an automaton, and
+an automaton prints in one canonical form.
 
 A document looks like::
 
@@ -17,14 +18,19 @@ Alternating documents replace the transition list by a positive formula
 over ``&``, ``|``, parentheses, literals ``A``/``!A``, moves ``<d1:q0>``
 and constraints ``{TPP,NTPP}(d1 g, g)``.  Names are plain identifiers or
 double-quoted strings (needed for simulated states such as ``"{q0:1}"``
-and ``"#"``).  ``#`` outside quotes starts a line comment.
+and ``"#"``).  ``#`` outside quotes starts a line comment.  Only nondet
+documents may name an accept-all sink (``acceptall: "#";``).
+
+``print_automaton`` writes every section in the order above, ``accepting``
+and the ``delta`` entries in state order, and a nondet transition's
+literals and constraints sorted by their text; ``load_automaton`` reads
+the result back to an equal automaton.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from . import formula as fm
 from .automata import (
@@ -38,23 +44,25 @@ from .errors import DslSyntaxError
 from .relalg import Relation, parse_relation
 from .terms import ChainTerm, SpatialConstraint
 
-__all__ = [
-    "AutomatonDocument",
-    "TransitionSyntax",
-    "parse_document",
-    "print_document",
-    "document_to_automaton",
-    "automaton_to_document",
-    "load_automaton",
-    "print_automaton",
-]
+__all__ = ["load_automaton", "print_automaton"]
 
 
 # ---------------------------------------------------------------------------
 # Tokens
 
-_PUNCT = set("{}()<>:;,|&!=")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# One alternative per token kind; the group that matched names the kind.
+# Newlines, blanks and comments make no token.
+_TOKEN = re.compile(
+    r"(?P<NEWLINE>\n)"
+    r"|(?P<BLANK>[ \t\r]+)"
+    r"|(?P<COMMENT>#[^\n]*)"
+    r'|"(?P<QUOTED>[^"\n]*)"'
+    r"|(?P<ARROW>->)"
+    r"|(?P<PUNCT>[{}()<>:;,|&!=])"
+    rf"|(?P<NAME>{_IDENT.pattern})"
+)
 
 # The parser (``_Parser.formula_atom``) and the printer (``_formula_text``)
 # follow parenthesised formulas by recursion, so deeper input is a syntax
@@ -62,8 +70,7 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 MAX_FORMULA_NESTING = 100
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NAME, QUOTED, PUNCT, ARROW, EOF
     text: str
     line: int
@@ -72,86 +79,34 @@ class _Token:
 
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
-    line = 1
-    column = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line = column = 1
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            ch = text[pos]
+            if ch == '"':
+                message = "unterminated quoted name"
+            elif ch == "-":
+                message = "stray '-' (expected '->')"
+            else:
+                message = f"unexpected character {ch!r}"
+            raise DslSyntaxError(message, line, column)
+        kind = match.lastgroup
+        if kind == "NEWLINE":
             line += 1
             column = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            end = text.find('"', i + 1)
-            if end == -1 or "\n" in text[i + 1 : end]:
-                raise DslSyntaxError("unterminated quoted name", line, column)
-            tokens.append(_Token("QUOTED", text[i + 1 : end], line, column))
-            column += end - i + 1
-            i = end + 1
-            continue
-        if ch == "-":
-            if text[i : i + 2] == "->":
-                tokens.append(_Token("ARROW", "->", line, column))
-                i += 2
-                column += 2
-                continue
-            raise DslSyntaxError("stray '-' (expected '->')", line, column)
-        if ch in _PUNCT:
-            tokens.append(_Token("PUNCT", ch, line, column))
-            i += 1
-            column += 1
-            continue
-        match = _IDENT.match(text, i)
-        if match:
-            tokens.append(_Token("NAME", match.group(), line, column))
-            column += match.end() - i
-            i = match.end()
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", line, column)
+        elif kind != "COMMENT":  # a comment leaves the column where it starts
+            if kind != "BLANK":
+                tokens.append(_Token(kind, match.group(kind), line, column))
+            column += match.end() - pos
+        pos = match.end()
     tokens.append(_Token("EOF", "", line, column))
     return tokens
 
 
 # ---------------------------------------------------------------------------
-# Documents
-
-
-@dataclass(frozen=True)
-class TransitionSyntax:
-    """One nondeterministic transition as written: source order preserved."""
-
-    literals: Tuple[Union[fm.PosLiteral, fm.NegLiteral], ...]
-    constraints: Tuple[SpatialConstraint, ...]
-    succ: Tuple[str, ...]
-
-
-DeltaEntry = Union[
-    Tuple[str, Tuple[TransitionSyntax, ...]],  # nondet
-    Tuple[str, fm.Formula],  # alternating
-]
-
-
-@dataclass(frozen=True)
-class AutomatonDocument:
-    kind: str  # "alternating" | "nondet"
-    directions: Tuple[str, ...]
-    concepts: Tuple[str, ...]
-    features: Tuple[str, ...]
-    states: Tuple[str, ...]
-    initial: str
-    accepting: Tuple[str, ...]
-    acceptall: Optional[str]
-    delta: Tuple[DeltaEntry, ...]
+# Parsing
 
 
 class _Parser:
@@ -289,7 +244,7 @@ class _Parser:
             return fm.NegLiteral(self.name("concept name"))
         return fm.PosLiteral(self.name("concept name"))
 
-    def transition(self) -> Tuple[TransitionSyntax, _Token]:
+    def transition(self) -> Tuple[Transition, _Token]:
         self.expect_punct("{")
         self.keyword("L")
         self.expect_punct("=")
@@ -318,7 +273,7 @@ class _Parser:
         self.expect_punct(")")
         self.expect_punct("}")
         return (
-            TransitionSyntax(tuple(literals), tuple(constraints), tuple(succ)),
+            Transition(frozenset(literals), frozenset(constraints), tuple(succ)),
             succ_token,
         )
 
@@ -342,7 +297,7 @@ _REQUIRED_SECTIONS = (
 _MAY_BE_EMPTY = ("concepts", "accepting")
 
 
-def parse_document(text: str) -> AutomatonDocument:
+def load_automaton(text: str) -> Automaton:
     """Parse a document; raises DslSyntaxError with line and column."""
     parser = _Parser(_tokenize(text))
     kind_token = parser.peek()
@@ -352,8 +307,7 @@ def parse_document(text: str) -> AutomatonDocument:
     parser.expect_punct("{")
 
     sections: Dict[str, Tuple[str, ...]] = {}
-    delta: List[DeltaEntry] = []
-    delta_states: Dict[str, _Token] = {}
+    delta: Dict[str, Union[fm.Formula, Tuple[Transition, ...]]] = {}
     succ_positions: List[Tuple[_Token, int]] = []
 
     while not parser.at_punct("}"):
@@ -364,14 +318,13 @@ def parse_document(text: str) -> AutomatonDocument:
             parser.next()
             state_token = parser.peek()
             state = parser.name("state")
-            if state in delta_states:
+            if state in delta:
                 raise parser.fail(f"duplicate delta for state '{state}'", state_token)
-            delta_states[state] = state_token
             parser.expect_arrow()
             if kind == "alternating":
-                delta.append((state, parser.formula()))
+                delta[state] = parser.formula()
             else:
-                transitions: List[TransitionSyntax] = []
+                transitions: List[Transition] = []
                 while True:
                     transition, succ_token = parser.transition()
                     transitions.append(transition)
@@ -380,11 +333,13 @@ def parse_document(text: str) -> AutomatonDocument:
                         parser.next()
                         continue
                     break
-                delta.append((state, tuple(transitions)))
+                delta[state] = tuple(transitions)
             parser.expect_punct(";")
             continue
         if token.text not in _SECTION_NAMES:
             raise parser.fail(f"unknown section '{token.text}'")
+        if token.text == "acceptall" and kind == "alternating":
+            raise parser.fail("section 'acceptall' applies only to nondet automata")
         section = parser.next().text
         if section in sections:
             raise parser.fail(f"duplicate section '{section}'", token)
@@ -427,16 +382,24 @@ def parse_document(text: str) -> AutomatonDocument:
                 succ_token.column,
             )
 
-    return AutomatonDocument(
-        kind=kind,
+    sig = Signature(
         directions=sections["directions"],
         concepts=sections.get("concepts", ()),
         features=sections["features"],
-        states=sections["states"],
+    )
+    states = sections["states"]
+    accepting = frozenset(sections["accepting"])
+    if kind == "alternating":
+        return AlternatingAutomaton(
+            sig=sig, states=states, initial=initial[0], accepting=accepting, delta=delta
+        )
+    return NondetAutomaton(
+        sig=sig,
+        states=states,
         initial=initial[0],
-        accepting=sections["accepting"],
-        acceptall=acceptall[0] if acceptall else None,
-        delta=tuple(delta),
+        accepting=accepting,
+        delta={**{state: () for state in states}, **delta},
+        accept_all=acceptall[0] if acceptall else None,
     )
 
 
@@ -452,7 +415,7 @@ def _name_text(name: str) -> str:
     return f'"{name}"'
 
 
-def _names(names: Sequence[str]) -> str:
+def _names(names: Iterable[str]) -> str:
     return " ".join(_name_text(n) for n in names)
 
 
@@ -481,124 +444,37 @@ def _formula_text(formula: fm.Formula, parent: str = "or") -> str:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def _transition_text(transition: TransitionSyntax) -> str:
-    literals = " ".join(_literal_text(l) for l in transition.literals)
-    constraints = " ".join(c.encode() for c in transition.constraints)
+def _transition_text(transition: Transition) -> str:
+    literals = " ".join(
+        _literal_text(l) for l in sorted(transition.literals, key=fm.encode_generator)
+    )
+    constraints = " ".join(sorted(c.encode() for c in transition.constraints))
     succ = ", ".join(_name_text(s) for s in transition.succ)
     return f"{{ L={{{literals}}}; X={{{constraints}}}; succ=({succ}) }}"
 
 
-def print_document(doc: AutomatonDocument) -> str:
-    lines = [f"{doc.kind} {{"]
-    lines.append(f"  directions: {_names(doc.directions)};")
-    lines.append(f"  concepts: {_names(doc.concepts)};")
-    lines.append(f"  features: {_names(doc.features)};")
-    lines.append(f"  states: {_names(doc.states)};")
-    lines.append(f"  initial: {_name_text(doc.initial)};")
-    lines.append(f"  accepting: {_names(doc.accepting)};")
-    if doc.acceptall is not None:
-        lines.append(f"  acceptall: {_name_text(doc.acceptall)};")
-    for state, body in doc.delta:
+def print_automaton(automaton: Automaton) -> str:
+    sig = automaton.sig
+    alternating = isinstance(automaton, AlternatingAutomaton)
+    accepting = (s for s in automaton.states if s in automaton.accepting)
+    lines = [
+        f"{'alternating' if alternating else 'nondet'} {{",
+        f"  directions: {_names(sig.directions)};",
+        f"  concepts: {_names(sig.concepts)};",
+        f"  features: {_names(sig.features)};",
+        f"  states: {_names(automaton.states)};",
+        f"  initial: {_name_text(automaton.initial)};",
+        f"  accepting: {_names(accepting)};",
+    ]
+    if not alternating and automaton.accept_all is not None:
+        lines.append(f"  acceptall: {_name_text(automaton.accept_all)};")
+    for state in automaton.states:
         head = f"  delta {_name_text(state)} -> "
-        if doc.kind == "alternating":
-            lines.append(head + _formula_text(body) + ";")
-        else:
-            parts = [_transition_text(t) for t in body]
+        if alternating and state in automaton.delta:
+            lines.append(head + _formula_text(automaton.delta[state]) + ";")
+        elif not alternating and automaton.transitions(state):
+            parts = (_transition_text(t) for t in automaton.transitions(state))
             joiner = "\n" + " " * (len(head) - 2) + "| "
             lines.append(head + joiner.join(parts) + ";")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Elaboration
-
-
-def document_to_automaton(doc: AutomatonDocument) -> Automaton:
-    sig = Signature(
-        directions=doc.directions, concepts=doc.concepts, features=doc.features
-    )
-    accepting = frozenset(doc.accepting)
-    if doc.kind == "alternating":
-        return AlternatingAutomaton(
-            sig=sig,
-            states=doc.states,
-            initial=doc.initial,
-            accepting=accepting,
-            delta={state: formula for state, formula in doc.delta},
-        )
-    delta: Dict[str, Tuple[Transition, ...]] = {state: () for state in doc.states}
-    for state, body in doc.delta:
-        delta[state] = tuple(
-            Transition(
-                literals=frozenset(t.literals),
-                constraints=frozenset(t.constraints),
-                succ=t.succ,
-            )
-            for t in body
-        )
-    return NondetAutomaton(
-        sig=sig,
-        states=doc.states,
-        initial=doc.initial,
-        accepting=accepting,
-        delta=delta,
-        accept_all=doc.acceptall,
-    )
-
-
-def automaton_to_document(automaton: Automaton) -> AutomatonDocument:
-    sig = automaton.sig
-    accepting = tuple(s for s in automaton.states if s in automaton.accepting)
-    if isinstance(automaton, AlternatingAutomaton):
-        delta: List[DeltaEntry] = [
-            (state, automaton.delta[state])
-            for state in automaton.states
-            if state in automaton.delta
-        ]
-        kind = "alternating"
-        acceptall = None
-    else:
-        delta = []
-        for state in automaton.states:
-            transitions = automaton.transitions(state)
-            if not transitions:
-                continue
-            delta.append(
-                (
-                    state,
-                    tuple(
-                        TransitionSyntax(
-                            literals=tuple(
-                                sorted(t.literals, key=fm.encode_generator)
-                            ),
-                            constraints=tuple(
-                                sorted(t.constraints, key=SpatialConstraint.encode)
-                            ),
-                            succ=t.succ,
-                        )
-                        for t in transitions
-                    ),
-                )
-            )
-        kind = "nondet"
-        acceptall = automaton.accept_all
-    return AutomatonDocument(
-        kind=kind,
-        directions=sig.directions,
-        concepts=sig.concepts,
-        features=sig.features,
-        states=tuple(automaton.states),
-        initial=automaton.initial,
-        accepting=accepting,
-        acceptall=acceptall,
-        delta=tuple(delta),
-    )
-
-
-def load_automaton(text: str) -> Automaton:
-    return document_to_automaton(parse_document(text))
-
-
-def print_automaton(automaton: Automaton) -> str:
-    return print_document(automaton_to_document(automaton))

@@ -881,17 +881,37 @@ def _json_array(raw: Dict, field: str) -> List:
     return value
 
 
+def _json_int(raw: Dict, field: str) -> int:
+    """``raw[field]``, which the schema requires to be an integer; a JSON
+    ``true`` is not one, although Python's ``True == 1``."""
+    if field not in raw:
+        raise ValueError(f"missing {field!r}")
+    value = raw[field]
+    if type(value) is not int:
+        raise TypeError(f"{field!r} is not an integer")
+    return value
+
+
 def witness_from_json(payload: Dict) -> FiniteTreeModel:
     if not isinstance(payload, dict):
         raise MalformedModelError("malformed witness document: not a JSON object")
     if payload.get("format") != "finite-tree-model":
         raise MalformedModelError("not a finite-tree-model document")
     try:
+        if _json_int(payload, "version") != 1:
+            raise ValueError("'version' is not 1")
+        if _json_int(payload, "height") < 0:
+            raise ValueError("'height' is negative")
         directions = tuple(_json_array(payload, "directions"))
+        for direction in directions:
+            if not isinstance(direction, str) or not direction:
+                raise ValueError(f"direction {direction!r} is not a non-empty string")
         order = WordOrder(directions)
         entries = []
         for key, raw in payload["nodes"].items():
             word = _parse_word_key(key)
+            if any(d not in directions for d in word):
+                raise ValueError(f"node key {key!r} names a direction not in 'directions'")
             entries.append((order.key(word), word, raw))
         entries.sort(key=lambda e: e[0])
         nodes: Dict[Word, FtmNode] = {}
@@ -909,7 +929,7 @@ def witness_from_json(payload: Dict) -> FiniteTreeModel:
                 ptpge=frozenset(
                     PtpTriple(
                         parse_constraint(t["constraint"]),
-                        t["argIndex"],
+                        _json_int(t, "argIndex"),
                         parse_chain(t["remainingChain"]),
                     )
                     for t in _json_array(raw, "ptpge")

@@ -7,7 +7,7 @@ reproducible; nothing here reads global randomness.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import qsta
 from qsta import (

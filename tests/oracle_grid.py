@@ -15,7 +15,7 @@ geometry so table errors elsewhere cannot leak in.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 Cell = Tuple[int, int]
 Region = FrozenSet[Cell]

@@ -14,7 +14,7 @@ exact decision procedure.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 ATOM_NAMES = ("DC", "EC", "PO", "TPP", "NTPP", "TPPI", "NTPPI", "EQ")
 

@@ -7,13 +7,11 @@ criteria use fixed seeds so the suite is reproducible.
 
 import dataclasses
 import itertools
-import json
 import pathlib
 import random
 import time
-from typing import Dict, List
+from typing import List
 
-import qsta
 from qsta import (
     ATOMS,
     AlternatingAutomaton,

@@ -1,12 +1,9 @@
 """Automaton structures, validation, metrics, and run-prefix checking."""
 
-import pytest
-
 import qsta.formula as fm
 from qsta import (
     AlternatingAutomaton,
     ChainTerm,
-    Metrics,
     NondetAutomaton,
     QcspBuilder,
     RunNode,

@@ -258,7 +258,10 @@ def test_check_witness_rejects_a_cycle_without_accepting_state(capsys):
 
 def test_check_witness_crash_exits_two(tmp_path, capsys):
     w = tmp_path / "w.json"
-    w.write_text('{"format": "finite-tree-model", "directions": ["d1","d2"], "nodes": []}')
+    w.write_text(
+        '{"format": "finite-tree-model", "version": 1, "directions": ["d1","d2"],'
+        ' "height": 0, "nodes": []}'
+    )
     assert main(["check-witness", corpus("eq_loop"), str(w)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,5 +1,6 @@
-"""Parsing, printing and elaboration of the automaton text format."""
+"""Parsing and printing of the automaton text format."""
 
+import hashlib
 import pathlib
 
 import pytest
@@ -9,11 +10,9 @@ from qsta import (
     DslSyntaxError,
     NondetAutomaton,
     load_automaton,
-    parse_document,
     print_automaton,
-    print_document,
+    simulate,
 )
-from qsta import document_to_automaton
 from qsta import formula as fm
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -21,7 +20,7 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 def err(text):
     with pytest.raises(DslSyntaxError) as info:
-        parse_document(text)
+        load_automaton(text)
     return info.value
 
 
@@ -31,21 +30,38 @@ def err(text):
 
 def test_corpus_files_round_trip():
     for path in sorted(CORPUS.glob("*.aut")):
-        doc = parse_document(path.read_text())
-        again = parse_document(print_document(doc))
-        assert again == doc, path.name
+        automaton = load_automaton(path.read_text())
+        again = load_automaton(print_automaton(automaton))
+        assert again == automaton, path.name
 
 
 def test_printing_is_idempotent():
     for path in sorted(CORPUS.glob("*.aut")):
-        once = print_document(parse_document(path.read_text()))
-        twice = print_document(parse_document(once))
+        once = print_automaton(load_automaton(path.read_text()))
+        twice = print_automaton(load_automaton(once))
         assert once == twice, path.name
+
+
+# sha256 of print_automaton over every corpus file, each alternating one
+# followed by its simulation, in file name order; computed before the
+# printer worked on automata directly.
+CANONICAL_PRINT_SHA256 = "749861dd748f8684f42cbb44811ccb389502429293bf1680e1f58beacc17b5ed"
+
+
+def test_canonical_prints_are_pinned():
+    printed = []
+    for path in sorted(CORPUS.glob("*.aut")):
+        automaton = load_automaton(path.read_text())
+        printed.append(print_automaton(automaton))
+        if isinstance(automaton, AlternatingAutomaton):
+            printed.append(print_automaton(simulate(automaton)))
+    assert len(printed) == 15
+    assert hashlib.sha256("".join(printed).encode()).hexdigest() == CANONICAL_PRINT_SHA256
 
 
 def test_canonical_print_shape():
     text = (CORPUS / "self_loop.aut").read_text()
-    printed = print_document(parse_document(text))
+    printed = print_automaton(load_automaton(text))
     assert printed == (
         "nondet {\n"
         "  directions: d1 d2;\n"
@@ -60,8 +76,6 @@ def test_canonical_print_shape():
 
 
 def test_simulated_automata_round_trip_through_quotes():
-    from qsta import simulate
-
     alt = load_automaton((CORPUS / "alt_univ.aut").read_text())
     product = simulate(alt)
     printed = print_automaton(product)
@@ -79,7 +93,7 @@ def test_simulated_automata_round_trip_through_quotes():
 
 
 def test_comments_and_whitespace_are_ignored():
-    doc = parse_document(
+    automaton = load_automaton(
         "# leading comment\n"
         "nondet { # trailing comment\n"
         "  directions: d1 d2;;\n".replace(";;", ";")
@@ -88,22 +102,25 @@ def test_comments_and_whitespace_are_ignored():
         "  delta q0 -> { L={}; X={}; succ=(q0, q0) }; # comment\n"
         "}\n"
     )
-    assert doc.kind == "nondet"
+    assert isinstance(automaton, NondetAutomaton)
 
 
 def test_quoted_names_accept_punctuation():
-    doc = parse_document(
+    automaton = load_automaton(
         'nondet {\n  directions: d1;\n  concepts: ;\n  features: g;\n'
         '  states: "{q0:1}";\n  initial: "{q0:1}";\n  accepting: "{q0:1}";\n'
         '  delta "{q0:1}" -> { L={}; X={} ; succ=("{q0:1}") };\n}\n'
     )
-    assert doc.states == ("{q0:1}",)
+    assert automaton.states == ("{q0:1}",)
 
 
 def test_unterminated_quote_is_positioned():
     e = err('nondet { directions: "d1\n')
     assert e.line == 1
     assert "unterminated" in e.bare_message
+    # a closing quote on a later line does not end the name
+    e = err('nondet {\n  states: "q\n0";\n}')
+    assert (e.bare_message, e.line, e.column) == ("unterminated quoted name", 2, 11)
 
 
 def test_stray_dash_is_rejected():
@@ -115,6 +132,15 @@ def test_unexpected_character_is_positioned():
     e = err("nondet {\n  directions: d1 $ d2;\n}")
     assert e.line == 2
     assert "unexpected character" in e.bare_message
+    # a tab and a carriage return each advance the column by one
+    e = err("nondet {\n\tdirections:\r$")
+    assert (e.bare_message, e.line, e.column) == ("unexpected character '$'", 2, 14)
+
+
+def test_input_ending_in_a_comment_puts_eof_at_the_comment():
+    # a comment does not advance the column
+    e = err("nondet {  # no newline follows")
+    assert (e.bare_message, e.line, e.column) == ("expected a section", 1, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +175,13 @@ def test_empty_required_section_rejected():
 
 
 def test_concepts_and_accepting_may_be_empty():
-    doc = parse_document(
+    automaton = load_automaton(
         "nondet {\n  directions: d1;\n  concepts: ;\n  features: g;\n"
         "  states: q0;\n  initial: q0;\n  accepting: ;\n"
         "  delta q0 -> { L={}; X={}; succ=(q0) };\n}\n"
     )
-    assert doc.concepts == ()
-    assert doc.accepting == ()
+    assert automaton.sig.concepts == ()
+    assert automaton.accepting == frozenset()
 
 
 def test_initial_needs_exactly_one_name():
@@ -210,24 +236,24 @@ def test_unknown_relation_atom_is_positioned():
 
 
 def test_alternating_formula_precedence():
-    doc = parse_document(
+    automaton = load_automaton(
         "alternating {\n  directions: d1;\n  concepts: A B;\n  features: g;\n"
         "  states: q0;\n  initial: q0;\n  accepting: q0;\n"
         "  delta q0 -> A & <d1:q0> | B;\n}\n"
     )
-    body = dict(doc.delta)["q0"]
+    body = automaton.delta["q0"]
     assert isinstance(body, fm.Or)
     assert isinstance(body.children[0], fm.And)
     assert body.children[1] == fm.PosLiteral("B")
 
 
 def test_alternating_parentheses_override_precedence():
-    doc = parse_document(
+    automaton = load_automaton(
         "alternating {\n  directions: d1;\n  concepts: A B;\n  features: g;\n"
         "  states: q0;\n  initial: q0;\n  accepting: q0;\n"
         "  delta q0 -> A & (<d1:q0> | B);\n}\n"
     )
-    body = dict(doc.delta)["q0"]
+    body = automaton.delta["q0"]
     assert isinstance(body, fm.And)
     assert isinstance(body.children[1], fm.Or)
 
@@ -240,19 +266,19 @@ def test_formula_nesting_is_limited():
             "  delta q0 -> " + "(" * depth + "A" + ")" * depth + ";\n}\n"
         )
 
-    assert dict(parse_document(doc(100)).delta)["q0"] == fm.PosLiteral("A")
+    assert load_automaton(doc(100)).delta["q0"] == fm.PosLiteral("A")
     e = err(doc(101))
     assert e.bare_message == "formula nested deeper than 100 levels"
     assert (e.line, e.column) == (8, 115)
 
 
 def test_alternating_constraint_with_relation_set():
-    doc = parse_document(
+    automaton = load_automaton(
         "alternating {\n  directions: d1;\n  concepts: ;\n  features: g h;\n"
         "  states: q0;\n  initial: q0;\n  accepting: q0;\n"
         "  delta q0 -> {TPP,NTPP}(d1 g, h) & <d1:q0>;\n}\n"
     )
-    body = dict(doc.delta)["q0"]
+    body = automaton.delta["q0"]
     constraint = body.children[0].constraint
     assert str(constraint.rel) == "{TPP,NTPP}"
     assert constraint.args[0].path == ("d1",)
@@ -260,12 +286,12 @@ def test_alternating_constraint_with_relation_set():
 
 
 def test_alternating_negated_literal_and_move():
-    doc = parse_document(
+    automaton = load_automaton(
         "alternating {\n  directions: d1;\n  concepts: A;\n  features: g;\n"
         "  states: q0 q1;\n  initial: q0;\n  accepting: q1;\n"
         "  delta q0 -> !A & <d1:q1>;\n  delta q1 -> <d1:q1>;\n}\n"
     )
-    body = dict(doc.delta)["q0"]
+    body = automaton.delta["q0"]
     assert body.children[0] == fm.NegLiteral("A")
     assert body.children[1] == fm.Move("d1", "q1")
 
@@ -303,9 +329,19 @@ def test_acceptall_section_round_trips():
     assert 'acceptall: "#";' in print_automaton(automaton)
 
 
+def test_acceptall_is_rejected_in_alternating_documents():
+    # only nondet automata have an accept-all sink
+    e = err(
+        "alternating {\n  directions: d1;\n  concepts: ;\n  features: g;\n"
+        "  states: q0;\n  initial: q0;\n  accepting: q0;\n  acceptall: q0;\n"
+        "  delta q0 -> <d1:q0>;\n}\n"
+    )
+    assert e.bare_message == "section 'acceptall' applies only to nondet automata"
+    assert (e.line, e.column) == (8, 3)
+
+
 def test_transition_order_is_preserved():
-    doc = parse_document((CORPUS / "fallback.aut").read_text())
-    automaton = document_to_automaton(doc)
+    automaton = load_automaton((CORPUS / "fallback.aut").read_text())
     first, second = automaton.transitions("q0")
     assert first.constraints and not first.literals
     assert second.literals and second.constraints

@@ -28,7 +28,6 @@ from qsta import (
     metrics,
     parse_chain,
     parse_constraint,
-    parse_document,
     resolve_variable,
     scene_from_witness,
     simulate,
@@ -801,7 +800,13 @@ def test_witness_from_json_rejects_foreign_documents():
         witness_from_json([])
     with pytest.raises(MalformedModelError):
         witness_from_json(
-            {"format": "finite-tree-model", "directions": ["d1"], "nodes": {"": {}}}
+            {
+                "format": "finite-tree-model",
+                "version": 1,
+                "directions": ["d1"],
+                "height": 0,
+                "nodes": {"": {}},
+            }
         )
     # the schema requires arrays; a string must not read as its characters
     payload = witness_to_json(decide(corpus_automaton("alt_choice")).witness)
@@ -814,6 +819,44 @@ def test_witness_from_json_rejects_foreign_documents():
             match=f"malformed witness document: '{field}' is not an array",
         ):
             witness_from_json(document)
+    # the schema requires version 1 and a non-negative integer height; a
+    # JSON true is not an integer, though True == 1
+    payload = witness_to_json(decide(corpus_automaton("eq_loop")).witness)
+    for field, value, message in (
+        ("version", 99, "'version' is not 1"),
+        ("version", None, "missing 'version'"),
+        ("version", True, "'version' is not an integer"),
+        ("height", "tall", "'height' is not an integer"),
+        ("height", None, "missing 'height'"),
+        ("height", -1, "'height' is negative"),
+        ("height", True, "'height' is not an integer"),
+    ):
+        document = dict(payload, **{field: value})
+        if value is None:
+            del document[field]
+        with pytest.raises(MalformedModelError) as info:
+            witness_from_json(document)
+        assert str(info.value) == f"malformed witness document: {message}", (field, value)
+    # with its arguments swapped, d1's triple is valid as argIndex 1 only
+    triple = payload["nodes"]["d1"]["ptpge"][0]
+    triple.update(constraint="EQ(d1 g, g)", argIndex=1)
+    witness_from_json(payload)
+    for value in (True, "1"):
+        triple["argIndex"] = value
+        with pytest.raises(MalformedModelError) as info:
+            witness_from_json(payload)
+        assert str(info.value) == "malformed witness document: 'argIndex' is not an integer"
+    # directions are non-empty strings, and node keys use only those
+    payload = witness_to_json(decide(corpus_automaton("alt_choice")).witness)
+    for directions, message in (
+        (["d1", 5], "direction 5 is not a non-empty string"),
+        (["d1", ""], "direction '' is not a non-empty string"),
+        (["d1", "d3"], "node key 'd1 d2' names a direction not in 'directions'"),
+    ):
+        document = dict(payload, directions=directions)
+        with pytest.raises(MalformedModelError) as info:
+            witness_from_json(document)
+        assert str(info.value) == f"malformed witness document: {message}", directions
 
 
 def test_witness_dot_lists_every_node_and_fold():

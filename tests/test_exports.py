@@ -1,6 +1,6 @@
 """Every exported name resolves, and so does every layer the benchmark
-traces; every name a module imports is used; importing builds no
-composition row."""
+traces; every name a package or test module imports is used; importing
+builds no composition row."""
 
 import ast
 import importlib
@@ -66,9 +66,14 @@ def _unused_imports(source):
 
 
 def test_no_unused_imports():
+    package = pathlib.Path(qsta.__file__).parent
+    tests = pathlib.Path(__file__).resolve().parent
     unused = []
-    for path in sorted(pathlib.Path(qsta.__file__).parent.glob("*.py")):
-        unused.extend(f"{path.name}: {name}" for name in _unused_imports(path.read_text()))
+    for path in sorted(package.glob("*.py")) + sorted(tests.glob("*.py")):
+        unused.extend(
+            f"{path.parent.name}/{path.name}: {name}"
+            for name in _unused_imports(path.read_text())
+        )
     assert unused == []
 
 
