@@ -900,7 +900,8 @@ def witness_from_json(payload: Dict) -> FiniteTreeModel:
     try:
         if _json_int(payload, "version") != 1:
             raise ValueError("'version' is not 1")
-        if _json_int(payload, "height") < 0:
+        height = _json_int(payload, "height")
+        if height < 0:
             raise ValueError("'height' is negative")
         directions = tuple(_json_array(payload, "directions"))
         for direction in directions:
@@ -935,6 +936,10 @@ def witness_from_json(payload: Dict) -> FiniteTreeModel:
                     for t in _json_array(raw, "ptpge")
                 ),
             )
+        # An empty tree is left to check_witness, which reports no root.
+        tree_height = max((len(word) for word in nodes), default=height)
+        if height != tree_height:
+            raise ValueError(f"'height' is {height}, the tree's height is {tree_height}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedModelError(f"malformed witness document: {exc}") from exc
     return FiniteTreeModel(directions=directions, nodes=nodes)

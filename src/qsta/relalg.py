@@ -14,6 +14,14 @@ A ``Qcsp`` holds one relation per ordered pair of variables, kept converse
 closed, with missing pairs meaning the full relation.  Constraints between a
 variable and itself cannot be stored pairwise, so they are kept in a separate
 ``selfs`` map: a self constraint is satisfiable exactly when it admits EQ.
+
+The solver closes a network under path consistency, then branches, one
+re-closure per branch, until every pair of a given list is atomic.  Path
+consistency decides networks over Ĥ8, which holds every atom and the
+universal relation (Renz & Nebel, AIJ 108, 1999), so a yes/no decision
+(``masks_consistent``, ``is_consistent``) branches only on the declared
+pairs, those some constraint narrows.  ``consistent_scenario`` lists every
+pair, to fix an atom for each.
 """
 
 from __future__ import annotations
@@ -335,12 +343,20 @@ class QcspBuilder:
 # network's variables; the diagonal is unused.  A queue is a set of pairs
 # i < j: closing the triangles through (i, j) closes those through (j, i).
 Matrix = List[List[int]]
+Pair = Tuple[int, int]
+
+# The number of atoms in every mask.
+_SIZE = bytes(bin(mask).count("1") for mask in range(_FULL_MASK + 1))
 
 
-def _closed_matrix(n: int, constraints: Iterable[Tuple[int, int, int]]) -> Optional[Matrix]:
+def _closed_matrix(
+    n: int, constraints: Iterable[Tuple[int, int, int]]
+) -> Optional[Tuple[Matrix, List[Pair]]]:
     """Constraints (i, j, mask) over variables 0..n-1 as a path-consistent
-    mask matrix, or None when a relation empties.  Repeated pairs
-    intersect; a pair i == j holds exactly when its mask admits EQ."""
+    mask matrix, with its declared pairs: the pairs i < j, in row-major
+    order, whose mask is not full before closure.  None when a relation
+    empties.  Repeated pairs intersect; a pair i == j holds exactly when
+    its mask admits EQ."""
     m = [[_FULL_MASK] * n for _ in range(n)]
     for i, j, mask in constraints:
         if i == j:
@@ -352,8 +368,8 @@ def _closed_matrix(n: int, constraints: Iterable[Tuple[int, int, int]]) -> Optio
             return None
         m[i][j], m[j][i] = mask, _CONVERSE[mask]
     # A full pair cannot tighten a triangle: it composes to the full relation.
-    queue = {(i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] != _FULL_MASK}
-    return m if _close(m, queue) else None
+    declared = [(i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] != _FULL_MASK]
+    return (m, declared) if _close(m, set(declared)) else None
 
 
 def _masks(network: Qcsp) -> Tuple[int, List[Tuple[int, int, int]]]:
@@ -373,7 +389,7 @@ def _masks(network: Qcsp) -> Tuple[int, List[Tuple[int, int, int]]]:
     return len(index), constraints
 
 
-def _close(m: Matrix, queue: Set[Tuple[int, int]]) -> bool:
+def _close(m: Matrix, queue: Set[Pair]) -> bool:
     """Path consistency in place: C(x,k) &= C(x,y) o C(y,k) for every queued
     pair (x, y), both ways round, until nothing changes; False when a
     relation empties.  The result is the greatest path-consistent
@@ -399,31 +415,43 @@ def _close(m: Matrix, queue: Set[Tuple[int, int]]) -> bool:
     return True
 
 
-def _scenario(m: Matrix) -> Optional[Matrix]:
-    """An atomic path-consistent refinement of the closed matrix m, hence
-    consistent (Renz & Nebel, AIJ 108, 1999), or None.  Depth first over the
-    atoms, in ``ATOMS`` order, of the first pair i < j with the fewest atoms,
-    with a stack of (closed matrix, pair, atoms left); a branch copies the
-    closed matrix, fixes the pair and re-closes from that pair only."""
-    stack: List[Tuple[Matrix, int, int, int]] = []
+def _scenario(m: Matrix, pairs: List[Pair]) -> Optional[Matrix]:
+    """A path-consistent refinement of the closed matrix m in which every
+    listed pair is atomic, or None when there is none.
+
+    Such a refinement is consistent whenever the listed pairs include every
+    pair that is neither atomic nor full before closure: the network of
+    those atoms and universal relations lies in Ĥ8, where path consistency
+    decides consistency (Renz & Nebel, AIJ 108, 1999).  So
+    ``masks_consistent`` lists the declared pairs only, and
+    ``consistent_scenario`` every pair i < j, for an atomic matrix.
+
+    Depth first over the atoms, in ``ATOMS`` order, of the first listed
+    pair with the fewest atoms, with a stack of (closed matrix, its
+    non-atomic listed pairs, pair, atoms left).  A branch copies the closed
+    matrix, fixes the pair and re-closes from that pair only; closure only
+    refines, so the pairs still to fix are filtered from the parent's."""
+    stack: List[Tuple[Matrix, List[Pair], int, int, int]] = []
     closed = True
     while True:
         if closed:
-            branch, fewest = None, len(ATOMS) + 1
-            for i, row in enumerate(m):
-                for j in range(i + 1, len(m)):
-                    if row[j] & (row[j] - 1) and row[j].bit_count() < fewest:
-                        branch, fewest = (i, j), row[j].bit_count()
-            if branch is None:
+            open_pairs, fewest = [], len(ATOMS) + 1
+            for pair in pairs:
+                size = _SIZE[m[pair[0]][pair[1]]]
+                if size > 1:
+                    open_pairs.append(pair)
+                    if size < fewest:
+                        branch, fewest = pair, size
+            if not open_pairs:
                 return m
             i, j = branch
-            stack.append((m, i, j, m[i][j]))
+            stack.append((m, open_pairs, i, j, m[i][j]))
         if not stack:
             return None
-        m, i, j, left = stack.pop()
+        m, pairs, i, j, left = stack.pop()
         atom = left & -left
         if left != atom:
-            stack.append((m, i, j, left ^ atom))
+            stack.append((m, pairs, i, j, left ^ atom))
             m = [row[:] for row in m]
         m[i][j], m[j][i] = atom, _CONVERSE[atom]
         closed = _close(m, {(i, j)})
@@ -449,16 +477,21 @@ def path_consistency(network: Qcsp) -> Optional[Qcsp]:
     EQ-free self constraint) empties; None is the ordinary "inconsistent"
     answer, not an error.
     """
-    m = _closed_matrix(*_masks(network))
-    return None if m is None else _network(network, m)
+    closed = _closed_matrix(*_masks(network))
+    return None if closed is None else _network(network, closed[0])
 
 
 def masks_consistent(n: int, constraints: Iterable[Tuple[int, int, int]]) -> bool:
     """Decide a network given as masks: constraints (i, j, mask) over
     variables 0..n-1, read as in ``_closed_matrix``.  ``is_consistent``
-    and the emptiness search both decide through here."""
-    m = _closed_matrix(n, constraints)
-    return m is not None and _scenario(m) is not None
+    and the emptiness search's root check both decide through here.
+
+    Exact by branching on the declared pairs only: once each is atomic, the
+    network of those atoms and the universal relation elsewhere lies in Ĥ8,
+    where path consistency decides consistency (Renz & Nebel, AIJ 108,
+    1999).  Pairs no constraint names are never branched on."""
+    closed = _closed_matrix(n, constraints)
+    return closed is not None and _scenario(*closed) is not None
 
 
 def is_consistent(network: Qcsp) -> bool:
@@ -471,8 +504,15 @@ def consistent_scenario(network: Qcsp) -> Optional[Qcsp]:
 
     The result fixes one atom for every ordered pair of variables of the
     input (missing pairs of the input count as full), or None when the
-    network is inconsistent.
+    network is inconsistent.  It branches on every pair i < j, not only
+    the declared ones, so it does more work than ``is_consistent``.  No
+    verdict path calls it: the search and ``check_witness`` decide through
+    ``masks_consistent``, and only ``scene_from_witness`` builds a scenario.
     """
-    m = _closed_matrix(*_masks(network))
-    scenario = None if m is None else _scenario(m)
+    closed = _closed_matrix(*_masks(network))
+    if closed is None:
+        return None
+    m, _ = closed
+    every_pair = [(i, j) for i in range(len(m)) for j in range(i + 1, len(m))]
+    scenario = _scenario(m, every_pair)
     return None if scenario is None else _network(network, scenario)

@@ -269,6 +269,32 @@ def test_check_witness_crash_exits_two(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_check_witness_rejects_a_wrong_height(tmp_path, capsys):
+    w = tmp_path / "w.json"
+    main(["emptiness", corpus("eq_loop"), "--witness", str(w)])
+    capsys.readouterr()
+    payload = json.loads(w.read_text())
+    assert payload["height"] == 2
+    payload["height"] = 7
+    w.write_text(json.dumps(payload))
+    assert main(["check-witness", corpus("eq_loop"), str(w)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: malformed witness document: 'height' is 7, the tree's height is 2\n"
+    )
+
+
+def test_check_witness_reports_an_empty_tree(tmp_path, capsys):
+    w = tmp_path / "w.json"
+    w.write_text(
+        '{"format": "finite-tree-model", "version": 1, "directions": ["d1","d2"],'
+        ' "height": 0, "nodes": {}}'
+    )
+    assert main(["check-witness", corpus("eq_loop"), str(w)]) == 1
+    assert "witness has no root" in capsys.readouterr().out
+
+
 def test_check_witness_rejects_broken_json(tmp_path, capsys):
     w = tmp_path / "w.json"
     w.write_text("{not json")

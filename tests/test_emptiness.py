@@ -819,8 +819,8 @@ def test_witness_from_json_rejects_foreign_documents():
             match=f"malformed witness document: '{field}' is not an array",
         ):
             witness_from_json(document)
-    # the schema requires version 1 and a non-negative integer height; a
-    # JSON true is not an integer, though True == 1
+    # the schema requires version 1 and a non-negative integer height, which
+    # must be the tree's; a JSON true is not an integer, though True == 1
     payload = witness_to_json(decide(corpus_automaton("eq_loop")).witness)
     for field, value, message in (
         ("version", 99, "'version' is not 1"),
@@ -830,6 +830,7 @@ def test_witness_from_json_rejects_foreign_documents():
         ("height", None, "missing 'height'"),
         ("height", -1, "'height' is negative"),
         ("height", True, "'height' is not an integer"),
+        ("height", 7, "'height' is 7, the tree's height is 2"),
     ):
         document = dict(payload, **{field: value})
         if value is None:

@@ -30,6 +30,7 @@ from qsta import (
     parse_relation,
     path_consistency,
 )
+from qsta import relalg
 
 relations = st.sets(st.sampled_from(ATOMS)).map(lambda s: Relation.of(*s))
 
@@ -324,6 +325,76 @@ def test_mixed_networks_agree_with_oracle():
         rendered.append(" ".join(atoms.values()))
     digest = hashlib.sha256("\n".join(rendered).encode()).hexdigest()
     assert digest == MIXED_SCENARIOS_SHA256
+
+
+def test_sparse_networks_agree_with_oracle():
+    """is_consistent branches only on declared pairs and leaves the others
+    to path consistency; on networks with half their pairs undeclared it
+    still matches the brute-force oracle."""
+    rng = random.Random(2024)
+    inconsistent = 0
+    for _ in range(400):
+        n_vars = rng.randint(3, 5)
+        builder = QcspBuilder(range(n_vars))
+        allowed = {}
+        for pair in itertools.combinations(range(n_vars), 2):
+            if rng.random() < 0.5:
+                rel = Relation.of(*rng.sample(ATOMS, rng.randint(1, 3)))
+                builder.add(*pair, rel)
+                allowed[pair] = frozenset(rel)
+        want = on.oracle_consistent(n_vars, allowed)
+        assert is_consistent(builder.build()) == want, allowed
+        inconsistent += not want
+    assert inconsistent >= 20
+
+
+def test_branching_refutes_a_path_consistent_network():
+    """Path consistency leaves this inconsistent network non-empty, so
+    is_consistent must branch on its declared pairs to refute it (pair
+    (1, 2) is undeclared).  Found by random search: about one dense
+    network of 4-5 variables in 90 000 is like it."""
+    allowed = {
+        (0, 1): ("EC", "PO", "TPP", "TPPI"),
+        (0, 2): ("DC", "EQ", "NTPPI"),
+        (0, 3): ("EC", "NTPPI"),
+        (0, 4): ("EQ", "NTPP", "NTPPI", "TPP"),
+        (1, 3): ("EC", "EQ", "TPP"),
+        (1, 4): ("EC", "EQ", "NTPP"),
+        (2, 3): ("NTPPI", "PO"),
+        (2, 4): ("DC", "EQ", "NTPPI", "TPPI"),
+        (3, 4): ("NTPP", "NTPPI"),
+    }
+    builder = QcspBuilder(range(5))
+    for pair, atoms in allowed.items():
+        builder.add(*pair, Relation.of(*atoms))
+    network = builder.build()
+    assert not on.oracle_consistent(5, {p: frozenset(a) for p, a in allowed.items()})
+    assert path_consistency(network) is not None
+    assert not is_consistent(network)
+    assert consistent_scenario(network) is None
+
+
+def test_is_consistent_closes_once_per_declared_pair(monkeypatch):
+    """{DC,EC} between consecutive variables of a chain of 12: is_consistent
+    fixes the 11 declared pairs and never branches on the 55 others, while
+    consistent_scenario fixes all 66."""
+    builder = QcspBuilder()
+    for u in range(11):
+        builder.add(u, u + 1, Relation.of("DC", "EC"))
+    network = builder.build()
+    calls = []
+    close = relalg._close
+
+    def counted_close(m, queue):
+        calls.append(queue)
+        return close(m, queue)
+
+    monkeypatch.setattr(relalg, "_close", counted_close)
+    assert is_consistent(network)
+    assert len(calls) <= 11 + 1
+    calls.clear()
+    assert consistent_scenario(network) is not None
+    assert len(calls) == 66 + 1
 
 
 def _oracle_closure(n_vars, allowed):
