@@ -61,13 +61,6 @@ class Transition:
     constraints: FrozenSet[SpatialConstraint]
     succ: Tuple[str, ...]
 
-    def sort_key(self) -> Tuple:
-        return (
-            tuple(sorted(fm.encode_generator(lit) for lit in self.literals)),
-            tuple(sorted(c.encode() for c in self.constraints)),
-            self.succ,
-        )
-
 
 @dataclass(frozen=True)
 class AlternatingAutomaton:

@@ -56,13 +56,18 @@ def _simulate(automaton: AlternatingAutomaton) -> NondetAutomaton:
     )
 
 
-def _as_nondet(automaton, *, origin: str) -> NondetAutomaton:
-    """Validate and, for alternating input, simulate first."""
+def _check_well_formed(automaton, *, origin: str) -> None:
+    """Print each defect of ``automaton`` on stderr and raise if there are any."""
     defects = validate(automaton)
     if defects:
         for defect in defects:
             print(f"{origin}: {defect}", file=sys.stderr)
         raise ValueError(f"{origin}: automaton is not well formed")
+
+
+def _as_nondet(automaton, *, origin: str) -> NondetAutomaton:
+    """Validate and, for alternating input, simulate first."""
+    _check_well_formed(automaton, origin=origin)
     if isinstance(automaton, AlternatingAutomaton):
         return _simulate(automaton)
     return automaton
@@ -80,11 +85,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     automaton = _load(args.file)
     if not isinstance(automaton, AlternatingAutomaton):
         raise ValueError("simulate expects an alternating automaton")
-    defects = validate(automaton)
-    if defects:
-        for defect in defects:
-            print(f"{args.file}: {defect}", file=sys.stderr)
-        return 2
+    _check_well_formed(automaton, origin=args.file)
     result = _simulate(automaton)
     Path(args.output).write_text(print_automaton(result), encoding="utf-8")
     print(f"states: {len(result.states)}")
@@ -100,8 +101,8 @@ def _cmd_emptiness(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-nodes must be positive, got {max_nodes}")
     automaton = _as_nondet(_load(args.file), origin=args.file)
     decision = emp.decide(automaton, max_nodes=max_nodes)
-    for note in decision.diagnostics:
-        print(f"note: {note}", file=sys.stderr)
+    if decision.stats.bound_exceeded:
+        print("note: search tree grew past the theoretical witness bound", file=sys.stderr)
     for defect in decision.prefix_defects:
         print(f"warning: {defect}", file=sys.stderr)
     print(decision.verdict)

@@ -24,7 +24,7 @@ documents may name an accept-all sink (``acceptall: "#";``).
 ``print_automaton`` writes every section in the order above, ``accepting``
 and the ``delta`` entries in state order, and a nondet transition's
 literals and constraints sorted by their text; ``load_automaton`` reads
-the result back to an equal automaton.
+the result of a well-formed automaton back to an equal automaton.
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ __all__ = ["load_automaton", "print_automaton"]
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # One alternative per token kind; the group that matched names the kind.
-# Newlines, blanks and comments make no token.
+# Blanks and comments make no token.
 _TOKEN = re.compile(
-    r"(?P<NEWLINE>\n)"
-    r"|(?P<BLANK>[ \t\r]+)"
+    r"(?P<BLANK>[ \t\r\n]+)"
     r"|(?P<COMMENT>#[^\n]*)"
     r'|"(?P<QUOTED>[^"\n]*)"'
     r"|(?P<ARROW>->)"
@@ -73,35 +72,38 @@ MAX_FORMULA_NESTING = 100
 class _Token(NamedTuple):
     kind: str  # NAME, QUOTED, PUNCT, ARROW, EOF
     text: str
-    line: int
-    column: int
+    offset: int
+
+
+def _position(text: str, offset: int) -> Tuple[int, int]:
+    """Line and column, both from 1, of ``text[offset]``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+_BAD_CHARACTER = {'"': "unterminated quoted name", "-": "stray '-' (expected '->')"}
+
+
+def _bad_character(text: str, offset: int) -> DslSyntaxError:
+    ch = text[offset]
+    message = _BAD_CHARACTER.get(ch, f"unexpected character {ch!r}")
+    return DslSyntaxError(message, *_position(text, offset))
 
 
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
-    line = column = 1
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            ch = text[pos]
-            if ch == '"':
-                message = "unterminated quoted name"
-            elif ch == "-":
-                message = "stray '-' (expected '->')"
-            else:
-                message = f"unexpected character {ch!r}"
-            raise DslSyntaxError(message, line, column)
+    pos = eof = 0
+    for match in _TOKEN.finditer(text):
+        if match.start() != pos:  # no token starts at pos
+            raise _bad_character(text, pos)
         kind = match.lastgroup
-        if kind == "NEWLINE":
-            line += 1
-            column = 1
-        elif kind != "COMMENT":  # a comment leaves the column where it starts
-            if kind != "BLANK":
-                tokens.append(_Token(kind, match.group(kind), line, column))
-            column += match.end() - pos
+        if kind != "BLANK" and kind != "COMMENT":
+            tokens.append(_Token(kind, match.group(kind), pos))
         pos = match.end()
-    tokens.append(_Token("EOF", "", line, column))
+        # Input that ends in a comment puts EOF where the comment starts.
+        eof = match.start() if kind == "COMMENT" else pos
+    if pos != len(text):
+        raise _bad_character(text, pos)
+    tokens.append(_Token("EOF", "", eof))
     return tokens
 
 
@@ -110,8 +112,9 @@ def _tokenize(text: str) -> List[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: List[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.nesting = 0
 
@@ -125,7 +128,7 @@ class _Parser:
 
     def fail(self, message: str, token: Optional[_Token] = None) -> DslSyntaxError:
         token = token or self.peek()
-        return DslSyntaxError(message, token.line, token.column)
+        return DslSyntaxError(message, *_position(self.text, token.offset))
 
     def expect_punct(self, text: str) -> _Token:
         token = self.peek()
@@ -299,7 +302,7 @@ _MAY_BE_EMPTY = ("concepts", "accepting")
 
 def load_automaton(text: str) -> Automaton:
     """Parse a document; raises DslSyntaxError with line and column."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     kind_token = parser.peek()
     if kind_token.kind != "NAME" or kind_token.text not in ("alternating", "nondet"):
         raise parser.fail("expected 'alternating' or 'nondet'")
@@ -357,30 +360,18 @@ def load_automaton(text: str) -> Automaton:
 
     for section in _REQUIRED_SECTIONS:
         if section not in sections:
-            raise DslSyntaxError(
-                f"missing section '{section}'", kind_token.line, kind_token.column
-            )
+            raise parser.fail(f"missing section '{section}'", kind_token)
     initial = sections["initial"]
     if len(initial) != 1:
-        raise DslSyntaxError(
-            "section 'initial' needs exactly one name", kind_token.line, kind_token.column
-        )
+        raise parser.fail("section 'initial' needs exactly one name", kind_token)
     acceptall = sections.get("acceptall")
     if acceptall is not None and len(acceptall) != 1:
-        raise DslSyntaxError(
-            "section 'acceptall' needs exactly one name",
-            kind_token.line,
-            kind_token.column,
-        )
+        raise parser.fail("section 'acceptall' needs exactly one name", kind_token)
 
     arity = len(sections["directions"])
     for succ_token, count in succ_positions:
         if count != arity:
-            raise DslSyntaxError(
-                f"{count} successors for {arity} directions",
-                succ_token.line,
-                succ_token.column,
-            )
+            raise parser.fail(f"{count} successors for {arity} directions", succ_token)
 
     sig = Signature(
         directions=sections["directions"],
@@ -425,6 +416,11 @@ def _literal_text(literal: Union[fm.PosLiteral, fm.NegLiteral]) -> str:
     return _name_text(literal.name)
 
 
+def _constraint_text(constraint: SpatialConstraint) -> str:
+    first, second = (_names(chain.path + (chain.feature,)) for chain in constraint.args)
+    return f"{constraint.rel}({first}, {second})"
+
+
 def _formula_text(formula: fm.Formula, parent: str = "or") -> str:
     if isinstance(formula, fm.Or):
         if len(formula.children) == 1:
@@ -440,7 +436,7 @@ def _formula_text(formula: fm.Formula, parent: str = "or") -> str:
     if isinstance(formula, fm.Move):
         return f"<{_name_text(formula.direction)}:{_name_text(formula.state)}>"
     if isinstance(formula, fm.Constraint):
-        return formula.constraint.encode()
+        return _constraint_text(formula.constraint)
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -448,7 +444,10 @@ def _transition_text(transition: Transition) -> str:
     literals = " ".join(
         _literal_text(l) for l in sorted(transition.literals, key=fm.encode_generator)
     )
-    constraints = " ".join(sorted(c.encode() for c in transition.constraints))
+    constraints = " ".join(
+        _constraint_text(c)
+        for c in sorted(transition.constraints, key=SpatialConstraint.encode)
+    )
     succ = ", ".join(_name_text(s) for s in transition.succ)
     return f"{{ L={{{literals}}}; X={{{constraints}}}; succ=({succ}) }}"
 

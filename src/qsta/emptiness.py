@@ -16,7 +16,7 @@ finished model for ``check_witness``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from . import formula as fm
 from .automata import (
@@ -782,17 +782,16 @@ def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[st
 
 @dataclass
 class Decision:
-    """Outcome of ``decide``: the verdict plus witness-side reports.
+    """Outcome of ``decide``: the verdict, the witness and the search stats.
 
     ``prefix_defects`` lists what ``check_witness`` finds in the witness,
-    the same lines ``qsta check-witness`` prints; it is empty for a sound
-    witness."""
+    the same lines ``qsta check-witness`` prints, node bound violations
+    included; it is empty for a sound witness.  ``stats.bound_exceeded``
+    tells whether the search tree grew past the theoretical witness bound."""
 
     nonempty: bool
     witness: Optional[FiniteTreeModel] = None
-    bounds: Optional[BoundsReport] = None
     prefix_defects: List[str] = field(default_factory=list)
-    diagnostics: List[str] = field(default_factory=list)
     stats: Optional[SearchStats] = None
 
     @property
@@ -807,24 +806,19 @@ def decide(
     max_unfold_nodes: Optional[int] = None,
 ) -> Decision:
     """Decide emptiness; a NonEmpty decision carries the witness together
-    with its bounds report and the defects ``check_witness`` finds in it.
+    with the defects ``check_witness`` finds in it.
 
     ``max_unfold_nodes`` is ignored and kept only for its one remaining
     caller, ``bench/workloads.py``: the witness is no longer unfolded, since
     ``check_witness`` settles every node of the run the witness folds up.
     """
     model, stats = ftm_search(automaton, max_nodes=max_nodes)
-    diagnostics = []
-    if stats.bound_exceeded:
-        diagnostics.append("search tree grew past the theoretical witness bound")
     if model is None:
-        return Decision(nonempty=False, diagnostics=diagnostics, stats=stats)
+        return Decision(nonempty=False, stats=stats)
     return Decision(
         nonempty=True,
         witness=model,
-        bounds=check_bounds(model, compute_metrics(automaton), len(automaton.states)),
         prefix_defects=check_witness(automaton, model),
-        diagnostics=diagnostics,
         stats=stats,
     )
 
@@ -873,22 +867,27 @@ def witness_to_json(model: FiniteTreeModel) -> Dict:
     }
 
 
-def _json_array(raw: Dict, field: str) -> List:
-    """``raw[field]``, which the schema requires to be an array."""
-    value = raw[field]
-    if not isinstance(value, list):
-        raise TypeError(f"{field!r} is not an array")
-    return value
+_JSON_KINDS = {
+    str: "a string",
+    int: "an integer",
+    list: "an array",
+    dict: "an object",
+    type(None): "null",
+}
 
 
-def _json_int(raw: Dict, field: str) -> int:
-    """``raw[field]``, which the schema requires to be an integer; a JSON
-    ``true`` is not one, although Python's ``True == 1``."""
-    if field not in raw:
-        raise ValueError(f"missing {field!r}")
-    value = raw[field]
-    if type(value) is not int:
-        raise TypeError(f"{field!r} is not an integer")
+def _json_field(raw: Dict, name: str, kind: Any, entries: Optional[type] = None) -> Any:
+    """``raw[name]``, which the schema requires to be of type ``kind`` (one
+    type or a tuple of them), and an array's entries of type ``entries``.
+    A JSON ``true`` is not an integer, although Python's ``True == 1``."""
+    if name not in raw:
+        raise ValueError(f"missing {name!r}")
+    value = raw[name]
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if type(value) not in kinds:
+        raise TypeError(f"{name!r} is not " + " or ".join(_JSON_KINDS[k] for k in kinds))
+    if entries is not None and any(type(entry) is not entries for entry in value):
+        raise TypeError(f"an entry of {name!r} is not {_JSON_KINDS[entries]}")
     return value
 
 
@@ -898,49 +897,54 @@ def witness_from_json(payload: Dict) -> FiniteTreeModel:
     if payload.get("format") != "finite-tree-model":
         raise MalformedModelError("not a finite-tree-model document")
     try:
-        if _json_int(payload, "version") != 1:
+        if _json_field(payload, "version", int) != 1:
             raise ValueError("'version' is not 1")
-        height = _json_int(payload, "height")
+        height = _json_field(payload, "height", int)
         if height < 0:
             raise ValueError("'height' is negative")
-        directions = tuple(_json_array(payload, "directions"))
+        directions = tuple(_json_field(payload, "directions", list))
         for direction in directions:
             if not isinstance(direction, str) or not direction:
                 raise ValueError(f"direction {direction!r} is not a non-empty string")
         order = WordOrder(directions)
+        raw_nodes = _json_field(payload, "nodes", dict)
         entries = []
-        for key, raw in payload["nodes"].items():
+        for key in raw_nodes:
             word = _parse_word_key(key)
             if any(d not in directions for d in word):
                 raise ValueError(f"node key {key!r} names a direction not in 'directions'")
-            entries.append((order.key(word), word, raw))
+            entries.append((order.key(word), word, _json_field(raw_nodes, key, dict)))
         entries.sort(key=lambda e: e[0])
         nodes: Dict[Word, FtmNode] = {}
         for _, word, raw in entries:
-            backnode = raw["backnode"]
+            backnode = _json_field(raw, "backnode", (str, type(None)))
             nodes[word] = FtmNode(
                 word=word,
-                state=raw["state"],
-                literals=frozenset(fm.parse_literal(t) for t in _json_array(raw, "literals")),
-                constraints=frozenset(
-                    parse_constraint(t) for t in _json_array(raw, "constraints")
+                state=_json_field(raw, "state", str),
+                literals=frozenset(
+                    fm.parse_literal(t) for t in _json_field(raw, "literals", list, str)
                 ),
-                children=tuple(_parse_word_key(c) for c in _json_array(raw, "children")),
+                constraints=frozenset(
+                    parse_constraint(t) for t in _json_field(raw, "constraints", list, str)
+                ),
+                children=tuple(
+                    _parse_word_key(c) for c in _json_field(raw, "children", list, str)
+                ),
                 backnode=None if backnode is None else _parse_word_key(backnode),
                 ptpge=frozenset(
                     PtpTriple(
-                        parse_constraint(t["constraint"]),
-                        _json_int(t, "argIndex"),
-                        parse_chain(t["remainingChain"]),
+                        parse_constraint(_json_field(t, "constraint", str)),
+                        _json_field(t, "argIndex", int),
+                        parse_chain(_json_field(t, "remainingChain", str)),
                     )
-                    for t in _json_array(raw, "ptpge")
+                    for t in _json_field(raw, "ptpge", list, dict)
                 ),
             )
         # An empty tree is left to check_witness, which reports no root.
         tree_height = max((len(word) for word in nodes), default=height)
         if height != tree_height:
             raise ValueError(f"'height' is {height}, the tree's height is {tree_height}")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise MalformedModelError(f"malformed witness document: {exc}") from exc
     return FiniteTreeModel(directions=directions, nodes=nodes)
 

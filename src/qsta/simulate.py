@@ -107,7 +107,7 @@ def simulate(
             )
 
         at_breakpoint = all(tag == 1 for _, tag in members)
-        transitions: Dict[Tuple, Transition] = {}
+        transitions: Dict[Transition, None] = {}
         for choice in itertools.product(*per_member):
             literals = frozenset().union(*(d.literals for d in choice)) if choice else frozenset()
             if fm.complementary_names(literals):
@@ -146,11 +146,8 @@ def simulate(
                     order.append(successor)
                 succ_names.append(sim_state_name(successor))
 
-            transition = Transition(
-                literals=literals, constraints=constraints, succ=tuple(succ_names)
-            )
-            transitions.setdefault(transition.sort_key(), transition)
-        delta[sim_state_name(current)] = tuple(transitions.values())
+            transitions[Transition(literals, constraints, tuple(succ_names))] = None
+        delta[sim_state_name(current)] = tuple(transitions)
 
     state_names = tuple(sim_state_name(s) for s in order) + (ACCEPT_ALL_NAME,)
     delta[ACCEPT_ALL_NAME] = (

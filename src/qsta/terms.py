@@ -61,8 +61,8 @@ def parse_chain(text: str) -> ChainTerm:
 def parse_constraint(text: str) -> SpatialConstraint:
     """Inverse of ``SpatialConstraint.encode``, e.g. ``'{TPP,NTPP}(d1 g, g)'``."""
     text = text.strip()
-    open_at = text.index("(")
-    if not text.endswith(")"):
+    open_at = text.find("(")
+    if open_at < 0 or not text.endswith(")"):
         raise ValueError(f"malformed constraint: {text!r}")
     rel = parse_relation(text[:open_at])
     inner = text[open_at + 1 : -1]

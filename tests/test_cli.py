@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from qsta import emptiness as emp
 from qsta.cli import main
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -116,6 +117,24 @@ def test_simulate_writes_output_and_reports_bound(tmp_path, capsys):
     assert main(["validate", str(out_file)]) == 0
 
 
+def test_simulate_reports_an_ill_formed_automaton(tmp_path, capsys):
+    bad = tmp_path / "bad.aut"
+    bad.write_text(
+        "alternating {\n  directions: d1;\n  concepts: ;\n  features: g;\n"
+        "  states: q0;\n  initial: q0;\n  accepting: q0;\n"
+        "  delta q0 -> <d1:q9>;\n}\n"
+    )
+    out_file = tmp_path / "product.aut"
+    assert main(["simulate", str(bad), "-o", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) >= 2
+    assert lines[0].startswith(f"{bad}: ") and "q9" in lines[0]
+    assert lines[-1] == f"error: {bad}: automaton is not well formed"
+    assert not out_file.exists()
+
+
 def test_simulate_rejects_nondet_input(capsys):
     assert main(["simulate", corpus("self_loop"), "-o", "/dev/null"]) == 2
     assert "alternating" in capsys.readouterr().err
@@ -204,6 +223,21 @@ def test_emptiness_respects_max_nodes_flag(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --max-nodes must be positive, got {value}\n"
+
+
+def test_emptiness_notes_a_search_past_the_witness_bound(monkeypatch, capsys):
+    assert main(["emptiness", corpus("eq_loop")]) == 0
+    assert capsys.readouterr().err == ""
+    # with bounds of one node each, eq_loop's witness outgrows them: the
+    # search notes it and check_witness reports the violated bounds
+    monkeypatch.setattr(emp, "_witness_bound", lambda size_q, met, k: (1, 1))
+    assert main(["emptiness", corpus("eq_loop"), "--max-nodes", "1000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "not-empty\n"
+    assert captured.err.splitlines() == [
+        "note: search tree grew past the theoretical witness bound",
+        "warning: node bounds violated (internal 2/1, leaves 3/1)",
+    ]
 
 
 def test_emptiness_rejects_malformed_automaton(tmp_path, capsys):

@@ -12,6 +12,7 @@ from qsta import (
     load_automaton,
     print_automaton,
     simulate,
+    validate,
 )
 from qsta import formula as fm
 
@@ -86,6 +87,28 @@ def test_simulated_automata_round_trip_through_quotes():
     assert again.states == product.states
     assert again.delta == product.delta
     assert again.accept_all == product.accept_all
+
+
+def test_quoted_names_in_constraints_round_trip():
+    # direction and feature names that are no identifiers keep their quotes
+    # inside constraints, in transitions and in formulas alike
+    head = (
+        '  directions: "x-1" d2;\n  concepts: ;\n  features: g "f.2";\n'
+        "  states: q0;\n  initial: q0;\n  accepting: q0;\n"
+    )
+    nondet = load_automaton(
+        "nondet {\n" + head + '  delta q0 -> { L={}; X={TPP("x-1" g, g) '
+        'EQ(d2 "f.2", "x-1" d2 "f.2")}; succ=(q0, q0) };\n}\n'
+    )
+    alternating = load_automaton(
+        "alternating {\n" + head + '  delta q0 -> {TPP,NTPP}("x-1" g, g) '
+        '& (<"x-1":q0> | EQ(d2 "f.2", "f.2")) & <d2:q0>;\n}\n'
+    )
+    for automaton in (nondet, alternating, simulate(alternating)):
+        assert validate(automaton) == []
+        printed = print_automaton(automaton)
+        assert '"x-1" g' in printed and 'd2 "f.2"' in printed
+        assert load_automaton(printed) == automaton
 
 
 # ---------------------------------------------------------------------------

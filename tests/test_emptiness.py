@@ -427,7 +427,22 @@ def test_corpus_witnesses_respect_bounds():
         if want != "not-empty":
             continue
         decision = decide(corpus_automaton(name))
-        assert decision.bounds is not None and decision.bounds.ok, name
+        assert decision.prefix_defects == [], name
+
+
+def test_decide_checks_the_bounds_once(monkeypatch):
+    # the bounds are checked by check_witness, whose defects the decision
+    # carries; decide itself does not check them again
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return check_bounds(*args)
+
+    monkeypatch.setattr(qsta.emptiness, "check_bounds", counting)
+    decision = decide(corpus_automaton("eq_loop"))
+    assert decision.nonempty and decision.prefix_defects == []
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -858,6 +873,40 @@ def test_witness_from_json_rejects_foreign_documents():
         with pytest.raises(MalformedModelError) as info:
             witness_from_json(document)
         assert str(info.value) == f"malformed witness document: {message}", directions
+    # every field a node reads is named when it is missing or of a wrong type
+    payload = witness_to_json(decide(corpus_automaton("eq_loop")).witness)
+    for key, field, value, message in (
+        ("", "state", ["x"], "'state' is not a string"),
+        ("", "state", None, "missing 'state'"),
+        ("", "literals", [5], "an entry of 'literals' is not a string"),
+        ("", "constraints", [None], "an entry of 'constraints' is not a string"),
+        ("", "constraints", ["EQ"], "malformed constraint: 'EQ'"),
+        ("", "children", [["d1"]], "an entry of 'children' is not a string"),
+        ("", "backnode", None, "missing 'backnode'"),
+        ("d2", "backnode", 5, "'backnode' is not a string or null"),
+        ("d1", "ptpge", ["EQ(d1 g, g)"], "an entry of 'ptpge' is not an object"),
+    ):
+        document = json.loads(json.dumps(payload))
+        if value is None:
+            del document["nodes"][key][field]
+        else:
+            document["nodes"][key][field] = value
+        with pytest.raises(MalformedModelError) as info:
+            witness_from_json(document)
+        assert str(info.value) == f"malformed witness document: {message}", field
+    for nodes, message in (
+        (None, "'nodes' is not an object"),
+        ([], "'nodes' is not an object"),
+        ({"": "root"}, "'' is not an object"),
+    ):
+        with pytest.raises(MalformedModelError) as info:
+            witness_from_json(dict(payload, nodes=nodes))
+        assert str(info.value) == f"malformed witness document: {message}", nodes
+    document = json.loads(json.dumps(payload))
+    del document["nodes"]["d1"]["ptpge"][0]["remainingChain"]
+    with pytest.raises(MalformedModelError) as info:
+        witness_from_json(document)
+    assert str(info.value) == "malformed witness document: missing 'remainingChain'"
 
 
 def test_witness_dot_lists_every_node_and_fold():
