@@ -26,6 +26,7 @@ from .automata import (
     RunPrefix,
     SceneNode,
     SceneTreePrefix,
+    Transition,
     metrics as compute_metrics,
 )
 from .errors import MalformedModelError, ResourceLimitError
@@ -206,38 +207,54 @@ class SearchStats:
     bound_exceeded: bool = False
 
 
+# A search node's signature: its state and pending triples.  The search
+# interns signatures, so equal ones are one object and compare by identity.
+_Signature = Tuple[str, FrozenSet[PtpTriple]]
+
+
 class _SearchNode:
     """A live node of the search.  ``rank`` is the word as direction slots,
-    so ranks compare in the lexicographic word order.  ``mark`` holds the
-    lengths of the wait list, log and variable list right after the node
-    was registered and the walks waiting on its word woke: the state a
-    retract to this node restores before it tries the node's next
-    transition."""
+    so ranks compare in the lexicographic word order.  An internal node
+    keeps its ``picked`` transition and the interned signatures of the
+    children it implies, and ``mark`` holds the lengths of the wait list,
+    log and variable ids right after the node was registered and the walks
+    waiting on its word woke: the state a retract to this node restores
+    before it tries the node's next transition.  A leaf uses none of these,
+    only its ``backnode``."""
 
     __slots__ = (
         "word",
         "rank",
+        "signature",
         "state",
         "ptpge",
-        "literals",
-        "constraints",
         "backnode",
         "choice",
+        "picked",
+        "children",
         "mark",
     )
 
     def __init__(
-        self, word: Word, rank: Tuple[int, ...], state: str, ptpge: FrozenSet[PtpTriple]
+        self,
+        word: Word,
+        rank: Tuple[int, ...],
+        signature: _Signature,
+        backnode: Optional[Word] = None,
     ):
         self.word = word
         self.rank = rank
-        self.state = state
-        self.ptpge = ptpge
-        self.literals: Optional[FrozenSet] = None
-        self.constraints: Optional[FrozenSet[SpatialConstraint]] = None
-        self.backnode: Optional[Word] = None
+        self.signature = signature
+        self.state, self.ptpge = signature
+        self.backnode = backnode
         self.choice = 0
+        self.picked: Optional[Transition] = None
+        self.children: Sequence[_Signature] = ()
         self.mark = (0, 0, 0)
+
+    @property
+    def constraints(self) -> FrozenSet[SpatialConstraint]:
+        return self.picked.constraints
 
 
 # A network variable of the search: an internal node and a feature.
@@ -279,6 +296,11 @@ def ftm_search(
     feature) variables when the last node its chains reach is registered,
     and the check decides the log of resolved constraints.
 
+    The children's signatures depend only on the parent's pending triples
+    and on the constraints and successor states of the transition picked
+    there, so they are computed once per such triple and interned: a
+    signature match is an identity hit.
+
     Rejections backtrack chronologically: the most recently chosen
     transition anywhere in the tree advances to its next alternative and
     every node created and constraint resolved after that decision is
@@ -293,11 +315,14 @@ def ftm_search(
     node hands it to its parent's next slot, and a retract to the advanced
     node's first slot.
 
-    ``max_nodes`` caps the live tree size; the default is twice the
-    theoretical witness bound.
+    ``max_nodes`` caps the number of live nodes, not the number created
+    over the whole search; the default is twice the theoretical witness
+    bound.
     """
     sig = automaton.sig
     k = sig.k
+    directions = sig.directions
+    accepting = automaton.accepting
     met = compute_metrics(automaton)
     internal_bound, leaf_bound = _witness_bound(len(automaton.states), met, k)
     exact_total = internal_bound + leaf_bound
@@ -305,13 +330,16 @@ def ftm_search(
 
     stats = SearchStats()
     index: Dict[Word, _SearchNode] = {}
-    by_signature: Dict[Tuple[str, FrozenSet[PtpTriple]], _SearchNode] = {}
+    by_signature: Dict[_Signature, _SearchNode] = {}
     # The live nodes in registration order; the internal ones are the open
     # decisions, the most recent last.
     created: List[_SearchNode] = []
-    # backconstraints_step depends on the parent's constraints and pending
-    # triples and the direction only, so each result is computed once.
-    steps: Dict[Tuple[FrozenSet, FrozenSet[PtpTriple], str], FrozenSet[PtpTriple]] = {}
+    # Every signature met so far, each mapped to itself, and the children's
+    # signatures under each (constraints, pending triples, successors).
+    interned: Dict[_Signature, _Signature] = {}
+    child_signatures: Dict[
+        Tuple[FrozenSet, FrozenSet[PtpTriple], Tuple[str, ...]], List[_Signature]
+    ] = {}
 
     # Each issued constraint is resolved once, by walking its chains as
     # ``resolve_variable`` does, and logged as (variable, variable, mask).
@@ -321,20 +349,13 @@ def ftm_search(
     # and once a retract drops the word its walks wait on it again, as
     # before it was built.  A retract therefore pops one walk off
     # ``waiting[word]`` for each wait issued after its mark.  A variable
-    # gets its dense id, its position in ``variables``, when it is first
-    # logged, so the log is the root check's network as it stands.
+    # gets its dense id, its position in ``ids``, when it is first logged,
+    # so the log is the root check's network as it stands; a retract pops
+    # the variables logged after its mark, the last ones ``ids`` holds.
     log: List[Tuple[int, int, int]] = []
-    variables: List[_Variable] = []
     ids: Dict[_Variable, int] = {}
     waiting: Dict[Word, List[_Walk]] = {}
     waits: List[Word] = []
-
-    def var_id(variable: _Variable) -> int:
-        i = ids.get(variable)
-        if i is None:
-            i = ids[variable] = len(variables)
-            variables.append(variable)
-        return i
 
     def walk(
         word: Word,
@@ -361,32 +382,44 @@ def ftm_search(
                 first = (node, chain.feature)
                 word, pos, chain = origin, 0, constraint.args[1]
             else:
-                log.append((var_id(first), var_id((node, chain.feature)), constraint.rel.mask))
+                first_id = ids.setdefault(first, len(ids))
+                second_id = ids.setdefault((node, chain.feature), len(ids))
+                log.append((first_id, second_id, constraint.rel.mask))
                 return
 
     def register(node: _SearchNode) -> None:
-        if len(index) >= limit:
+        size = len(index)
+        if size >= limit:
             raise ResourceLimitError(
                 f"search tree exceeded {limit} nodes "
                 f"(witness bound {exact_total}; raise max_nodes to override)"
             )
         index[node.word] = node
         created.append(node)
+        size += 1
         stats.nodes_created += 1
-        stats.peak_nodes = max(stats.peak_nodes, len(index))
-        if len(index) > exact_total:
-            stats.bound_exceeded = True
+        if size > stats.peak_nodes:
+            stats.peak_nodes = size
+            if size > exact_total:
+                stats.bound_exceeded = True
         for walk_state in waiting.get(node.word, ()):
             walk(node.word, *walk_state)
-        node.mark = (len(waits), len(log), len(variables))
+        if node.backnode is None:
+            node.mark = (len(waits), len(log), len(ids))
 
     def apply_choice(node: _SearchNode) -> bool:
         choices = automaton.transitions(node.state)
         if node.choice >= len(choices):
             return False
-        picked = choices[node.choice]
-        node.literals = picked.literals
-        node.constraints = picked.constraints
+        picked = node.picked = choices[node.choice]
+        key = (picked.constraints, node.ptpge, picked.succ)
+        children = child_signatures.get(key)
+        if children is None:
+            children = child_signatures[key] = []
+            for state, direction in zip(picked.succ, directions):
+                signature = (state, backconstraints_step(node, direction))
+                children.append(interned.setdefault(signature, signature))
+        node.children = children
         for constraint in picked.constraints:
             walk(node.word, 0, None, node.word, constraint)
         return True
@@ -398,64 +431,64 @@ def ftm_search(
         while created:
             node = created[-1]
             if node.backnode is None:
-                waits_mark, log_mark, variables_mark = node.mark
+                waits_mark, log_mark, ids_mark = node.mark
                 while len(waits) > waits_mark:
                     word = waits.pop()
-                    waiting[word].pop()
-                    if not waiting[word]:
+                    walks = waiting[word]
+                    walks.pop()
+                    if not walks:
                         del waiting[word]
                 del log[log_mark:]
-                while len(variables) > variables_mark:
-                    del ids[variables.pop()]
+                while len(ids) > ids_mark:
+                    ids.popitem()
                 node.choice += 1
                 if apply_choice(node):
                     return node
-                del by_signature[(node.state, node.ptpge)]
+                del by_signature[node.signature]
             created.pop()
             del index[node.word]
         return None
 
-    root = _SearchNode((), (), automaton.initial, frozenset())
+    root_signature = (automaton.initial, frozenset())
+    interned[root_signature] = root_signature
+    root = _SearchNode((), (), root_signature)
     register(root)
-    by_signature[(root.state, root.ptpge)] = root
+    by_signature[root.signature] = root
     if not apply_choice(root):
         return None, stats
 
     node, j = root, 0
     while True:
         if j < k:
-            direction = sig.directions[j]
-            word = node.word + (direction,)
+            signature = node.children[j]
+            word = node.word + (directions[j],)
             rank = node.rank + (j,)
-            state = automaton.transitions(node.state)[node.choice].succ[j]
-            step = (node.constraints, node.ptpge, direction)
-            ptpge = steps.get(step)
-            if ptpge is None:
-                ptpge = steps[step] = backconstraints_step(node, direction)
-            match = by_signature.get((state, ptpge))
+            match = by_signature.get(signature)
             if match is None:
-                child = _SearchNode(word, rank, state, ptpge)
+                child = _SearchNode(word, rank, signature)
                 register(child)
-                by_signature[(state, ptpge)] = child
+                by_signature[signature] = child
                 if apply_choice(child):
                     node, j = child, 0
                     continue
             else:
                 assert match.rank < rank
-                if not _closes_rejecting_cycle(automaton, index, node.word, match.word):
-                    leaf = _SearchNode(word, rank, state, ptpge)
-                    leaf.backnode = match.word
-                    register(leaf)
+                # A cycle through the backnode passes an accepting state
+                # when the backnode's own state is accepting.
+                if match.state in accepting or not _closes_rejecting_cycle(
+                    automaton, index, node.word, match.word
+                ):
+                    register(_SearchNode(word, rank, signature, match.word))
                     j += 1
                     continue
         elif node.word:
             node, j = index[node.word[:-1]], node.rank[-1] + 1
             continue
         else:
-            assert all(word in index for word in waiting), "a complete tree resolves every chain"
+            assert index.keys() >= waiting.keys(), "a complete tree resolves every chain"
             stats.csp_checks += 1
-            if masks_consistent(len(variables), log):
-                return _freeze(sig.directions, index), stats
+            if masks_consistent(len(ids), log):
+                return _freeze(directions, index), stats
         # The configuration is rejected.
         node, j = retract(), 0
         if node is None:
@@ -493,8 +526,8 @@ def _freeze(directions: Tuple[str, ...], index: Mapping[Word, _SearchNode]) -> F
         nodes[word] = FtmNode(
             word=word,
             state=node.state,
-            literals=frozenset(node.literals or ()),
-            constraints=frozenset(node.constraints or ()),
+            literals=node.picked.literals if internal else frozenset(),
+            constraints=node.picked.constraints if internal else frozenset(),
             children=tuple(word + (d,) for d in directions) if internal else (),
             backnode=node.backnode,
             ptpge=node.ptpge,
@@ -891,12 +924,46 @@ def _json_field(raw: Dict, name: str, kind: Any, entries: Optional[type] = None)
     return value
 
 
+def _json_known_fields(raw: Dict, names: Tuple[str, ...], where: str) -> None:
+    """Reject a field of ``raw`` that the schema does not allow there."""
+    for name in raw:
+        if name not in names:
+            raise ValueError(f"unknown field {name!r} in {where}")
+
+
+def _triple_from_json(raw: Dict) -> PtpTriple:
+    """One ``ptpge`` entry; each error names the field at fault."""
+    _json_known_fields(
+        raw, ("constraint", "argIndex", "remainingChain", "origin"), "a 'ptpge' entry"
+    )
+    # the origin follows from the tree and is not read, but the schema types it
+    if "origin" in raw:
+        _json_field(raw, "origin", str)
+    constraint = parse_constraint(_json_field(raw, "constraint", str))
+    arg_index = _json_field(raw, "argIndex", int)
+    if arg_index not in (1, 2):
+        raise ValueError("'argIndex' is not 1 or 2")
+    chain = _json_field(raw, "remainingChain", str)
+    if not chain.split():
+        raise ValueError("'remainingChain' is empty")
+    try:
+        return PtpTriple(constraint, arg_index, parse_chain(chain))
+    except ValueError:
+        # the argument index is valid, so the chain is what PtpTriple rejects
+        raise ValueError(
+            f"'remainingChain' is not a strict suffix of argument {arg_index}"
+        ) from None
+
+
 def witness_from_json(payload: Dict) -> FiniteTreeModel:
     if not isinstance(payload, dict):
         raise MalformedModelError("malformed witness document: not a JSON object")
     if payload.get("format") != "finite-tree-model":
         raise MalformedModelError("not a finite-tree-model document")
     try:
+        _json_known_fields(
+            payload, ("format", "version", "directions", "height", "nodes"), "the document"
+        )
         if _json_field(payload, "version", int) != 1:
             raise ValueError("'version' is not 1")
         height = _json_field(payload, "height", int)
@@ -917,6 +984,11 @@ def witness_from_json(payload: Dict) -> FiniteTreeModel:
         entries.sort(key=lambda e: e[0])
         nodes: Dict[Word, FtmNode] = {}
         for _, word, raw in entries:
+            _json_known_fields(
+                raw,
+                ("state", "literals", "constraints", "children", "backnode", "ptpge"),
+                f"node {_word_key(word)!r}",
+            )
             backnode = _json_field(raw, "backnode", (str, type(None)))
             nodes[word] = FtmNode(
                 word=word,
@@ -932,12 +1004,7 @@ def witness_from_json(payload: Dict) -> FiniteTreeModel:
                 ),
                 backnode=None if backnode is None else _parse_word_key(backnode),
                 ptpge=frozenset(
-                    PtpTriple(
-                        parse_constraint(_json_field(t, "constraint", str)),
-                        _json_field(t, "argIndex", int),
-                        parse_chain(_json_field(t, "remainingChain", str)),
-                    )
-                    for t in _json_field(raw, "ptpge", list, dict)
+                    _triple_from_json(t) for t in _json_field(raw, "ptpge", list, dict)
                 ),
             )
         # An empty tree is left to check_witness, which reports no root.

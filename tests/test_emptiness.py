@@ -690,10 +690,14 @@ def _differential_automata():
 
 FALLBACK = pathlib.Path(__file__).resolve().parent.parent / "bench" / "fallback.py"
 
-# sha256 of the lines below over _search_outcomes(), computed before the
-# search resolved its constraints incrementally; any change to what the
-# search builds, rejects or returns changes it.
+# sha256 of the rows of _search_outcomes(), one line each with its columns
+# joined by spaces, computed before the search resolved its constraints
+# incrementally; any change to what the search builds, rejects or returns
+# changes it.
 SEARCH_OUTCOMES_SHA256 = "e8e766e43915876b8c416541f771e3f70d30f61feae4576b279fc2fd0906b0f5"
+# sha256 over the name, verdict and witness-hash columns only, computed with
+# the search that digest pins; a prune changes the counters by design, never these.
+SEARCH_VERDICTS_SHA256 = "72ee19f804e04408a88976b260a2805c8b42a3083d230ecacdbe5340873ffd4f"
 
 
 def _search_outcomes():
@@ -712,14 +716,33 @@ def _search_outcomes():
             json.dumps(witness_to_json(model), sort_keys=True).encode()
         ).hexdigest()
         yield (
-            f"{name} {model is not None} {witness} {stats.nodes_created} "
-            f"{stats.peak_nodes} {stats.csp_checks} {stats.bound_exceeded}"
+            name,
+            model is not None,
+            witness,
+            stats.nodes_created,
+            stats.peak_nodes,
+            stats.csp_checks,
+            stats.bound_exceeded,
         )
 
 
-def test_search_outcomes_are_pinned():
-    digest = hashlib.sha256("\n".join(_search_outcomes()).encode()).hexdigest()
-    assert digest == SEARCH_OUTCOMES_SHA256
+def _outcomes_digest(rows):
+    lines = (" ".join(str(column) for column in row) for row in rows)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def search_outcomes():
+    return list(_search_outcomes())
+
+
+def test_search_outcomes_are_pinned(search_outcomes):
+    assert _outcomes_digest(search_outcomes) == SEARCH_OUTCOMES_SHA256
+
+
+def test_search_verdicts_and_witnesses_are_pinned(search_outcomes):
+    digest = _outcomes_digest(row[:3] for row in search_outcomes)
+    assert digest == SEARCH_VERDICTS_SHA256
 
 
 def test_check_witness_implies_a_sound_unfolded_run():
@@ -768,6 +791,19 @@ def test_search_node_limit_raises():
     automaton = corpus_automaton("eq_loop")
     with pytest.raises(ResourceLimitError):
         ftm_search(automaton, max_nodes=2)
+
+
+def test_search_node_limit_caps_the_live_tree():
+    # fallback.aut's search creates 11 nodes, at most 7 of them live at once
+    automaton = corpus_automaton("fallback")
+    model, stats = ftm_search(automaton, max_nodes=7)
+    assert model is not None
+    assert (stats.nodes_created, stats.peak_nodes) == (11, 7)
+    with pytest.raises(ResourceLimitError) as info:
+        ftm_search(automaton, max_nodes=6)
+    assert str(info.value) == (
+        "search tree exceeded 6 nodes (witness bound 48; raise max_nodes to override)"
+    )
 
 
 def test_search_stats_are_populated():
@@ -902,11 +938,42 @@ def test_witness_from_json_rejects_foreign_documents():
         with pytest.raises(MalformedModelError) as info:
             witness_from_json(dict(payload, nodes=nodes))
         assert str(info.value) == f"malformed witness document: {message}", nodes
+    # a pending triple's errors name its field
+    for field, value, message in (
+        ("remainingChain", None, "missing 'remainingChain'"),
+        ("argIndex", 3, "'argIndex' is not 1 or 2"),
+        ("remainingChain", " ", "'remainingChain' is empty"),
+        ("remainingChain", "d2 g", "'remainingChain' is not a strict suffix of argument 2"),
+    ):
+        document = json.loads(json.dumps(payload))
+        triple = document["nodes"]["d1"]["ptpge"][0]
+        if value is None:
+            del triple[field]
+        else:
+            triple[field] = value
+        with pytest.raises(MalformedModelError) as info:
+            witness_from_json(document)
+        assert str(info.value) == f"malformed witness document: {message}", field
+    # a field the schema does not allow is named, and so is its place
+    for where, message in (
+        ((), "unknown field 'x' in the document"),
+        (("nodes", "d1"), "unknown field 'x' in node 'd1'"),
+        (("nodes", "d1", "ptpge", 0), "unknown field 'x' in a 'ptpge' entry"),
+    ):
+        document = json.loads(json.dumps(payload))
+        target = document
+        for step in where:
+            target = target[step]
+        target["x"] = 1
+        with pytest.raises(MalformedModelError) as info:
+            witness_from_json(document)
+        assert str(info.value) == f"malformed witness document: {message}", where
+    # the origin is not read, but the schema requires a string
     document = json.loads(json.dumps(payload))
-    del document["nodes"]["d1"]["ptpge"][0]["remainingChain"]
+    document["nodes"]["d1"]["ptpge"][0]["origin"] = 5
     with pytest.raises(MalformedModelError) as info:
         witness_from_json(document)
-    assert str(info.value) == "malformed witness document: missing 'remainingChain'"
+    assert str(info.value) == "malformed witness document: 'origin' is not a string"
 
 
 def test_witness_dot_lists_every_node_and_fold():

@@ -4,7 +4,9 @@ Corpus texts are mutated and run through ``qsta validate``, corpus
 witnesses are mutated as JSON values and run through ``qsta check-witness``,
 each in process.  Every run must exit 0, 1 or 2 without a traceback; exit 1
 must come with defect lines on stdout and exit 2 with exactly one ``error:``
-line on stderr.
+line on stderr.  A witness that ``check-witness`` accepts must be valid
+under ``schemas/witness.schema.json``, and one that is valid but rejected
+must break one of the reader's rules the schema cannot state.
 """
 
 import json
@@ -16,7 +18,9 @@ import pytest
 
 from qsta.cli import main
 
-CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+SCHEMA = ROOT / "schemas" / "witness.schema.json"
 
 NONEMPTY = [
     "self_loop",
@@ -38,6 +42,15 @@ SNIPPETS = list("{}()<>:;,|&!=-\"#$ \n\t") + [
     "->", "q0", "q9", "d1", "d3", "g", "A", '"x-1"', '"', "delta", "states",
     "acceptall", "accepting", "TPP", "{EQ,DC}", "L={}", "X={}", "succ=(q0)",
     "<d1:q0>", "!A", "!", "{q0:1}", "nondet", "alternating", "((", "))",
+]
+
+# The witness reader's rules beyond the schema: the only errors a
+# schema-valid witness may exit 2 with.
+SEMANTIC_REJECTIONS = [
+    r"node key '.*' names a direction not in 'directions'",
+    r"'height' is \d+, the tree's height is \d+",
+    r"malformed literal: '.*'",
+    r"'remainingChain' is not a strict suffix of argument [12]",
 ]
 
 # Values a witness mutation puts in place of another.
@@ -153,6 +166,8 @@ def witnesses(tmp_path_factory):
 
 
 def test_mutated_witnesses_keep_the_check_witness_contract(witnesses, tmp_path, capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = jsonschema.Draft202012Validator(json.loads(SCHEMA.read_text()))
     rng = random.Random(34)
     target = tmp_path / "mutant.json"
     codes = {0: 0, 1: 0, 2: 0}
@@ -164,6 +179,7 @@ def test_mutated_witnesses_keep_the_check_witness_contract(witnesses, tmp_path, 
         codes[code] += 1
         if code == 0:
             assert out == "ok\n" and err == "", case
+            assert schema.is_valid(document), case
         elif code == 1:
             assert out and "ok" not in out.splitlines() and err == "", case
         else:
@@ -172,4 +188,10 @@ def test_mutated_witnesses_keep_the_check_witness_contract(witnesses, tmp_path, 
             assert line.startswith(
                 ("error: malformed witness document:", "error: not a finite-tree-model document")
             ), (case, line)
+            if schema.is_valid(document):
+                reason = line[len("error: malformed witness document: ") :]
+                assert any(re.fullmatch(rule, reason) for rule in SEMANTIC_REJECTIONS), (
+                    case,
+                    line,
+                )
     assert all(codes.values()), codes
