@@ -11,7 +11,7 @@ only finite run prefixes are.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple, Union
 
 from . import formula as fm
 from .relalg import Qcsp, QcspBuilder, is_consistent
@@ -244,9 +244,6 @@ class Metrics:
     chain_length: int
     arity: int = 2
 
-    def as_tuple(self) -> Tuple[int, int, int]:
-        return (self.constraint_count, self.chain_length, self.arity)
-
 
 def metrics(automaton: Automaton) -> Metrics:
     constraints = set(_iter_constraints(automaton))
@@ -320,28 +317,30 @@ def _scene_union(scene: SceneTreePrefix) -> QcspBuilder:
     return builder
 
 
-def _component_of(network: Qcsp, seeds: Sequence) -> Qcsp:
-    """Restrict to the connected component(s) touching the seed variables.
+def _components(network: Qcsp) -> Iterator[Qcsp]:
+    """The connected components of ``network``, each as a network.
 
-    Consistency is decided per component (unconstrained pairs carry the full
-    relation), so this restriction is exact, not an approximation.
+    Pairs in different components carry the full relation, so the network
+    is consistent exactly when every component is.
     """
-    adjacency: Dict = {}
-    for (u, v) in network.edges:
-        adjacency.setdefault(u, set()).add(v)
-    reached = set()
-    frontier = [s for s in seeds]
-    while frontier:
-        var = frontier.pop()
-        if var in reached:
+    adjacency: Dict = {v: [] for v in network.variables}
+    for pair in network.edges:
+        adjacency[pair[0]].append(pair)
+    seen = set()
+    for start in network.variables:
+        if start in seen:
             continue
-        reached.add(var)
-        frontier.extend(adjacency.get(var, ()))
-    edges = {
-        (u, v): rel for (u, v), rel in network.edges.items() if u in reached
-    }
-    selfs = {v: rel for v, rel in network.selfs.items() if v in reached}
-    return Qcsp(tuple(sorted(reached)), edges, selfs)
+        seen.add(start)
+        members = [start]
+        edges = {}
+        for var in members:  # grows while it is read
+            for pair in adjacency[var]:
+                edges[pair] = network.edges[pair]
+                if pair[1] not in seen:
+                    seen.add(pair[1])
+                    members.append(pair[1])
+        selfs = {v: network.selfs[v] for v in members if v in network.selfs}
+        yield Qcsp(tuple(members), edges, selfs)
 
 
 def validate_run_prefix(
@@ -354,7 +353,9 @@ def validate_run_prefix(
     scene's concept set and negative ones are absent, (iii) every constraint
     whose chain targets both fall inside the prefix is compatible with the
     scene networks.  Constraints reaching past the frontier are reported in
-    ``unchecked`` rather than failed.
+    ``unchecked`` rather than failed.  When no node has a defect, the union
+    of the scene networks, narrowed by those constraints, must be
+    consistent; each connected component is decided on its own.
     """
     report = PrefixReport()
     sig = automaton.sig
@@ -375,7 +376,6 @@ def validate_run_prefix(
 
     tightened = _scene_union(scene)
     scene_union = tightened.build()
-    needs_search: List[NodeVar] = []
 
     def visit(word: Word, run_node: RunNode, scene_node: SceneNode, depth: int) -> None:
         where = "node '" + " ".join(word) + "'"
@@ -431,10 +431,7 @@ def validate_run_prefix(
                     f"{where}: {constraint} conflicts with scene relation {declared}"
                 )
                 continue
-            if declared.issubset(constraint.rel):
-                continue  # the scene already entails the constraint
-            tightened.add(var_a, var_b, combined)
-            needs_search.append(var_a)
+            tightened.add(var_a, var_b, constraint.rel)
 
         for index, child in enumerate(run_node.children):
             visit(
@@ -446,11 +443,9 @@ def validate_run_prefix(
 
     visit((), prefix.root, scene.root, 0)
 
-    if needs_search and not report.defects:
-        component = _component_of(tightened.build(), needs_search)
-        if not is_consistent(component):
-            report.defects.append(
-                "scene: constraints are jointly inconsistent with the scene networks"
-            )
+    if not report.defects and not all(map(is_consistent, _components(tightened.build()))):
+        report.defects.append(
+            "scene: constraints are jointly inconsistent with the scene networks"
+        )
     return report
 

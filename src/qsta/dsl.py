@@ -41,7 +41,7 @@ from .automata import (
     Transition,
 )
 from .errors import DslSyntaxError
-from .relalg import Relation, parse_relation
+from .relalg import Relation
 from .terms import ChainTerm, SpatialConstraint
 
 __all__ = ["load_automaton", "print_automaton"]
@@ -53,7 +53,8 @@ __all__ = ["load_automaton", "print_automaton"]
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # One alternative per token kind; the group that matched names the kind.
-# Blanks and comments make no token.
+# Blanks and comments make no token, and BAD takes any character that starts
+# no other token, so every character of the input starts a match.
 _TOKEN = re.compile(
     r"(?P<BLANK>[ \t\r\n]+)"
     r"|(?P<COMMENT>#[^\n]*)"
@@ -61,6 +62,7 @@ _TOKEN = re.compile(
     r"|(?P<ARROW>->)"
     r"|(?P<PUNCT>[{}()<>:;,|&!=])"
     rf"|(?P<NAME>{_IDENT.pattern})"
+    r"|(?P<BAD>.)"
 )
 
 # The parser (``_Parser.formula_atom``) and the printer (``_formula_text``)
@@ -83,26 +85,19 @@ def _position(text: str, offset: int) -> Tuple[int, int]:
 _BAD_CHARACTER = {'"': "unterminated quoted name", "-": "stray '-' (expected '->')"}
 
 
-def _bad_character(text: str, offset: int) -> DslSyntaxError:
-    ch = text[offset]
-    message = _BAD_CHARACTER.get(ch, f"unexpected character {ch!r}")
-    return DslSyntaxError(message, *_position(text, offset))
-
-
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
-    pos = eof = 0
+    eof = 0
     for match in _TOKEN.finditer(text):
-        if match.start() != pos:  # no token starts at pos
-            raise _bad_character(text, pos)
         kind = match.lastgroup
+        if kind == "BAD":
+            ch = match.group()
+            message = _BAD_CHARACTER.get(ch, f"unexpected character {ch!r}")
+            raise DslSyntaxError(message, *_position(text, match.start()))
         if kind != "BLANK" and kind != "COMMENT":
-            tokens.append(_Token(kind, match.group(kind), pos))
-        pos = match.end()
+            tokens.append(_Token(kind, match.group(kind), match.start()))
         # Input that ends in a comment puts EOF where the comment starts.
-        eof = match.start() if kind == "COMMENT" else pos
-    if pos != len(text):
-        raise _bad_character(text, pos)
+        eof = match.start() if kind == "COMMENT" else match.end()
     tokens.append(_Token("EOF", "", eof))
     return tokens
 
@@ -141,8 +136,8 @@ class _Parser:
             raise self.fail("expected '->'")
         self.next()
 
-    def at_punct(self, text: str) -> bool:
-        token = self.peek()
+    def at_punct(self, text: str, ahead: int = 0) -> bool:
+        token = self.tokens[self.pos + ahead]
         return token.kind == "PUNCT" and token.text == text
 
     def name(self, what: str = "name") -> str:
@@ -175,7 +170,7 @@ class _Parser:
         return terms[0] if len(terms) == 1 else fm.And(tuple(terms))
 
     def formula_atom(self) -> fm.Formula:
-        token = self.peek()
+        named = self.peek().kind in ("NAME", "QUOTED")
         if self.at_punct("("):
             if self.nesting == MAX_FORMULA_NESTING:
                 raise self.fail(f"formula nested deeper than {MAX_FORMULA_NESTING} levels")
@@ -185,9 +180,6 @@ class _Parser:
             self.nesting -= 1
             self.expect_punct(")")
             return inner
-        if self.at_punct("!"):
-            self.next()
-            return fm.NegLiteral(self.name("concept name"))
         if self.at_punct("<"):
             self.next()
             direction = self.name("direction")
@@ -195,14 +187,10 @@ class _Parser:
             state = self.name("state")
             self.expect_punct(">")
             return fm.Move(direction, state)
-        if self.at_punct("{"):
+        if self.at_punct("{") or named and self.at_punct("(", 1):
             return fm.Constraint(self.constraint())
-        if token.kind in ("NAME", "QUOTED"):
-            lookahead = self.tokens[self.pos + 1]
-            if lookahead.kind == "PUNCT" and lookahead.text == "(":
-                return fm.Constraint(self.constraint())
-            self.next()
-            return fm.PosLiteral(token.text)
+        if named or self.at_punct("!"):
+            return self.literal()
         raise self.fail("expected a formula")
 
     # -- constraints --------------------------------------------------------
@@ -216,11 +204,10 @@ class _Parser:
                 self.next()
                 atoms.append(self.name("relation atom"))
             self.expect_punct("}")
-            text = "{" + ",".join(atoms) + "}"
         else:
-            text = self.name("relation atom")
+            atoms = [self.name("relation atom")]
         try:
-            return parse_relation(text)
+            return Relation.of(*atoms)
         except ValueError as exc:
             raise self.fail(str(exc), token) from exc
 

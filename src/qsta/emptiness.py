@@ -83,10 +83,6 @@ class WordOrder:
         return self.key(left) <= self.key(right)
 
     @staticmethod
-    def is_prefix(left: Word, right: Word) -> bool:
-        return len(left) <= len(right) and right[: len(left)] == left
-
-    @staticmethod
     def is_strict_prefix(left: Word, right: Word) -> bool:
         return len(left) < len(right) and right[: len(left)] == left
 
@@ -864,10 +860,6 @@ def _word_key(word: Word) -> str:
     return " ".join(word)
 
 
-def _parse_word_key(text: str) -> Word:
-    return tuple(text.split()) if text else ()
-
-
 def _triple_to_json(triple: PtpTriple, word: Word) -> Dict:
     return {
         "constraint": triple.constraint.encode(),
@@ -931,6 +923,24 @@ def _json_known_fields(raw: Dict, names: Tuple[str, ...], where: str) -> None:
             raise ValueError(f"unknown field {name!r} in {where}")
 
 
+def _canonical(field: str, text: str, canonical: str) -> None:
+    """Reject ``text`` unless it is written as ``witness_to_json`` writes it."""
+    if text != canonical:
+        raise ValueError(f"{field} {text!r} is not written as {canonical!r}")
+
+
+def _word_from_json(field: str, text: str) -> Word:
+    word = tuple(text.split())
+    _canonical(field, text, _word_key(word))
+    return word
+
+
+def _constraint_from_json(field: str, text: str) -> SpatialConstraint:
+    constraint = parse_constraint(text)
+    _canonical(field, text, constraint.encode())
+    return constraint
+
+
 def _triple_from_json(raw: Dict) -> PtpTriple:
     """One ``ptpge`` entry; each error names the field at fault."""
     _json_known_fields(
@@ -938,16 +948,18 @@ def _triple_from_json(raw: Dict) -> PtpTriple:
     )
     # the origin follows from the tree and is not read, but the schema types it
     if "origin" in raw:
-        _json_field(raw, "origin", str)
-    constraint = parse_constraint(_json_field(raw, "constraint", str))
+        _word_from_json("'origin'", _json_field(raw, "origin", str))
+    constraint = _constraint_from_json("'constraint'", _json_field(raw, "constraint", str))
     arg_index = _json_field(raw, "argIndex", int)
     if arg_index not in (1, 2):
         raise ValueError("'argIndex' is not 1 or 2")
     chain = _json_field(raw, "remainingChain", str)
     if not chain.split():
         raise ValueError("'remainingChain' is empty")
+    remaining = parse_chain(chain)
+    _canonical("'remainingChain'", chain, remaining.encode())
     try:
-        return PtpTriple(constraint, arg_index, parse_chain(chain))
+        return PtpTriple(constraint, arg_index, remaining)
     except ValueError:
         # the argument index is valid, so the chain is what PtpTriple rejects
         raise ValueError(
@@ -977,7 +989,7 @@ def witness_from_json(payload: Dict) -> FiniteTreeModel:
         raw_nodes = _json_field(payload, "nodes", dict)
         entries = []
         for key in raw_nodes:
-            word = _parse_word_key(key)
+            word = _word_from_json("node key", key)
             if any(d not in directions for d in word):
                 raise ValueError(f"node key {key!r} names a direction not in 'directions'")
             entries.append((order.key(word), word, _json_field(raw_nodes, key, dict)))
@@ -997,12 +1009,14 @@ def witness_from_json(payload: Dict) -> FiniteTreeModel:
                     fm.parse_literal(t) for t in _json_field(raw, "literals", list, str)
                 ),
                 constraints=frozenset(
-                    parse_constraint(t) for t in _json_field(raw, "constraints", list, str)
+                    _constraint_from_json("'constraints' entry", t)
+                    for t in _json_field(raw, "constraints", list, str)
                 ),
                 children=tuple(
-                    _parse_word_key(c) for c in _json_field(raw, "children", list, str)
+                    _word_from_json("'children' entry", c)
+                    for c in _json_field(raw, "children", list, str)
                 ),
-                backnode=None if backnode is None else _parse_word_key(backnode),
+                backnode=None if backnode is None else _word_from_json("'backnode'", backnode),
                 ptpge=frozenset(
                     _triple_from_json(t) for t in _json_field(raw, "ptpge", list, dict)
                 ),

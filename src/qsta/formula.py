@@ -149,9 +149,6 @@ class Disjunct:
         gens.extend(self.moves)
         return frozenset(gens)
 
-    def sort_key(self) -> Tuple[str, ...]:
-        return tuple(sorted(encode_generator(g) for g in self.generators))
-
 
 def _expand(formula: Formula, cap: int) -> List[FrozenSet[Generator]]:
     """The disjuncts of ``formula`` before absorption, in expansion order.
@@ -159,8 +156,9 @@ def _expand(formula: Formula, cap: int) -> List[FrozenSet[Generator]]:
     Children are expanded left to right on an explicit stack of frames
     [node, children done, partial result] rather than by recursion, so
     formulas built through the library are not limited by their nesting
-    depth.  An Or checks the cap after each child, an And before each
-    product.
+    depth.  Each child's disjuncts join the partial result, as a union
+    under an Or and as a product under an And, only if the joined size is
+    within the cap.
     """
     stack: List[list] = []
     node = formula
@@ -172,17 +170,12 @@ def _expand(formula: Formula, cap: int) -> List[FrozenSet[Generator]]:
         while stack:
             frame = stack[-1]
             parent, partial = frame[0], frame[2]
-            if isinstance(parent, Or):
+            union = isinstance(parent, Or)
+            if (len(partial) + len(done) if union else len(partial) * len(done)) > cap:
+                raise ResourceLimitError(f"DNF exceeds {cap} disjuncts; raise the cap to proceed")
+            if union:
                 partial.extend(done)
-                if len(partial) > cap:
-                    raise ResourceLimitError(
-                        f"DNF exceeds {cap} disjuncts; raise the cap to proceed"
-                    )
             else:
-                if len(partial) * len(done) > cap:
-                    raise ResourceLimitError(
-                        f"DNF exceeds {cap} disjuncts; raise the cap to proceed"
-                    )
                 frame[2] = [a | b for a, b in itertools.product(partial, done)]
             frame[1] += 1
             if frame[1] < len(parent.children):
@@ -208,7 +201,6 @@ def dnf(formula: Formula, *, max_disjuncts: int = DEFAULT_MAX_DISJUNCTS) -> List
         # class is checked against the kept disjuncts of the sizes before it.
         smaller = tuple(kept)
         kept.extend([c for c in same_size if not any(s < c for s in smaller)])
-    disjuncts = [Disjunct.from_generators(gens) for gens in kept]
-    disjuncts.sort(key=Disjunct.sort_key)
-    return disjuncts
+    kept.sort(key=lambda gens: sorted(map(encode_generator, gens)))
+    return [Disjunct.from_generators(gens) for gens in kept]
 

@@ -172,9 +172,6 @@ class Relation:
     def is_empty(self) -> bool:
         return self.mask == 0
 
-    def is_full(self) -> bool:
-        return self.mask == _FULL_MASK
-
     def is_atomic(self) -> bool:
         return self.mask != 0 and self.mask & (self.mask - 1) == 0
 
@@ -306,9 +303,6 @@ class Qcsp:
             and dict(self.edges) == dict(other.edges)
             and dict(self.selfs) == dict(other.selfs)
         )
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
-        return hash((frozenset(self.variables), frozenset(self.edges.items())))
 
 
 class QcspBuilder:

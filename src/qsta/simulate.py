@@ -5,12 +5,16 @@ state.  Tag 1 marks states that have passed through acceptance since the
 last breakpoint; accepting states always carry tag 1.  A breakpoint is a
 simulation state whose tags are all 1, and those are exactly the accepting
 states of the output, together with the accept-all sink.
+
+A state that a choice moves to in some direction keeps one tag: 1 if it is
+accepting, else 0 if the source is a breakpoint, else the AND of the tags
+of the members whose chosen disjuncts move to it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from . import formula as fm
 from .automata import AlternatingAutomaton, NondetAutomaton, Transition
@@ -19,6 +23,9 @@ from .errors import ResourceLimitError
 __all__ = ["SimState", "sim_state_bound", "sim_state_name", "simulate"]
 
 SimState = FrozenSet[Tuple[str, int]]
+
+# A disjunct with the states it moves to, one set per direction.
+_Option = Tuple[fm.Disjunct, Tuple[Set[str], ...]]
 
 ACCEPT_ALL_NAME = "#"
 
@@ -39,13 +46,6 @@ def sim_state_bound(size_q: int, size_f: int) -> int:
 def sim_state_name(pairs: SimState) -> str:
     inner = ",".join(f"{state}:{tag}" for state, tag in sorted(pairs))
     return "{" + inner + "}"
-
-
-def _choice_moves(disjunct: fm.Disjunct) -> Dict[str, Tuple[str, ...]]:
-    by_direction: Dict[str, List[str]] = {}
-    for move in disjunct.moves:
-        by_direction.setdefault(move.direction, []).append(move.state)
-    return {d: tuple(sorted(set(targets))) for d, targets in by_direction.items()}
 
 
 def simulate(
@@ -72,13 +72,13 @@ def simulate(
     sig = automaton.sig
     accepting_in = automaton.accepting
 
-    dnf_cache: Dict[str, Tuple[fm.Disjunct, ...]] = {}
-    move_cache: Dict[fm.Disjunct, Dict[str, Tuple[str, ...]]] = {}
+    dnf_cache: Dict[str, Tuple[_Option, ...]] = {}
 
-    def disjuncts_of(state: str) -> Tuple[fm.Disjunct, ...]:
+    def disjuncts_of(state: str) -> Tuple[_Option, ...]:
         if state not in dnf_cache:
             dnf_cache[state] = tuple(
-                fm.dnf(automaton.delta[state], max_disjuncts=max_disjuncts)
+                (d, tuple({m.state for m in d.moves if m.direction == e} for e in sig.directions))
+                for d in fm.dnf(automaton.delta[state], max_disjuncts=max_disjuncts)
             )
         return dnf_cache[state]
 
@@ -109,34 +109,24 @@ def simulate(
         at_breakpoint = all(tag == 1 for _, tag in members)
         transitions: Dict[Transition, None] = {}
         for choice in itertools.product(*per_member):
-            literals = frozenset().union(*(d.literals for d in choice)) if choice else frozenset()
+            literals = frozenset().union(*(d.literals for d, _ in choice))
             if fm.complementary_names(literals):
                 continue
-            constraints = (
-                frozenset().union(*(d.constraints for d in choice)) if choice else frozenset()
-            )
+            constraints = frozenset().union(*(d.constraints for d, _ in choice))
 
             succ_names: List[str] = []
-            for direction in sig.directions:
-                contributors: Dict[str, List[int]] = {}
-                for (state, tag), disjunct in zip(members, choice):
-                    if disjunct not in move_cache:
-                        move_cache[disjunct] = _choice_moves(disjunct)
-                    for target in move_cache[disjunct].get(direction, ()):
-                        contributors.setdefault(target, []).append(tag)
-                if not contributors:
+            for position in range(sig.k):
+                tags: Dict[str, int] = {}
+                for (_, tag), (_, moves) in zip(members, choice):
+                    for target in moves[position]:
+                        tags[target] = tags.get(target, 1) & tag
+                if not tags:
                     succ_names.append(ACCEPT_ALL_NAME)
                     continue
-                pairs = set()
-                for target in sorted(contributors):
-                    if target in accepting_in:
-                        new_tag = 1
-                    elif at_breakpoint:
-                        new_tag = 0
-                    else:
-                        new_tag = 1 if all(t == 1 for t in contributors[target]) else 0
-                    pairs.add((target, new_tag))
-                successor: SimState = frozenset(pairs)
+                successor: SimState = frozenset(
+                    (target, 1 if target in accepting_in else 0 if at_breakpoint else tag)
+                    for target, tag in tags.items()
+                )
                 if successor not in seen:
                     if len(seen) >= max_states:
                         raise ResourceLimitError(

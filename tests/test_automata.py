@@ -4,6 +4,7 @@ import qsta.formula as fm
 from qsta import (
     AlternatingAutomaton,
     ChainTerm,
+    Metrics,
     NondetAutomaton,
     QcspBuilder,
     RunNode,
@@ -197,7 +198,7 @@ def test_metrics_single_long_chain():
         succ=("q0", "q0"),
     )
     a = nondet({"q0": (t,)})
-    assert metrics(a).as_tuple() == (1, 3, 2)
+    assert metrics(a) == Metrics(constraint_count=1, chain_length=3, arity=2)
 
 
 def test_metrics_counts_distinct_constraints_across_states():
@@ -205,12 +206,12 @@ def test_metrics_counts_distinct_constraints_across_states():
     t1 = Transition(frozenset(), frozenset({shared, constraint("TPP", "g", "d1 g")}), ("q0", "q0"))
     t2 = Transition(frozenset(), frozenset({shared}), ("q0", "q0"))
     a = nondet({"q0": (t1, t2)})
-    assert metrics(a).as_tuple() == (2, 2, 2)
+    assert metrics(a) == Metrics(constraint_count=2, chain_length=2, arity=2)
 
 
 def test_metrics_constraint_free():
     a = nondet({"q0": (loop_transition("q0", "q0"),)})
-    assert metrics(a).as_tuple() == (0, 1, 2)
+    assert metrics(a) == Metrics(constraint_count=0, chain_length=1, arity=2)
 
 
 # -- run prefixes ---------------------------------------------------------
@@ -279,6 +280,21 @@ def test_validate_run_prefix_rejects_unentailed_constraint():
     scene = scene_everywhere(1, rel_text="{DC,EC}")
     report = validate_run_prefix(universal_automaton(), full_run(1), scene)
     assert any("conflicts with scene" in d for d in report.defects)
+
+
+def test_validate_run_prefix_rejects_an_inconsistent_scene():
+    # every run constraint is entailed, but g TPP h TPP x forbids g DC x
+    builder = QcspBuilder()
+    builder.add(((), "g"), ((), "h"), parse_relation("TPP"))
+    builder.add(((), "h"), ((), "x"), parse_relation("TPP"))
+    builder.add(((), "g"), ((), "x"), parse_relation("DC"))
+    scene = SceneTreePrefix(
+        k=2, depth=0, root=SceneNode(concepts=frozenset({"A"}), scene=builder.build())
+    )
+    report = validate_run_prefix(universal_automaton(), full_run(0), scene)
+    assert report.defects == [
+        "scene: constraints are jointly inconsistent with the scene networks"
+    ]
 
 
 def test_validate_run_prefix_rejects_unmatched_transition():

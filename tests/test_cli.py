@@ -319,6 +319,30 @@ def test_check_witness_rejects_a_wrong_height(tmp_path, capsys):
     )
 
 
+def test_check_witness_rejects_text_not_written_canonically(tmp_path, capsys):
+    w = tmp_path / "w.json"
+    main(["emptiness", corpus("eq_loop"), "--witness", str(w)])
+    capsys.readouterr()
+    written = json.loads(w.read_text())
+    for edit, message in (
+        (
+            lambda p: p["nodes"][""].update(constraints=["EQ(g,d1 g)"]),
+            "'constraints' entry 'EQ(g,d1 g)' is not written as 'EQ(g, d1 g)'",
+        ),
+        (
+            lambda p: p["nodes"]["d1"].update(children=["d1  d1", "d1 d2"]),
+            "'children' entry 'd1  d1' is not written as 'd1 d1'",
+        ),
+    ):
+        payload = json.loads(json.dumps(written))
+        edit(payload)
+        w.write_text(json.dumps(payload))
+        assert main(["check-witness", corpus("eq_loop"), str(w)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed witness document: {message}\n"
+
+
 def test_check_witness_reports_an_empty_tree(tmp_path, capsys):
     w = tmp_path / "w.json"
     w.write_text(

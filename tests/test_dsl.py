@@ -2,6 +2,7 @@
 
 import hashlib
 import pathlib
+import random
 
 import pytest
 
@@ -58,6 +59,44 @@ def test_canonical_prints_are_pinned():
             printed.append(print_automaton(simulate(automaton)))
     assert len(printed) == 15
     assert hashlib.sha256("".join(printed).encode()).hexdigest() == CANONICAL_PRINT_SHA256
+
+
+# sha256 over 3 000 seeded mutants of the corpus texts: the printed
+# automaton, or the message, line and column of the syntax error; computed
+# before the tokenizer reported bad characters through its own token kind.
+DSL_ERRORS_SHA256 = "c1a272878ef3544597143ab094f7bf4b25557f1fc002186df44370b2bd3d2240"
+
+# Pieces a mutation inserts: punctuation, a character the DSL does not know,
+# names and fragments.
+PIECES = list('{}()<>:;,|&!=-"# \n\t$') + [
+    "->", "q0", '"x-1"', "{EQ,DC}", "TPP", "<d1:q0>", "!A", "L={}",
+]
+
+
+def mutate(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(text) + 1)
+        span = rng.randint(1, 6)
+        operation = rng.randrange(3)
+        if operation == 0:  # delete a span
+            text = text[:at] + text[at + span :]
+        elif operation == 1:  # insert a piece
+            text = text[:at] + rng.choice(PIECES) + text[at:]
+        else:  # duplicate a span
+            text = text[:at] + text[at : at + span] + text[at:]
+    return text
+
+
+def test_syntax_errors_are_pinned():
+    rng = random.Random(2024)
+    texts = [path.read_text() for path in sorted(CORPUS.glob("*.aut"))]
+    parts = []
+    for _ in range(3000):
+        try:
+            parts.append(print_automaton(load_automaton(mutate(rng, rng.choice(texts)))))
+        except DslSyntaxError as exc:
+            parts.append(f"{exc.bare_message} {exc.line} {exc.column}\n")
+    assert hashlib.sha256("".join(parts).encode()).hexdigest() == DSL_ERRORS_SHA256
 
 
 def test_canonical_print_shape():
@@ -252,6 +291,19 @@ def test_unknown_relation_atom_is_positioned():
     )
     assert "unknown RCC8 atom 'NEAR'" in e.bare_message
     assert e.line == 8
+    # a quoted name is one atom, read as it is written
+    for relation, atom in [
+        ('{"DC,EC"}', "DC,EC"),
+        ('" DC "', " DC "),
+        ('"{DC}"', "{DC}"),
+        ('{""}', ""),
+    ]:
+        e = err(
+            "nondet {\n  directions: d1;\n  concepts: ;\n  features: g;\n"
+            "  states: q0;\n  initial: q0;\n  accepting: q0;\n"
+            f"  delta q0 -> {{ L={{}}; X={{{relation}(g, d1 g)}}; succ=(q0) }};\n}}\n"
+        )
+        assert (e.bare_message, e.line, e.column) == (f"unknown RCC8 atom {atom!r}", 8, 26)
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,6 @@ def test_word_order_follows_declaration_not_alphabet():
 
 def test_word_order_prefix_and_rightmost():
     assert WordOrder.is_strict_prefix((), ("d1",))
-    assert WordOrder.is_prefix(("d1",), ("d1",))
     assert not WordOrder.is_strict_prefix(("d2",), ("d1", "d2"))
 
 
@@ -974,6 +973,34 @@ def test_witness_from_json_rejects_foreign_documents():
     with pytest.raises(MalformedModelError) as info:
         witness_from_json(document)
     assert str(info.value) == "malformed witness document: 'origin' is not a string"
+    # words and constraints must be written as the writer writes them
+    for path, value, message in (
+        (("nodes", "d1", "children", 0), " d1 d1", "'children' entry ' d1 d1'"),
+        (("nodes", "d2", "backnode"), "  ", "'backnode' '  '"),
+        (("nodes", "d1", "ptpge", 0, "origin"), " ", "'origin' ' '"),
+        (("nodes", "d1", "constraints", 0), "EQ(g,d1 g)", "'constraints' entry 'EQ(g,d1 g)'"),
+        (("nodes", "d1", "constraints", 0), "eq(g, d1 g)", "'constraints' entry 'eq(g, d1 g)'"),
+        (("nodes", "d1", "ptpge", 0, "constraint"), "EQ(g, d1  g)", "'constraint' 'EQ(g, d1  g)'"),
+        (("nodes", "d1", "ptpge", 0, "remainingChain"), "g ", "'remainingChain' 'g '"),
+    ):
+        document = json.loads(json.dumps(payload))
+        target = document
+        for step in path[:-1]:
+            target = target[step]
+        canonical = target[path[-1]]
+        target[path[-1]] = value
+        with pytest.raises(MalformedModelError) as info:
+            witness_from_json(document)
+        assert str(info.value) == (
+            f"malformed witness document: {message} is not written as {canonical!r}"
+        ), path
+    document = json.loads(json.dumps(payload))
+    document["nodes"]["d1  d2"] = document["nodes"].pop("d1 d2")
+    with pytest.raises(MalformedModelError) as info:
+        witness_from_json(document)
+    assert str(info.value) == (
+        "malformed witness document: node key 'd1  d2' is not written as 'd1 d2'"
+    )
 
 
 def test_witness_dot_lists_every_node_and_fold():

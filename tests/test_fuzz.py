@@ -1,12 +1,13 @@
 """Seeded fuzzing of the CLI exit-code contract on hostile input.
 
 Corpus texts are mutated and run through ``qsta validate``, corpus
-witnesses are mutated as JSON values and run through ``qsta check-witness``,
-each in process.  Every run must exit 0, 1 or 2 without a traceback; exit 1
-must come with defect lines on stdout and exit 2 with exactly one ``error:``
-line on stderr.  A witness that ``check-witness`` accepts must be valid
-under ``schemas/witness.schema.json``, and one that is valid but rejected
-must break one of the reader's rules the schema cannot state.
+witnesses are mutated as JSON values, and by spaces in their strings and
+keys, and run through ``qsta check-witness``, each in process.  Every run
+must exit 0, 1 or 2 without a traceback; exit 1 must come with defect lines
+on stdout and exit 2 with exactly one ``error:`` line on stderr.  A witness
+that ``check-witness`` accepts must be valid under
+``schemas/witness.schema.json``, and one that is valid but rejected must
+break one of the reader's rules the schema cannot state.
 """
 
 import json
@@ -51,6 +52,8 @@ SEMANTIC_REJECTIONS = [
     r"'height' is \d+, the tree's height is \d+",
     r"malformed literal: '.*'",
     r"'remainingChain' is not a strict suffix of argument [12]",
+    r"unknown RCC8 atom '.*'",
+    r"('constraints' entry|'constraint') '.*' is not written as '.*'",
 ]
 
 # Values a witness mutation puts in place of another.
@@ -106,13 +109,21 @@ def containers(value):
     return found
 
 
+def respace(rng, text):
+    """Insert a space, or drop the space after a comma."""
+    if ", " in text and rng.random() < 0.5:
+        return text.replace(", ", ",", 1)
+    at = rng.randint(0, len(text))
+    return text[:at] + " " + text[at:]
+
+
 def mutate_witness(rng, document):
     for _ in range(rng.randint(1, 2)):
         where = rng.choice(containers(document))
         keys = list(where) if isinstance(where, dict) else list(range(len(where)))
-        operation = rng.randrange(5)
+        operation = rng.randrange(6)
         if not keys or operation == 0:  # add an entry
-            value = rng.choice(JSON_VALUES)
+            value = json.loads(json.dumps(rng.choice(JSON_VALUES)))
             if isinstance(where, dict):
                 where[rng.choice(["x", "d1", "d3", "", "state", "backnode"])] = value
             else:
@@ -126,11 +137,15 @@ def mutate_witness(rng, document):
         elif operation == 3:  # retype it
             old = where[key]
             where[key] = rng.choice([[old], str(old), {"v": old}])
-        else:  # replace it by a value from elsewhere in the document
+        elif operation == 4:  # replace it by a value from elsewhere in the document
             source = rng.choice(containers(document))
             values = list(source.values()) if isinstance(source, dict) else source
             if values:
                 where[key] = json.loads(json.dumps(rng.choice(values)))
+        elif isinstance(where, dict) and rng.random() < 0.5:  # respace the key
+            where[respace(rng, key)] = where.pop(key)
+        elif isinstance(where[key], str):  # respace the value
+            where[key] = respace(rng, where[key])
     return document
 
 
