@@ -10,10 +10,10 @@ only finite run prefixes are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple, Union
 
 from . import formula as fm
+from ._value import Value, set_field
 from .relalg import Qcsp, QcspBuilder, is_consistent
 from .terms import ChainTerm, SpatialConstraint
 
@@ -40,48 +40,107 @@ Word = Tuple[str, ...]
 NodeVar = Tuple[Word, str]
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Value):
     """Directions (ordered, defining the branching), concepts, features."""
 
+    __slots__ = ("directions", "concepts", "features")
     directions: Tuple[str, ...]
     concepts: Tuple[str, ...]
     features: Tuple[str, ...]
+
+    def __init__(
+        self, directions: Tuple[str, ...], concepts: Tuple[str, ...], features: Tuple[str, ...]
+    ) -> None:
+        set_field(self, "directions", directions)
+        set_field(self, "concepts", concepts)
+        set_field(self, "features", features)
 
     @property
     def k(self) -> int:
         return len(self.directions)
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(Value):
     """One nondeterministic transition: literals, constraints, successors."""
 
+    __slots__ = ("literals", "constraints", "succ")
     literals: FrozenSet[Union[fm.PosLiteral, fm.NegLiteral]]
     constraints: FrozenSet[SpatialConstraint]
     succ: Tuple[str, ...]
 
+    def __init__(
+        self,
+        literals: FrozenSet[Union[fm.PosLiteral, fm.NegLiteral]],
+        constraints: FrozenSet[SpatialConstraint],
+        succ: Tuple[str, ...],
+    ) -> None:
+        set_field(self, "literals", literals)
+        set_field(self, "constraints", constraints)
+        set_field(self, "succ", succ)
 
-@dataclass(frozen=True)
-class AlternatingAutomaton:
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.literals, self.constraints, self.succ) == (
+                other.literals,
+                other.constraints,
+                other.succ,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.literals, self.constraints, self.succ))
+
+
+class AlternatingAutomaton(Value):
+    __slots__ = ("sig", "states", "initial", "accepting", "delta")
     sig: Signature
     states: Tuple[str, ...]
     initial: str
     accepting: FrozenSet[str]
     delta: Mapping[str, fm.Formula]
 
+    def __init__(
+        self,
+        sig: Signature,
+        states: Tuple[str, ...],
+        initial: str,
+        accepting: FrozenSet[str],
+        delta: Mapping[str, fm.Formula],
+    ) -> None:
+        set_field(self, "sig", sig)
+        set_field(self, "states", states)
+        set_field(self, "initial", initial)
+        set_field(self, "accepting", accepting)
+        set_field(self, "delta", delta)
 
-@dataclass(frozen=True)
-class NondetAutomaton:
+
+class NondetAutomaton(Value):
     """Nondeterministic model; ``accept_all`` names the sink that accepts
     every subtree (it must be accepting and carry exactly its self loop)."""
 
+    __slots__ = ("sig", "states", "initial", "accepting", "delta", "accept_all")
     sig: Signature
     states: Tuple[str, ...]
     initial: str
     accepting: FrozenSet[str]
     delta: Mapping[str, Tuple[Transition, ...]]
-    accept_all: Optional[str] = None
+    accept_all: Optional[str]
+
+    def __init__(
+        self,
+        sig: Signature,
+        states: Tuple[str, ...],
+        initial: str,
+        accepting: FrozenSet[str],
+        delta: Mapping[str, Tuple[Transition, ...]],
+        accept_all: Optional[str] = None,
+    ) -> None:
+        set_field(self, "sig", sig)
+        set_field(self, "states", states)
+        set_field(self, "initial", initial)
+        set_field(self, "accepting", accepting)
+        set_field(self, "delta", delta)
+        set_field(self, "accept_all", accept_all)
 
     def transitions(self, state: str) -> Tuple[Transition, ...]:
         return self.delta.get(state, ())
@@ -231,8 +290,7 @@ def validate(automaton: Automaton) -> List[str]:
     return defects
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(Value):
     """Size parameters of an automaton's constraint usage.
 
     ``constraint_count`` counts distinct constraints, ``chain_length`` is the
@@ -240,9 +298,15 @@ class Metrics:
     and ``arity`` is the constraint arity, fixed at 2 for RCC8.
     """
 
+    __slots__ = ("constraint_count", "chain_length", "arity")
     constraint_count: int
     chain_length: int
-    arity: int = 2
+    arity: int
+
+    def __init__(self, constraint_count: int, chain_length: int, arity: int = 2) -> None:
+        set_field(self, "constraint_count", constraint_count)
+        set_field(self, "chain_length", chain_length)
+        set_field(self, "arity", arity)
 
 
 def metrics(automaton: Automaton) -> Metrics:
@@ -258,43 +322,78 @@ def metrics(automaton: Automaton) -> Metrics:
 # Run prefixes and qualitative scenes
 
 
-@dataclass(frozen=True)
-class RunNode:
+class RunNode(Value):
+    __slots__ = ("state", "literals", "constraints", "children")
     state: str
     literals: FrozenSet[Union[fm.PosLiteral, fm.NegLiteral]]
     constraints: FrozenSet[SpatialConstraint]
-    children: Tuple["RunNode", ...] = ()
+    children: Tuple["RunNode", ...]
+
+    def __init__(
+        self,
+        state: str,
+        literals: FrozenSet[Union[fm.PosLiteral, fm.NegLiteral]],
+        constraints: FrozenSet[SpatialConstraint],
+        children: Tuple["RunNode", ...] = (),
+    ) -> None:
+        set_field(self, "state", state)
+        set_field(self, "literals", literals)
+        set_field(self, "constraints", constraints)
+        set_field(self, "children", children)
 
 
-@dataclass(frozen=True)
-class RunPrefix:
+class RunPrefix(Value):
     """A finite full k-ary tree of run labels, depth counted in edges."""
 
+    __slots__ = ("k", "depth", "root")
     k: int
     depth: int
     root: RunNode
 
+    def __init__(self, k: int, depth: int, root: RunNode) -> None:
+        set_field(self, "k", k)
+        set_field(self, "depth", depth)
+        set_field(self, "root", root)
 
-@dataclass(frozen=True)
-class SceneNode:
+
+class SceneNode(Value):
+    __slots__ = ("concepts", "scene", "children")
     concepts: FrozenSet[str]
     scene: Qcsp
-    children: Tuple["SceneNode", ...] = ()
+    children: Tuple["SceneNode", ...]
+
+    def __init__(
+        self, concepts: FrozenSet[str], scene: Qcsp, children: Tuple["SceneNode", ...] = ()
+    ) -> None:
+        set_field(self, "concepts", concepts)
+        set_field(self, "scene", scene)
+        set_field(self, "children", children)
 
 
-@dataclass(frozen=True)
-class SceneTreePrefix:
+class SceneTreePrefix(Value):
+    __slots__ = ("k", "depth", "root")
     k: int
     depth: int
     root: SceneNode
 
+    def __init__(self, k: int, depth: int, root: SceneNode) -> None:
+        set_field(self, "k", k)
+        set_field(self, "depth", depth)
+        set_field(self, "root", root)
 
-@dataclass
-class PrefixReport:
+
+class PrefixReport(Value, frozen=False):
     """Outcome of validating a run prefix against an automaton and scene."""
 
-    defects: List[str] = field(default_factory=list)
-    unchecked: List[str] = field(default_factory=list)
+    __slots__ = ("defects", "unchecked")
+    defects: List[str]
+    unchecked: List[str]
+
+    def __init__(
+        self, defects: Optional[List[str]] = None, unchecked: Optional[List[str]] = None
+    ) -> None:
+        self.defects = [] if defects is None else defects
+        self.unchecked = [] if unchecked is None else unchecked
 
     @property
     def ok(self) -> bool:
@@ -309,9 +408,9 @@ def _scene_union(scene: SceneTreePrefix) -> QcspBuilder:
         node = stack.pop()
         for var in node.scene.variables:
             builder.add_variable(var)
-        for (u, v), rel in sorted(node.scene.edges.items()):
+        for (u, v), rel in node.scene.edges.items():
             builder.add(u, v, rel)
-        for var, rel in sorted(node.scene.selfs.items()):
+        for var, rel in node.scene.selfs.items():
             builder.add(var, var, rel)
         stack.extend(node.children)
     return builder
@@ -376,6 +475,10 @@ def validate_run_prefix(
 
     tightened = _scene_union(scene)
     scene_union = tightened.build()
+    # Defects name literals and constraints in text order.  An unfolded run
+    # shares its model nodes' label sets, so each distinct set is sorted once.
+    sorted_literals: Dict[FrozenSet, List] = {}
+    sorted_constraints: Dict[FrozenSet, List[SpatialConstraint]] = {}
 
     def visit(word: Word, run_node: RunNode, scene_node: SceneNode, depth: int) -> None:
         where = "node '" + " ".join(word) + "'"
@@ -400,13 +503,23 @@ def validate_run_prefix(
                     f"{where}: label does not match any transition of '{run_node.state}'"
                 )
 
-        for literal in sorted(run_node.literals, key=fm.encode_generator):
+        literals = sorted_literals.get(run_node.literals)
+        if literals is None:
+            literals = sorted_literals[run_node.literals] = sorted(
+                run_node.literals, key=fm.encode_generator
+            )
+        for literal in literals:
             if isinstance(literal, fm.PosLiteral) and literal.name not in scene_node.concepts:
                 report.defects.append(f"{where}: literal {literal.name} not in scene")
             if isinstance(literal, fm.NegLiteral) and literal.name in scene_node.concepts:
                 report.defects.append(f"{where}: literal !{literal.name} contradicts scene")
 
-        for constraint in sorted(run_node.constraints, key=SpatialConstraint.encode):
+        constraints = sorted_constraints.get(run_node.constraints)
+        if constraints is None:
+            constraints = sorted_constraints[run_node.constraints] = sorted(
+                run_node.constraints, key=SpatialConstraint.encode
+            )
+        for constraint in constraints:
             first, second = constraint.args
             if (
                 len(word) + len(first.path) > prefix.depth

@@ -15,10 +15,10 @@ finished model for ``check_witness``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from . import formula as fm
+from ._value import Value, set_field
 from .automata import (
     Metrics,
     NondetAutomaton,
@@ -87,8 +87,7 @@ class WordOrder:
         return len(left) < len(right) and right[: len(left)] == left
 
 
-@dataclass(frozen=True)
-class PtpTriple:
+class PtpTriple(Value):
     """A pending constraint target: a constraint issued at some ancestor,
     the argument it still targets, and the chain left to walk.
 
@@ -98,21 +97,37 @@ class PtpTriple:
     lets distant subtrees share one signature.
     """
 
+    __slots__ = ("constraint", "arg_index", "remaining")
     constraint: SpatialConstraint
     arg_index: int
     remaining: ChainTerm
 
-    def __post_init__(self) -> None:
-        if self.arg_index not in (1, 2):
+    def __init__(self, constraint: SpatialConstraint, arg_index: int, remaining: ChainTerm) -> None:
+        set_field(self, "constraint", constraint)
+        set_field(self, "arg_index", arg_index)
+        set_field(self, "remaining", remaining)
+        if arg_index not in (1, 2):
             raise ValueError("argument index must be 1 or 2")
-        arg = self.constraint.args[self.arg_index - 1]
-        tail = self.remaining.path
+        arg = constraint.args[arg_index - 1]
+        tail = remaining.path
         if (
-            self.remaining.feature != arg.feature
+            remaining.feature != arg.feature
             or len(tail) >= len(arg.path)
             or arg.path[len(arg.path) - len(tail) :] != tail
         ):
             raise ValueError("remaining chain is not a strict suffix of the argument")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.constraint, self.arg_index, self.remaining) == (
+                other.constraint,
+                other.arg_index,
+                other.remaining,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.constraint, self.arg_index, self.remaining))
 
     def sort_key(self) -> Tuple[str, int, str]:
         return (self.constraint.encode(), self.arg_index, self.remaining.encode())
@@ -156,10 +171,10 @@ def backconstraints_step(parent, direction: str) -> FrozenSet[PtpTriple]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class FtmNode:
+class FtmNode(Value):
     """One node of a finite tree model; leaves carry a backnode word."""
 
+    __slots__ = ("word", "state", "literals", "constraints", "children", "backnode", "ptpge")
     word: Word
     state: str
     literals: FrozenSet
@@ -168,17 +183,73 @@ class FtmNode:
     backnode: Optional[Word]
     ptpge: FrozenSet[PtpTriple]
 
+    def __init__(
+        self,
+        word: Word,
+        state: str,
+        literals: FrozenSet,
+        constraints: FrozenSet[SpatialConstraint],
+        children: Tuple[Word, ...],
+        backnode: Optional[Word],
+        ptpge: FrozenSet[PtpTriple],
+    ) -> None:
+        set_field(self, "word", word)
+        set_field(self, "state", state)
+        set_field(self, "literals", literals)
+        set_field(self, "constraints", constraints)
+        set_field(self, "children", children)
+        set_field(self, "backnode", backnode)
+        set_field(self, "ptpge", ptpge)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.word,
+                self.state,
+                self.literals,
+                self.constraints,
+                self.children,
+                self.backnode,
+                self.ptpge,
+            ) == (
+                other.word,
+                other.state,
+                other.literals,
+                other.constraints,
+                other.children,
+                other.backnode,
+                other.ptpge,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(
+            (
+                self.word,
+                self.state,
+                self.literals,
+                self.constraints,
+                self.children,
+                self.backnode,
+                self.ptpge,
+            )
+        )
+
     @property
     def is_leaf(self) -> bool:
         return self.backnode is not None
 
 
-@dataclass(frozen=True)
-class FiniteTreeModel:
+class FiniteTreeModel(Value):
     """Finite witness tree; ``nodes`` is keyed by word in preorder."""
 
+    __slots__ = ("directions", "nodes")
     directions: Tuple[str, ...]
     nodes: Mapping[Word, FtmNode]
+
+    def __init__(self, directions: Tuple[str, ...], nodes: Mapping[Word, FtmNode]) -> None:
+        set_field(self, "directions", directions)
+        set_field(self, "nodes", nodes)
 
     @property
     def root(self) -> FtmNode:
@@ -195,12 +266,24 @@ class FiniteTreeModel:
         return [w for w, n in self.nodes.items() if n.is_leaf]
 
 
-@dataclass
-class SearchStats:
-    nodes_created: int = 0
-    peak_nodes: int = 0
-    csp_checks: int = 0
-    bound_exceeded: bool = False
+class SearchStats(Value, frozen=False):
+    __slots__ = ("nodes_created", "peak_nodes", "csp_checks", "bound_exceeded")
+    nodes_created: int
+    peak_nodes: int
+    csp_checks: int
+    bound_exceeded: bool
+
+    def __init__(
+        self,
+        nodes_created: int = 0,
+        peak_nodes: int = 0,
+        csp_checks: int = 0,
+        bound_exceeded: bool = False,
+    ) -> None:
+        self.nodes_created = nodes_created
+        self.peak_nodes = peak_nodes
+        self.csp_checks = csp_checks
+        self.bound_exceeded = bound_exceeded
 
 
 # A search node's signature: its state and pending triples.  The search
@@ -665,14 +748,37 @@ def scene_from_witness(
     return SceneTreePrefix(k=prefix.k, depth=prefix.depth, root=mirror(prefix.root, True))
 
 
-@dataclass
-class BoundsReport:
+class BoundsReport(Value, frozen=False):
+    __slots__ = (
+        "internal_count",
+        "leaf_count",
+        "internal_bound",
+        "leaf_bound",
+        "clamped",
+        "duplicate_signatures",
+    )
     internal_count: int
     leaf_count: int
     internal_bound: int
     leaf_bound: int
     clamped: bool
-    duplicate_signatures: List[Tuple[str, str]] = field(default_factory=list)
+    duplicate_signatures: List[Tuple[str, str]]
+
+    def __init__(
+        self,
+        internal_count: int,
+        leaf_count: int,
+        internal_bound: int,
+        leaf_bound: int,
+        clamped: bool,
+        duplicate_signatures: Optional[List[Tuple[str, str]]] = None,
+    ) -> None:
+        self.internal_count = internal_count
+        self.leaf_count = leaf_count
+        self.internal_bound = internal_bound
+        self.leaf_bound = leaf_bound
+        self.clamped = clamped
+        self.duplicate_signatures = [] if duplicate_signatures is None else duplicate_signatures
 
     @property
     def ok(self) -> bool:
@@ -809,8 +915,7 @@ def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[st
     return defects
 
 
-@dataclass
-class Decision:
+class Decision(Value, frozen=False):
     """Outcome of ``decide``: the verdict, the witness and the search stats.
 
     ``prefix_defects`` lists what ``check_witness`` finds in the witness,
@@ -818,10 +923,23 @@ class Decision:
     included; it is empty for a sound witness.  ``stats.bound_exceeded``
     tells whether the search tree grew past the theoretical witness bound."""
 
+    __slots__ = ("nonempty", "witness", "prefix_defects", "stats")
     nonempty: bool
-    witness: Optional[FiniteTreeModel] = None
-    prefix_defects: List[str] = field(default_factory=list)
-    stats: Optional[SearchStats] = None
+    witness: Optional[FiniteTreeModel]
+    prefix_defects: List[str]
+    stats: Optional[SearchStats]
+
+    def __init__(
+        self,
+        nonempty: bool,
+        witness: Optional[FiniteTreeModel] = None,
+        prefix_defects: Optional[List[str]] = None,
+        stats: Optional[SearchStats] = None,
+    ) -> None:
+        self.nonempty = nonempty
+        self.witness = witness
+        self.prefix_defects = [] if prefix_defects is None else prefix_defects
+        self.stats = stats
 
     @property
     def verdict(self) -> str:

@@ -10,9 +10,9 @@ disjuncts are removed and the remainder is sorted canonically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import FrozenSet, Iterator, List, Tuple, Union
 
+from ._value import Value, set_field
 from .errors import ResourceLimitError
 from .terms import SpatialConstraint
 
@@ -37,45 +37,60 @@ __all__ = [
 DEFAULT_MAX_DISJUNCTS = 10_000
 
 
-@dataclass(frozen=True)
-class PosLiteral:
+class PosLiteral(Value):
+    __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str) -> None:
+        set_field(self, "name", name)
 
-@dataclass(frozen=True)
-class NegLiteral:
+
+class NegLiteral(Value):
+    __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str) -> None:
+        set_field(self, "name", name)
 
-@dataclass(frozen=True)
-class Constraint:
+
+class Constraint(Value):
+    __slots__ = ("constraint",)
     constraint: SpatialConstraint
 
+    def __init__(self, constraint: SpatialConstraint) -> None:
+        set_field(self, "constraint", constraint)
 
-@dataclass(frozen=True)
-class Move:
+
+class Move(Value):
+    __slots__ = ("direction", "state")
     direction: str
     state: str
+
+    def __init__(self, direction: str, state: str) -> None:
+        set_field(self, "direction", direction)
+        set_field(self, "state", state)
 
 
 Generator = Union[PosLiteral, NegLiteral, Constraint, Move]
 
 
-@dataclass(frozen=True)
-class And:
+class And(Value):
+    __slots__ = ("children",)
     children: Tuple["Formula", ...]
 
-    def __post_init__(self) -> None:
-        if not self.children:
+    def __init__(self, children: Tuple["Formula", ...]) -> None:
+        set_field(self, "children", children)
+        if not children:
             raise ValueError("And needs at least one child")
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Value):
+    __slots__ = ("children",)
     children: Tuple["Formula", ...]
 
-    def __post_init__(self) -> None:
-        if not self.children:
+    def __init__(self, children: Tuple["Formula", ...]) -> None:
+        set_field(self, "children", children)
+        if not children:
             raise ValueError("Or needs at least one child")
 
 
@@ -125,13 +140,23 @@ def complementary_names(literals) -> List[str]:
     return sorted(positive & negative)
 
 
-@dataclass(frozen=True)
-class Disjunct:
+class Disjunct(Value):
     """One DNF disjunct, its generators grouped by kind."""
 
+    __slots__ = ("literals", "constraints", "moves")
     literals: FrozenSet[Union[PosLiteral, NegLiteral]]
     constraints: FrozenSet[SpatialConstraint]
     moves: FrozenSet[Move]
+
+    def __init__(
+        self,
+        literals: FrozenSet[Union[PosLiteral, NegLiteral]],
+        constraints: FrozenSet[SpatialConstraint],
+        moves: FrozenSet[Move],
+    ) -> None:
+        set_field(self, "literals", literals)
+        set_field(self, "constraints", constraints)
+        set_field(self, "moves", moves)
 
     @staticmethod
     def from_generators(gens: FrozenSet[Generator]) -> "Disjunct":

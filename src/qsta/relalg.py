@@ -26,8 +26,9 @@ pair, to fix an atom for each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+
+from ._value import Value, set_field
 
 __all__ = [
     "ATOMS",
@@ -143,15 +144,44 @@ def _mask_of(atoms: Iterable[str]) -> int:
     return mask
 
 
-@dataclass(frozen=True, order=True)
-class Relation:
-    """A subset of the eight RCC8 atoms."""
+class Relation(Value):
+    """A subset of the eight RCC8 atoms, ordered by mask."""
 
+    __slots__ = ("mask",)
     mask: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.mask <= _FULL_MASK:
-            raise ValueError(f"invalid relation mask {self.mask!r}")
+    def __init__(self, mask: int) -> None:
+        set_field(self, "mask", mask)
+        if not 0 <= mask <= _FULL_MASK:
+            raise ValueError(f"invalid relation mask {mask!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.mask == other.mask
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.mask,))
+
+    def __lt__(self, other: "Relation") -> bool:
+        if other.__class__ is self.__class__:
+            return self.mask < other.mask
+        return NotImplemented
+
+    def __le__(self, other: "Relation") -> bool:
+        if other.__class__ is self.__class__:
+            return self.mask <= other.mask
+        return NotImplemented
+
+    def __gt__(self, other: "Relation") -> bool:
+        if other.__class__ is self.__class__:
+            return self.mask > other.mask
+        return NotImplemented
+
+    def __ge__(self, other: "Relation") -> bool:
+        if other.__class__ is self.__class__:
+            return self.mask >= other.mask
+        return NotImplemented
 
     @staticmethod
     def of(*atoms: str) -> "Relation":
@@ -273,19 +303,30 @@ def compose(first: Relation, second: Relation) -> Relation:
 Variable = Tuple  # any hashable, totally ordered identifier
 
 
-@dataclass(frozen=True)
-class Qcsp:
+class Qcsp(Value):
     """A qualitative constraint network over RCC8.
 
     ``edges`` maps ordered pairs of distinct variables to relations and is
     converse closed; pairs that are absent carry the full relation.  ``selfs``
     holds the intersection of all constraints declared between a variable and
-    itself.
+    itself.  Two networks are equal when they have the same variables, in
+    any order, and the same relations; a network is unhashable.
     """
 
+    __slots__ = ("variables", "edges", "selfs")
     variables: Tuple[Variable, ...]
     edges: Mapping[Tuple[Variable, Variable], Relation]
-    selfs: Mapping[Variable, Relation] = field(default_factory=dict)
+    selfs: Mapping[Variable, Relation]
+
+    def __init__(
+        self,
+        variables: Tuple[Variable, ...],
+        edges: Mapping[Tuple[Variable, Variable], Relation],
+        selfs: Optional[Mapping[Variable, Relation]] = None,
+    ) -> None:
+        set_field(self, "variables", variables)
+        set_field(self, "edges", edges)
+        set_field(self, "selfs", {} if selfs is None else selfs)
 
     def relation(self, u: Variable, v: Variable) -> Relation:
         if u == v:

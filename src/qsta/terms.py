@@ -2,24 +2,36 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
+from ._value import Value, set_field
 from .relalg import Relation, parse_relation
 
 __all__ = ["ChainTerm", "SpatialConstraint", "parse_chain", "parse_constraint"]
 
 
-@dataclass(frozen=True)
-class ChainTerm:
+class ChainTerm(Value):
     """A possibly empty direction path followed by one feature name.
 
     ``ChainTerm(("d1", "d2"), "g")`` names the feature g of the node reached
     by walking d1 then d2 from wherever the term is evaluated.
     """
 
+    __slots__ = ("path", "feature")
     path: Tuple[str, ...]
     feature: str
+
+    def __init__(self, path: Tuple[str, ...], feature: str) -> None:
+        set_field(self, "path", path)
+        set_field(self, "feature", feature)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.path, self.feature) == (other.path, other.feature)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.path, self.feature))
 
     @property
     def length(self) -> int:
@@ -32,16 +44,26 @@ class ChainTerm:
         return self.encode()
 
 
-@dataclass(frozen=True)
-class SpatialConstraint:
+class SpatialConstraint(Value):
     """A binary RCC8 constraint between two feature chains."""
 
+    __slots__ = ("rel", "args")
     rel: Relation
     args: Tuple[ChainTerm, ChainTerm]
 
-    def __post_init__(self) -> None:
-        if len(self.args) != 2:
+    def __init__(self, rel: Relation, args: Tuple[ChainTerm, ChainTerm]) -> None:
+        set_field(self, "rel", rel)
+        set_field(self, "args", args)
+        if len(args) != 2:
             raise ValueError("spatial constraints are binary")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.rel, self.args) == (other.rel, other.args)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rel, self.args))
 
     def encode(self) -> str:
         return f"{self.rel}({self.args[0]}, {self.args[1]})"

@@ -5,7 +5,6 @@ fails with the collected problems when a criterion does not hold.  Random
 criteria use fixed seeds so the suite is reproducible.
 """
 
-import dataclasses
 import itertools
 import pathlib
 import random
@@ -48,6 +47,7 @@ from gen_random import (
     random_nondet_shaped,
 )
 from oracle_classic import classical_nonempty
+from rebuild import replace
 
 CORPUS = sorted((pathlib.Path(__file__).resolve().parent.parent / "corpus").glob("*.aut"))
 
@@ -256,7 +256,7 @@ def test_criterion_08_constraint_driven_verdict_flip():
     dc = Relation.of("DC")
     delta = {
         state: tuple(
-            dataclasses.replace(
+            replace(
                 t,
                 constraints=frozenset(c for c in t.constraints if c.rel != dc),
             )
@@ -264,7 +264,7 @@ def test_criterion_08_constraint_driven_verdict_flip():
         )
         for state, transitions in automaton.delta.items()
     }
-    relaxed = dataclasses.replace(automaton, delta=delta)
+    relaxed = replace(automaton, delta=delta)
     if not decide(relaxed).nonempty:
         problems.append("dropping the DC constraint did not flip the verdict")
     _report(8, "contradictory constraints force empty, relaxing flips it", problems)

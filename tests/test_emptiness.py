@@ -1,6 +1,5 @@
 """Emptiness search, witness structure, unfolding and serialization."""
 
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -16,6 +15,8 @@ from qsta import (
     MalformedModelError,
     PtpTriple,
     ResourceLimitError,
+    SceneNode,
+    SceneTreePrefix,
     WordOrder,
     backconstraints_step,
     check_bounds,
@@ -42,6 +43,7 @@ import qsta
 
 from gen_random import direct_reading, random_nondet, random_nondet_shaped
 from oracle_classic import classical_nonempty
+from rebuild import replace
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -72,7 +74,7 @@ def corpus_automaton(name):
 
 def replace_node(model, word, **changes):
     nodes = dict(model.nodes)
-    nodes[word] = dataclasses.replace(nodes[word], **changes)
+    nodes[word] = replace(nodes[word], **changes)
     return FiniteTreeModel(directions=model.directions, nodes=nodes)
 
 
@@ -407,7 +409,7 @@ def test_bounds_flag_duplicate_signatures():
     model = decide(corpus_automaton("eq_loop")).witness
     nodes = dict(model.nodes)
     # graft a fake internal child that repeats the root signature
-    nodes[("d2",)] = dataclasses.replace(
+    nodes[("d2",)] = replace(
         nodes[("d2",)],
         backnode=None,
         children=(("d2", "d1"), ("d2", "d2")),
@@ -611,7 +613,7 @@ def _refold(model):
     for word in nodes:
         if word and word[:-1] in nodes:
             ptpge = backconstraints_step(nodes[word[:-1]], word[-1])
-            nodes[word] = dataclasses.replace(nodes[word], ptpge=ptpge)
+            nodes[word] = replace(nodes[word], ptpge=ptpge)
     by_signature = {}
     for word, node in nodes.items():
         if not node.is_leaf:
@@ -619,7 +621,7 @@ def _refold(model):
     for word, node in nodes.items():
         match = by_signature.get((node.state, node.ptpge))
         if node.is_leaf and match is not None and order.lex_lt(match, word):
-            nodes[word] = dataclasses.replace(node, backnode=match)
+            nodes[word] = replace(node, backnode=match)
     return FiniteTreeModel(model.directions, nodes)
 
 
@@ -657,7 +659,7 @@ def _mutants(automaton, model, rng):
             w: n for w, n in model.nodes.items() if not WordOrder.is_strict_prefix(word, w)
         }
         target = rng.choice([w for w in internal if order.lex_lt(w, word)])
-        nodes[word] = dataclasses.replace(
+        nodes[word] = replace(
             nodes[word],
             literals=frozenset(),
             constraints=frozenset(),
@@ -767,6 +769,41 @@ def test_check_witness_implies_a_sound_unfolded_run():
                     problems.append((name, index, depth, defects[0]))
     assert problems == []
     assert accepted > 0
+
+
+# sha256 of validate_run_prefix's defect and unchecked lines, in order, for
+# every corpus witness unfolded to depths 0-6, against its own scene and
+# against that scene with every concept set emptied; computed while the
+# checker still sorted each node's literals and constraints on every visit.
+RUN_PREFIX_LINES_SHA256 = "f28397091e8d0bd794fe8fd80353e097bd7d5753be9c424e36bc50d87aa5e950"
+
+
+def _without_concepts(node):
+    return SceneNode(frozenset(), node.scene, tuple(map(_without_concepts, node.children)))
+
+
+def _run_prefix_lines():
+    for name, verdict in EXPECTED_VERDICTS.items():
+        if verdict == "empty":
+            continue
+        automaton = corpus_automaton(name)
+        model, _ = ftm_search(automaton)
+        for depth in range(7):
+            prefix, sources = unfold_with_sources(model, depth)
+            scene = scene_from_witness(model, prefix, sources)
+            bare = SceneTreePrefix(scene.k, scene.depth, _without_concepts(scene.root))
+            for label, against in (("scene", scene), ("bare", bare)):
+                report = validate_run_prefix(automaton, prefix, against)
+                for kind, lines in (("defect", report.defects), ("unchecked", report.unchecked)):
+                    for line in lines:
+                        yield f"{name} {depth} {label} {kind}: {line}"
+
+
+def test_run_prefix_lines_are_pinned():
+    lines = list(_run_prefix_lines())
+    assert any(" scene unchecked: " in line for line in lines)
+    assert any(" bare defect: " in line for line in lines)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RUN_PREFIX_LINES_SHA256
 
 
 def test_check_witness_flags_complementary_literals():

@@ -1,6 +1,7 @@
 """Every exported name resolves, and so does every layer the benchmark
 traces; every name a package or test module imports is used; importing
-builds no composition row."""
+builds no composition row and imports neither ``dataclasses`` nor
+``inspect``."""
 
 import ast
 import importlib
@@ -95,3 +96,24 @@ def test_import_builds_no_composition_row():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "0\n"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI call pays the import (the benchmark's setup_s); the value
+    # types are slotted classes, so importing the package generates no code
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import qsta, qsta.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
