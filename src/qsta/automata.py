@@ -78,18 +78,6 @@ class Transition(Value):
         set_field(self, "constraints", constraints)
         set_field(self, "succ", succ)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.literals, self.constraints, self.succ) == (
-                other.literals,
-                other.constraints,
-                other.succ,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.literals, self.constraints, self.succ))
-
 
 class AlternatingAutomaton(Value):
     __slots__ = ("sig", "states", "initial", "accepting", "delta")
@@ -382,7 +370,7 @@ class SceneTreePrefix(Value):
         set_field(self, "root", root)
 
 
-class PrefixReport(Value, frozen=False):
+class PrefixReport(Value):
     """Outcome of validating a run prefix against an automaton and scene."""
 
     __slots__ = ("defects", "unchecked")
@@ -392,8 +380,8 @@ class PrefixReport(Value, frozen=False):
     def __init__(
         self, defects: Optional[List[str]] = None, unchecked: Optional[List[str]] = None
     ) -> None:
-        self.defects = [] if defects is None else defects
-        self.unchecked = [] if unchecked is None else unchecked
+        set_field(self, "defects", [] if defects is None else defects)
+        set_field(self, "unchecked", [] if unchecked is None else unchecked)
 
     @property
     def ok(self) -> bool:

@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from . import emptiness as emp
@@ -43,8 +42,18 @@ def _env_int(name: str, default: Optional[int]) -> Optional[int]:
     return value
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as file:
+        return file.read()
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(text)
+
+
 def _load(path: str):
-    return load_automaton(Path(path).read_text(encoding="utf-8"))
+    return load_automaton(_read(path))
 
 
 def _simulate(automaton: AlternatingAutomaton) -> NondetAutomaton:
@@ -87,7 +96,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("simulate expects an alternating automaton")
     _check_well_formed(automaton, origin=args.file)
     result = _simulate(automaton)
-    Path(args.output).write_text(print_automaton(result), encoding="utf-8")
+    _write(args.output, print_automaton(result))
     print(f"states: {len(result.states)}")
     print(f"bound: {sim_state_bound(len(automaton.states), len(automaton.accepting))}")
     return 0
@@ -109,21 +118,16 @@ def _cmd_emptiness(args: argparse.Namespace) -> int:
     if decision.nonempty:
         if args.witness:
             payload = emp.witness_to_json(decision.witness)
-            Path(args.witness).write_text(
-                json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
-                encoding="utf-8",
-            )
+            _write(args.witness, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
         if args.dot:
-            Path(args.dot).write_text(
-                emp.witness_to_dot(decision.witness), encoding="utf-8"
-            )
+            _write(args.dot, emp.witness_to_dot(decision.witness))
         return 0
     return 1
 
 
 def _cmd_check_witness(args: argparse.Namespace) -> int:
     automaton = _as_nondet(_load(args.file), origin=args.file)
-    payload = json.loads(Path(args.witness).read_text(encoding="utf-8"))
+    payload = json.loads(_read(args.witness))
     model = emp.witness_from_json(payload)
     defects = emp.check_witness(automaton, model)
     for defect in defects:

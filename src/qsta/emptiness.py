@@ -117,18 +117,6 @@ class PtpTriple(Value):
         ):
             raise ValueError("remaining chain is not a strict suffix of the argument")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.constraint, self.arg_index, self.remaining) == (
-                other.constraint,
-                other.arg_index,
-                other.remaining,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.constraint, self.arg_index, self.remaining))
-
     def sort_key(self) -> Tuple[str, int, str]:
         return (self.constraint.encode(), self.arg_index, self.remaining.encode())
 
@@ -201,40 +189,6 @@ class FtmNode(Value):
         set_field(self, "backnode", backnode)
         set_field(self, "ptpge", ptpge)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (
-                self.word,
-                self.state,
-                self.literals,
-                self.constraints,
-                self.children,
-                self.backnode,
-                self.ptpge,
-            ) == (
-                other.word,
-                other.state,
-                other.literals,
-                other.constraints,
-                other.children,
-                other.backnode,
-                other.ptpge,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.word,
-                self.state,
-                self.literals,
-                self.constraints,
-                self.children,
-                self.backnode,
-                self.ptpge,
-            )
-        )
-
     @property
     def is_leaf(self) -> bool:
         return self.backnode is not None
@@ -266,7 +220,7 @@ class FiniteTreeModel(Value):
         return [w for w, n in self.nodes.items() if n.is_leaf]
 
 
-class SearchStats(Value, frozen=False):
+class SearchStats(Value):
     __slots__ = ("nodes_created", "peak_nodes", "csp_checks", "bound_exceeded")
     nodes_created: int
     peak_nodes: int
@@ -280,10 +234,10 @@ class SearchStats(Value, frozen=False):
         csp_checks: int = 0,
         bound_exceeded: bool = False,
     ) -> None:
-        self.nodes_created = nodes_created
-        self.peak_nodes = peak_nodes
-        self.csp_checks = csp_checks
-        self.bound_exceeded = bound_exceeded
+        set_field(self, "nodes_created", nodes_created)
+        set_field(self, "peak_nodes", peak_nodes)
+        set_field(self, "csp_checks", csp_checks)
+        set_field(self, "bound_exceeded", bound_exceeded)
 
 
 # A search node's signature: its state and pending triples.  The search
@@ -407,7 +361,7 @@ def ftm_search(
     exact_total = internal_bound + leaf_bound
     limit = max_nodes if max_nodes is not None else 2 * exact_total
 
-    stats = SearchStats()
+    nodes_created = peak_nodes = csp_checks = 0
     index: Dict[Word, _SearchNode] = {}
     by_signature: Dict[_Signature, _SearchNode] = {}
     # The live nodes in registration order; the internal ones are the open
@@ -466,7 +420,11 @@ def ftm_search(
                 log.append((first_id, second_id, constraint.rel.mask))
                 return
 
+    def stats() -> SearchStats:
+        return SearchStats(nodes_created, peak_nodes, csp_checks, peak_nodes > exact_total)
+
     def register(node: _SearchNode) -> None:
+        nonlocal nodes_created, peak_nodes
         size = len(index)
         if size >= limit:
             raise ResourceLimitError(
@@ -476,11 +434,9 @@ def ftm_search(
         index[node.word] = node
         created.append(node)
         size += 1
-        stats.nodes_created += 1
-        if size > stats.peak_nodes:
-            stats.peak_nodes = size
-            if size > exact_total:
-                stats.bound_exceeded = True
+        nodes_created += 1
+        if size > peak_nodes:
+            peak_nodes = size
         for walk_state in waiting.get(node.word, ()):
             walk(node.word, *walk_state)
         if node.backnode is None:
@@ -534,7 +490,7 @@ def ftm_search(
     register(root)
     by_signature[root.signature] = root
     if not apply_choice(root):
-        return None, stats
+        return None, stats()
 
     node, j = root, 0
     while True:
@@ -565,13 +521,13 @@ def ftm_search(
             continue
         else:
             assert index.keys() >= waiting.keys(), "a complete tree resolves every chain"
-            stats.csp_checks += 1
+            csp_checks += 1
             if masks_consistent(len(ids), log):
-                return _freeze(directions, index), stats
+                return _freeze(directions, index), stats()
         # The configuration is rejected.
         node, j = retract(), 0
         if node is None:
-            return None, stats
+            return None, stats()
 
 
 def _closes_rejecting_cycle(
@@ -748,7 +704,7 @@ def scene_from_witness(
     return SceneTreePrefix(k=prefix.k, depth=prefix.depth, root=mirror(prefix.root, True))
 
 
-class BoundsReport(Value, frozen=False):
+class BoundsReport(Value):
     __slots__ = (
         "internal_count",
         "leaf_count",
@@ -773,12 +729,13 @@ class BoundsReport(Value, frozen=False):
         clamped: bool,
         duplicate_signatures: Optional[List[Tuple[str, str]]] = None,
     ) -> None:
-        self.internal_count = internal_count
-        self.leaf_count = leaf_count
-        self.internal_bound = internal_bound
-        self.leaf_bound = leaf_bound
-        self.clamped = clamped
-        self.duplicate_signatures = [] if duplicate_signatures is None else duplicate_signatures
+        set_field(self, "internal_count", internal_count)
+        set_field(self, "leaf_count", leaf_count)
+        set_field(self, "internal_bound", internal_bound)
+        set_field(self, "leaf_bound", leaf_bound)
+        set_field(self, "clamped", clamped)
+        duplicates = [] if duplicate_signatures is None else duplicate_signatures
+        set_field(self, "duplicate_signatures", duplicates)
 
     @property
     def ok(self) -> bool:
@@ -915,7 +872,7 @@ def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[st
     return defects
 
 
-class Decision(Value, frozen=False):
+class Decision(Value):
     """Outcome of ``decide``: the verdict, the witness and the search stats.
 
     ``prefix_defects`` lists what ``check_witness`` finds in the witness,
@@ -936,10 +893,10 @@ class Decision(Value, frozen=False):
         prefix_defects: Optional[List[str]] = None,
         stats: Optional[SearchStats] = None,
     ) -> None:
-        self.nonempty = nonempty
-        self.witness = witness
-        self.prefix_defects = [] if prefix_defects is None else prefix_defects
-        self.stats = stats
+        set_field(self, "nonempty", nonempty)
+        set_field(self, "witness", witness)
+        set_field(self, "prefix_defects", [] if prefix_defects is None else prefix_defects)
+        set_field(self, "stats", stats)
 
     @property
     def verdict(self) -> str:

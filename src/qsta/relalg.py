@@ -145,7 +145,7 @@ def _mask_of(atoms: Iterable[str]) -> int:
 
 
 class Relation(Value):
-    """A subset of the eight RCC8 atoms, ordered by mask."""
+    """A subset of the eight RCC8 atoms, held as an 8-bit mask."""
 
     __slots__ = ("mask",)
     mask: int
@@ -154,34 +154,6 @@ class Relation(Value):
         set_field(self, "mask", mask)
         if not 0 <= mask <= _FULL_MASK:
             raise ValueError(f"invalid relation mask {mask!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.mask == other.mask
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.mask,))
-
-    def __lt__(self, other: "Relation") -> bool:
-        if other.__class__ is self.__class__:
-            return self.mask < other.mask
-        return NotImplemented
-
-    def __le__(self, other: "Relation") -> bool:
-        if other.__class__ is self.__class__:
-            return self.mask <= other.mask
-        return NotImplemented
-
-    def __gt__(self, other: "Relation") -> bool:
-        if other.__class__ is self.__class__:
-            return self.mask > other.mask
-        return NotImplemented
-
-    def __ge__(self, other: "Relation") -> bool:
-        if other.__class__ is self.__class__:
-            return self.mask >= other.mask
-        return NotImplemented
 
     @staticmethod
     def of(*atoms: str) -> "Relation":

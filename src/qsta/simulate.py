@@ -43,8 +43,14 @@ def sim_state_bound(size_q: int, size_f: int) -> int:
     return 2**size_f * 3 ** (size_q - size_f) + 1
 
 
+_ESCAPES = str.maketrans({"\\": "\\\\", ",": "\\,", ":": "\\:"})
+
+
 def sim_state_name(pairs: SimState) -> str:
-    inner = ",".join(f"{state}:{tag}" for state, tag in sorted(pairs))
+    """``{name:tag,...}`` over the sorted members, with ``\\``, ``,`` and ``:``
+    escaped by a backslash inside each name, so distinct states get
+    distinct names."""
+    inner = ",".join(f"{state.translate(_ESCAPES)}:{tag}" for state, tag in sorted(pairs))
     return "{" + inner + "}"
 
 

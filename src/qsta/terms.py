@@ -25,14 +25,6 @@ class ChainTerm(Value):
         set_field(self, "path", path)
         set_field(self, "feature", feature)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.path, self.feature) == (other.path, other.feature)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.path, self.feature))
-
     @property
     def length(self) -> int:
         return len(self.path) + 1
@@ -56,14 +48,6 @@ class SpatialConstraint(Value):
         set_field(self, "args", args)
         if len(args) != 2:
             raise ValueError("spatial constraints are binary")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.rel, self.args) == (other.rel, other.args)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rel, self.args))
 
     def encode(self) -> str:
         return f"{self.rel}({self.args[0]}, {self.args[1]})"

@@ -265,6 +265,33 @@ def test_emptiness_witnesses_pass_check_witness(tmp_path, capsys):
         assert capsys.readouterr().out.strip().splitlines()[-1] == "ok"
 
 
+# "a:0,b" is one state.  Unescaped, the simulation state {a:0, b:1}, dead
+# because a is contradictory, and the live {"a:0,b":1} would share a name.
+COMMA_COLON_NAMES = """alternating {
+  directions: d1;
+  concepts: A;
+  features: g;
+  states: s a b "a:0,b";
+  initial: s;
+  accepting: b "a:0,b";
+  delta s -> (<d1:a> & <d1:b>) | <d1:"a:0,b">;
+  delta a -> A & !A;
+  delta b -> <d1:b>;
+  delta "a:0,b" -> <d1:"a:0,b">;
+}
+"""
+
+
+def test_emptiness_tells_apart_states_named_with_commas_and_colons(tmp_path, capsys):
+    path = tmp_path / "names.aut"
+    path.write_text(COMMA_COLON_NAMES)
+    w = tmp_path / "w.json"
+    assert main(["emptiness", str(path), "--witness", str(w)]) == 0
+    assert capsys.readouterr().out == "not-empty\n"
+    assert main(["check-witness", str(path), str(w)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+
+
 def test_check_witness_flags_tampering(tmp_path, capsys):
     w = tmp_path / "w.json"
     main(["emptiness", corpus("eq_loop"), "--witness", str(w)])

@@ -1,6 +1,7 @@
 """Breakpoint simulation of alternating automata by nondeterministic ones."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from qsta import (
     Signature,
     SpatialConstraint,
     decide,
+    load_automaton,
     parse_relation,
     print_automaton,
     sim_state_bound,
@@ -53,6 +55,26 @@ def test_sim_state_bound_rejects_bad_sizes():
 def test_sim_state_name_is_sorted_and_tagged():
     name = sim_state_name(frozenset({("qb", 0), ("qa", 1)}))
     assert name == "{qa:1,qb:0}"
+
+
+def test_sim_state_name_tells_every_state_set_apart():
+    names = ["".join(p) for n in (1, 2, 3) for p in itertools.product("a,:\\", repeat=n)]
+    members = [(name, tag) for name in names for tag in (0, 1)]
+    sets = [frozenset(c) for r in (0, 1, 2) for c in itertools.combinations(members, r)]
+    assert len({sim_state_name(s) for s in sets}) == len(sets)
+    assert sim_state_name(frozenset({("a:0,b", 1)})) == "{a\\:0\\,b:1}"
+    assert sim_state_name(frozenset({("a", 0), ("b", 1)})) == "{a:0,b:1}"
+
+    # unescaped, {a:1, "b:0,c":0} and {"a:1,b":0, c:0} would share a name
+    targets = ["a", "a:1,b", "c", "b:0,c", "\\", "\\:1"]
+    moves = [fm.Move("d1", t) for t in targets]
+    delta = {"s": fm.Or(tuple(fm.And(pair) for pair in itertools.combinations(moves, 2)))}
+    delta.update((t, fm.Move("d1", t)) for t in targets)
+    sig = Signature(directions=("d1",), concepts=("A",), features=("g",))
+    out = simulate(alternating(delta, states=("s", *targets), accepting=("a",), sig=sig))
+    # {s:0}, one state per pair of targets, and the sink
+    assert len(set(out.states)) == len(out.states) == 1 + 15 + 1
+    assert load_automaton(print_automaton(out)) == out
 
 
 def test_simulate_universal_self_loop():

@@ -1,5 +1,5 @@
 """Value semantics of the package's record types: constructors, equality,
-hash, immutability, repr, ordering, copy and pickle."""
+hash, immutability, repr, copy and pickle."""
 
 import copy
 import pickle
@@ -84,8 +84,6 @@ FROZEN = [
          "children": (("d1",),), "backnode": None, "ptpge": frozenset({TRIPLE})},
     ),
     (FiniteTreeModel, {"directions": ("d1",), "nodes": {(): ROOT, ("d1",): LEAF}}),
-]
-MUTABLE = [
     (PrefixReport, {"defects": ["x"], "unchecked": []}),
     (SearchStats, {"nodes_created": 3, "peak_nodes": 2, "csp_checks": 1, "bound_exceeded": False}),
     (
@@ -95,7 +93,6 @@ MUTABLE = [
     ),
     (Decision, {"nonempty": True, "witness": None, "prefix_defects": [], "stats": SearchStats()}),
 ]
-ALL = FROZEN + MUTABLE
 
 
 def _ids(cases):
@@ -109,7 +106,7 @@ def _hash_or_error(value):
         return type(error)
 
 
-@pytest.mark.parametrize("cls, fields", ALL, ids=_ids(ALL))
+@pytest.mark.parametrize("cls, fields", FROZEN, ids=_ids(FROZEN))
 def test_equal_fields_give_equal_values(cls, fields):
     positional = cls(*fields.values())
     by_keyword = cls(**fields)
@@ -142,18 +139,7 @@ def test_assigning_a_frozen_field_raises(cls, fields):
     assert getattr(value, name) is old
 
 
-@pytest.mark.parametrize("cls, fields", MUTABLE, ids=_ids(MUTABLE))
-def test_the_mutable_records_are_unhashable_and_assignable(cls, fields):
-    value = cls(**fields)
-    with pytest.raises(TypeError):
-        hash(value)
-    name = next(iter(fields))
-    setattr(value, name, 7)
-    assert getattr(value, name) == 7
-    assert value != cls(**fields)
-
-
-@pytest.mark.parametrize("cls, fields", ALL, ids=_ids(ALL))
+@pytest.mark.parametrize("cls, fields", FROZEN, ids=_ids(FROZEN))
 def test_repr_names_the_class_and_its_fields(cls, fields):
     value = cls(**fields)
     if cls is Relation:
@@ -163,7 +149,7 @@ def test_repr_names_the_class_and_its_fields(cls, fields):
         assert repr(value) == f"{cls.__name__}({shown})"
 
 
-@pytest.mark.parametrize("cls, fields", ALL, ids=_ids(ALL))
+@pytest.mark.parametrize("cls, fields", FROZEN, ids=_ids(FROZEN))
 def test_copy_and_pickle_rebuild_an_equal_value(cls, fields):
     value = cls(**fields)
     assert copy.copy(value) == value
@@ -208,17 +194,6 @@ def test_qcsp_compares_its_networks_not_its_variable_order():
     edges = {("x", "y"): Relation.of("DC"), ("y", "x"): Relation.of("DC")}
     assert Qcsp(("x", "y"), edges) == Qcsp(("y", "x"), dict(reversed(list(edges.items()))), {})
     assert Qcsp(("x", "y"), edges) != Qcsp(("x", "y"), {})
-
-
-def test_relation_orders_by_mask():
-    relations = [Relation(mask) for mask in (7, 1, 128, 0, 3)]
-    assert [r.mask for r in sorted(relations)] == [0, 1, 3, 7, 128]
-    low, high = Relation(1), Relation(2)
-    assert low < high and low <= high and high > low and high >= low
-    assert low <= Relation(1) and low >= Relation(1)
-    assert not (high < low or high <= low or low > high or low >= high)
-    with pytest.raises(TypeError):
-        low < 2
 
 
 def test_constructors_check_their_fields():
