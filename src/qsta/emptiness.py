@@ -7,10 +7,14 @@ back at matching internal nodes.  The search below builds that tree depth
 first, trying transitions in declared order and directions in signature
 order.  When the root completes, so does the tree, and one consistency
 check of the global constraint network over the internal nodes closes the
-construction.  The search resolves each constraint's chains once, as the
-nodes they reach are registered, and decides that check from its log of
-resolved constraints; ``globalcsp`` rebuilds the same network from a
-finished model for ``check_witness``.
+construction.  The search links each node to its parent, its children
+and, for a leaf, its backnode, and never looks a node up by its word: a
+chain walk whose next child is not built waits on that (node, slot) pair,
+and a backtrack unlinks the nodes it drops.  It resolves each constraint's
+chains once, as the nodes they reach are registered, and decides that
+check from its log of resolved constraints; ``globalcsp`` rebuilds the
+same network from a finished model for ``check_witness``, which checks
+words, not the search's links.
 """
 
 from __future__ import annotations
@@ -171,16 +175,9 @@ class FtmNode(Value):
     backnode: Optional[Word]
     ptpge: FrozenSet[PtpTriple]
 
-    def __init__(
-        self,
-        word: Word,
-        state: str,
-        literals: FrozenSet,
-        constraints: FrozenSet[SpatialConstraint],
-        children: Tuple[Word, ...],
-        backnode: Optional[Word],
-        ptpge: FrozenSet[PtpTriple],
-    ) -> None:
+    def __init__(self, word: Word, state: str, literals: FrozenSet,
+                 constraints: FrozenSet[SpatialConstraint], children: Tuple[Word, ...],
+                 backnode: Optional[Word], ptpge: FrozenSet[PtpTriple]) -> None:
         set_field(self, "word", word)
         set_field(self, "state", state)
         set_field(self, "literals", literals)
@@ -227,13 +224,8 @@ class SearchStats(Value):
     csp_checks: int
     bound_exceeded: bool
 
-    def __init__(
-        self,
-        nodes_created: int = 0,
-        peak_nodes: int = 0,
-        csp_checks: int = 0,
-        bound_exceeded: bool = False,
-    ) -> None:
+    def __init__(self, nodes_created: int = 0, peak_nodes: int = 0, csp_checks: int = 0,
+                 bound_exceeded: bool = False) -> None:
         set_field(self, "nodes_created", nodes_created)
         set_field(self, "peak_nodes", peak_nodes)
         set_field(self, "csp_checks", csp_checks)
@@ -246,44 +238,36 @@ _Signature = Tuple[str, FrozenSet[PtpTriple]]
 
 
 class _SearchNode:
-    """A live node of the search.  ``rank`` is the word as direction slots,
-    so ranks compare in the lexicographic word order.  An internal node
-    keeps its ``picked`` transition and the interned signatures of the
-    children it implies, and ``mark`` holds the lengths of the wait list,
-    log and variable ids right after the node was registered and the walks
-    waiting on its word woke: the state a retract to this node restores
-    before it tries the node's next transition.  A leaf uses none of these,
-    only its ``backnode``."""
+    """A live node of the search at ``word``, linked to its ``parent`` and
+    the direction ``slot`` it fills there; ``rank`` is the word as direction
+    slots, so ranks compare in the lexicographic word order.  A leaf links its
+    ``back`` node and has no children.  An internal node keeps its
+    ``picked`` transition, the interned signatures of the children it
+    implies, its built ``kids`` and, per slot, the walks ``waiting`` for
+    that child (``None`` where there are none), and ``mark`` holds the
+    lengths of the wait list, log and variable ids and the issued count
+    right after the node was registered and the walks waiting on it woke:
+    the state a retract to this node restores before it tries the node's
+    next transition."""
 
-    __slots__ = (
-        "word",
-        "rank",
-        "signature",
-        "state",
-        "ptpge",
-        "backnode",
-        "choice",
-        "picked",
-        "children",
-        "mark",
-    )
+    __slots__ = ("word", "parent", "slot", "rank", "signature", "state", "ptpge", "back",
+                 "kids", "waiting", "choice", "picked", "children", "mark")
 
-    def __init__(
-        self,
-        word: Word,
-        rank: Tuple[int, ...],
-        signature: _Signature,
-        backnode: Optional[Word] = None,
-    ):
+    def __init__(self, word: Word, parent: Optional[_SearchNode], slot: int,
+                 signature: _Signature, back: Optional[_SearchNode] = None):
         self.word = word
-        self.rank = rank
+        self.parent = parent
+        self.slot = slot
+        self.rank = () if parent is None else parent.rank + (slot,)
         self.signature = signature
         self.state, self.ptpge = signature
-        self.backnode = backnode
+        self.back = back
+        self.kids: Optional[List[Optional[_SearchNode]]] = None
+        self.waiting: Optional[List[Optional[List[_Walk]]]] = None
         self.choice = 0
         self.picked: Optional[Transition] = None
         self.children: Sequence[_Signature] = ()
-        self.mark = (0, 0, 0)
+        self.mark = (0, 0, 0, 0)
 
     @property
     def constraints(self) -> FrozenSet[SpatialConstraint]:
@@ -292,20 +276,15 @@ class _SearchNode:
 
 # A network variable of the search: an internal node and a feature.
 _Variable = Tuple[_SearchNode, str]
-# A chain walk waiting on a word: (steps taken, first variable or None,
-# issuing word, constraint), the arguments of ``walk`` after the word.
-_Walk = Tuple[int, Optional[_Variable], Word, SpatialConstraint]
+# A chain walk waiting on a (node, slot) pair: (steps taken, first variable
+# or None, issuing node, constraint), the arguments of ``walk`` after a node.
+_Walk = Tuple[int, Optional[_Variable], _SearchNode, SpatialConstraint]
 
 
 def _witness_bound(size_q: int, met: Metrics, k: int) -> Tuple[int, int]:
     """(internal, leaf) node bounds; zero factors are clamped to one so
     constraint-free automata keep positive bounds."""
-    base = (
-        size_q
-        * max(met.constraint_count, 1)
-        * max(met.chain_length, 1)
-        * met.arity
-    )
+    base = size_q * max(met.constraint_count, 1) * max(met.chain_length, 1) * met.arity
     return base, base * k
 
 
@@ -329,8 +308,11 @@ def ftm_search(
     feature) variables when the last node its chains reach is registered,
     and the check decides the log of resolved constraints.
 
-    The children's signatures depend only on the parent's pending triples
-    and on the constraints and successor states of the transition picked
+    No node is looked up by its word: a live node links to its parent, an
+    internal one to the children built so far and a leaf to its backnode,
+    and chain walks and the fold's cycle search follow those links.  The
+    children's signatures depend only on the parent's pending triples and
+    on the constraints and successor states of the transition picked
     there, so they are computed once per such triple and interned: a
     signature match is an identity hit.
 
@@ -342,11 +324,13 @@ def ftm_search(
     verdict does not depend on the order transitions are declared in.  The
     live nodes are kept in registration order, and the internal ones among
     them are exactly the open decisions, so a retract truncates that list
-    back to the last of them and the resolution state back to that node's
-    mark.  The search's position is one cursor ``(node, j)``, the node
-    whose child in direction slot ``j`` is built next; a complete non-root
-    node hands it to its parent's next slot, and a retract to the advanced
-    node's first slot.
+    back to the last of them, unlinking each dropped node from its parent,
+    and the resolution state back to that node's mark.  The search's
+    position is one cursor ``(node, j)``, the node whose child in direction
+    slot ``j`` is built next; a complete non-root node hands it to its
+    parent's next slot, and a retract to the advanced node's first slot.
+    The search unlinks its live nodes before it returns, so reference
+    counting frees them.
 
     ``max_nodes`` caps the number of live nodes, not the number created
     over the whole search; the default is twice the theoretical witness
@@ -355,6 +339,7 @@ def ftm_search(
     sig = automaton.sig
     k = sig.k
     directions = sig.directions
+    slot_of = {d: j for j, d in enumerate(directions)}
     accepting = automaton.accepting
     met = compute_metrics(automaton)
     internal_bound, leaf_bound = _witness_bound(len(automaton.states), met, k)
@@ -362,7 +347,6 @@ def ftm_search(
     limit = max_nodes if max_nodes is not None else 2 * exact_total
 
     nodes_created = peak_nodes = csp_checks = 0
-    index: Dict[Word, _SearchNode] = {}
     by_signature: Dict[_Signature, _SearchNode] = {}
     # The live nodes in registration order; the internal ones are the open
     # decisions, the most recent last.
@@ -376,73 +360,97 @@ def ftm_search(
 
     # Each issued constraint is resolved once, by walking its chains as
     # ``resolve_variable`` does, and logged as (variable, variable, mask).
-    # A walk whose next word is not registered yet waits on that word, and
-    # ``waits`` records the word of each wait in order.  Registering a word
-    # wakes its walks without removing them: no walk waits on a live word,
-    # and once a retract drops the word its walks wait on it again, as
-    # before it was built.  A retract therefore pops one walk off
-    # ``waiting[word]`` for each wait issued after its mark.  A variable
-    # gets its dense id, its position in ``ids``, when it is first logged,
-    # so the log is the root check's network as it stands; a retract pops
-    # the variables logged after its mark, the last ones ``ids`` holds.
+    # A walk whose next child is not built yet waits on that (node, slot)
+    # pair in the node's ``waiting`` list, and ``waits`` records the list
+    # of each wait in order.  Registering a child wakes its walks without
+    # removing them: no walk waits on a built child, and once a retract
+    # drops the child its walks wait on it again, as before it was built.
+    # A retract therefore pops one walk off the recorded list for each wait
+    # issued after its mark.  A variable gets its dense id, its position in
+    # ``ids``, when it is first logged, so the log is the root check's
+    # network as it stands; a retract pops the variables logged after its
+    # mark, the last ones ``ids`` holds.  A walk logs once, when it ends,
+    # so every chain is resolved when the log has one entry per ``issued``.
     log: List[Tuple[int, int, int]] = []
     ids: Dict[_Variable, int] = {}
-    waiting: Dict[Word, List[_Walk]] = {}
-    waits: List[Word] = []
+    waits: List[List[_Walk]] = []
+    issued = 0
 
-    def walk(
-        word: Word,
-        pos: int,
-        first: Optional[_Variable],
-        origin: Word,
-        constraint: SpatialConstraint,
-    ) -> None:
-        """Walk the constraint's first chain from ``word``, ``pos`` steps
+    def walk(node: _SearchNode, pos: int, first: Optional[_Variable], origin: _SearchNode,
+             constraint: SpatialConstraint) -> None:
+        """Walk the constraint's first chain from ``node``, ``pos`` steps
         in; once it resolves to ``first``, walk the second from ``origin``."""
         chain = constraint.args[0 if first is None else 1]
         while True:
-            node = index.get(word)
-            if node is None:
-                waiting.setdefault(word, []).append((pos, first, origin, constraint))
-                waits.append(word)
-                return
-            if node.backnode is not None:
-                word = node.backnode
+            if node.back is not None:
+                node = node.back
             elif pos < len(chain.path):
-                word += (chain.path[pos],)
+                slot = slot_of[chain.path[pos]]
                 pos += 1
+                kid = node.kids[slot]
+                if kid is None:
+                    walks = node.waiting[slot]
+                    if walks is None:
+                        walks = node.waiting[slot] = []
+                    walks.append((pos, first, origin, constraint))
+                    waits.append(walks)
+                    return
+                node = kid
             elif first is None:
                 first = (node, chain.feature)
-                word, pos, chain = origin, 0, constraint.args[1]
+                node, pos, chain = origin, 0, constraint.args[1]
             else:
                 first_id = ids.setdefault(first, len(ids))
                 second_id = ids.setdefault((node, chain.feature), len(ids))
                 log.append((first_id, second_id, constraint.rel.mask))
                 return
 
+    def closes_rejecting_cycle(parent: _SearchNode, back: _SearchNode) -> bool:
+        """``_closes_rejecting_cycle`` over the live nodes' links."""
+        seen = set()
+        stack = [back]
+        while stack:
+            node = stack.pop()
+            if node in seen or node.state in accepting:
+                continue
+            if node is parent:
+                return True
+            seen.add(node)
+            if node.back is not None:
+                stack.append(node.back)
+            else:
+                stack.extend(kid for kid in node.kids if kid is not None)
+        return False
+
     def stats() -> SearchStats:
         return SearchStats(nodes_created, peak_nodes, csp_checks, peak_nodes > exact_total)
 
     def register(node: _SearchNode) -> None:
         nonlocal nodes_created, peak_nodes
-        size = len(index)
+        size = len(created)
         if size >= limit:
             raise ResourceLimitError(
                 f"search tree exceeded {limit} nodes "
                 f"(witness bound {exact_total}; raise max_nodes to override)"
             )
-        index[node.word] = node
         created.append(node)
         size += 1
         nodes_created += 1
         if size > peak_nodes:
             peak_nodes = size
-        for walk_state in waiting.get(node.word, ()):
-            walk(node.word, *walk_state)
-        if node.backnode is None:
-            node.mark = (len(waits), len(log), len(ids))
+        if node.back is None:
+            node.kids = [None] * k
+            node.waiting = [None] * k
+        parent = node.parent
+        if parent is not None:
+            parent.kids[node.slot] = node
+            for walk_state in parent.waiting[node.slot] or ():
+                walk(node, *walk_state)
+        if node.back is None:
+            node.mark = (len(waits), len(log), len(ids), issued)
 
     def apply_choice(node: _SearchNode) -> bool:
+        nonlocal issued
         choices = automaton.transitions(node.state)
         if node.choice >= len(choices):
             return False
@@ -455,24 +463,22 @@ def ftm_search(
                 signature = (state, backconstraints_step(node, direction))
                 children.append(interned.setdefault(signature, signature))
         node.children = children
+        issued += len(picked.constraints)
         for constraint in picked.constraints:
-            walk(node.word, 0, None, node.word, constraint)
+            walk(node, 0, None, node, constraint)
         return True
 
     def retract() -> Optional[_SearchNode]:
         """Drop the nodes registered after the most recent open decision,
         restore its mark and advance it; return the advanced node, or None
         when the whole space is exhausted."""
+        nonlocal issued
         while created:
             node = created[-1]
-            if node.backnode is None:
-                waits_mark, log_mark, ids_mark = node.mark
+            if node.back is None:
+                waits_mark, log_mark, ids_mark, issued = node.mark
                 while len(waits) > waits_mark:
-                    word = waits.pop()
-                    walks = waiting[word]
-                    walks.pop()
-                    if not walks:
-                        del waiting[word]
+                    waits.pop().pop()
                 del log[log_mark:]
                 while len(ids) > ids_mark:
                     ids.popitem()
@@ -481,53 +487,55 @@ def ftm_search(
                     return node
                 del by_signature[node.signature]
             created.pop()
-            del index[node.word]
+            if node.parent is not None:
+                node.parent.kids[node.slot] = None
         return None
 
     root_signature = (automaton.initial, frozenset())
     interned[root_signature] = root_signature
-    root = _SearchNode((), (), root_signature)
-    register(root)
-    by_signature[root.signature] = root
-    if not apply_choice(root):
-        return None, stats()
-
-    node, j = root, 0
-    while True:
-        if j < k:
-            signature = node.children[j]
-            word = node.word + (directions[j],)
-            rank = node.rank + (j,)
-            match = by_signature.get(signature)
-            if match is None:
-                child = _SearchNode(word, rank, signature)
-                register(child)
-                by_signature[signature] = child
-                if apply_choice(child):
-                    node, j = child, 0
-                    continue
-            else:
-                assert match.rank < rank
-                # A cycle through the backnode passes an accepting state
-                # when the backnode's own state is accepting.
-                if match.state in accepting or not _closes_rejecting_cycle(
-                    automaton, index, node.word, match.word
-                ):
-                    register(_SearchNode(word, rank, signature, match.word))
-                    j += 1
-                    continue
-        elif node.word:
-            node, j = index[node.word[:-1]], node.rank[-1] + 1
-            continue
-        else:
-            assert index.keys() >= waiting.keys(), "a complete tree resolves every chain"
-            csp_checks += 1
-            if masks_consistent(len(ids), log):
-                return _freeze(directions, index), stats()
-        # The configuration is rejected.
-        node, j = retract(), 0
-        if node is None:
+    root = _SearchNode((), None, 0, root_signature)
+    try:
+        register(root)
+        by_signature[root.signature] = root
+        if not apply_choice(root):
             return None, stats()
+
+        node, j = root, 0
+        while True:
+            if j < k:
+                signature = node.children[j]
+                word = node.word + (directions[j],)
+                match = by_signature.get(signature)
+                if match is None:
+                    child = _SearchNode(word, node, j, signature)
+                    register(child)
+                    by_signature[signature] = child
+                    if apply_choice(child):
+                        node, j = child, 0
+                        continue
+                else:
+                    assert match.rank < node.rank + (j,)
+                    # A cycle through the backnode passes an accepting state
+                    # when the backnode's own state is accepting.
+                    if match.state in accepting or not closes_rejecting_cycle(node, match):
+                        register(_SearchNode(word, node, j, signature, match))
+                        j += 1
+                        continue
+            elif node.parent is not None:
+                node, j = node.parent, node.slot + 1
+                continue
+            else:
+                assert len(log) == issued, "a complete tree resolves every chain"
+                csp_checks += 1
+                if masks_consistent(len(ids), log):
+                    return _freeze(directions, created), stats()
+            # The configuration is rejected.
+            node, j = retract(), 0
+            if node is None:
+                return None, stats()
+    finally:
+        for node in created:
+            node.parent = node.back = node.kids = node.waiting = None
 
 
 def _closes_rejecting_cycle(
@@ -536,7 +544,8 @@ def _closes_rejecting_cycle(
     """Whether folding a leaf under ``parent`` onto ``backnode`` closes a
     cycle of the folded run with no accepting state: whether the backnode
     reaches the parent through non-accepting nodes only, where an internal
-    node leads to its children and a leaf to its backnode."""
+    node leads to its children and a leaf to its backnode.  The search has
+    its own walk over links, so ``check_witness`` shares no code with it."""
     seen: set = set()
     stack = [backnode]
     while stack:
@@ -554,17 +563,18 @@ def _closes_rejecting_cycle(
     return False
 
 
-def _freeze(directions: Tuple[str, ...], index: Mapping[Word, _SearchNode]) -> FiniteTreeModel:
+def _freeze(directions: Tuple[str, ...], created: Sequence[_SearchNode]) -> FiniteTreeModel:
     nodes: Dict[Word, FtmNode] = {}
-    for word, node in index.items():
-        internal = node.backnode is None
+    for node in created:
+        word = node.word
+        internal = node.back is None
         nodes[word] = FtmNode(
             word=word,
             state=node.state,
             literals=node.picked.literals if internal else frozenset(),
             constraints=node.picked.constraints if internal else frozenset(),
             children=tuple(word + (d,) for d in directions) if internal else (),
-            backnode=node.backnode,
+            backnode=None if internal else node.back.word,
             ptpge=node.ptpge,
         )
     return FiniteTreeModel(directions=directions, nodes=nodes)
@@ -705,14 +715,8 @@ def scene_from_witness(
 
 
 class BoundsReport(Value):
-    __slots__ = (
-        "internal_count",
-        "leaf_count",
-        "internal_bound",
-        "leaf_bound",
-        "clamped",
-        "duplicate_signatures",
-    )
+    __slots__ = ("internal_count", "leaf_count", "internal_bound", "leaf_bound", "clamped",
+                 "duplicate_signatures")
     internal_count: int
     leaf_count: int
     internal_bound: int
@@ -720,15 +724,9 @@ class BoundsReport(Value):
     clamped: bool
     duplicate_signatures: List[Tuple[str, str]]
 
-    def __init__(
-        self,
-        internal_count: int,
-        leaf_count: int,
-        internal_bound: int,
-        leaf_bound: int,
-        clamped: bool,
-        duplicate_signatures: Optional[List[Tuple[str, str]]] = None,
-    ) -> None:
+    def __init__(self, internal_count: int, leaf_count: int, internal_bound: int,
+                 leaf_bound: int, clamped: bool,
+                 duplicate_signatures: Optional[List[Tuple[str, str]]] = None) -> None:
         set_field(self, "internal_count", internal_count)
         set_field(self, "leaf_count", leaf_count)
         set_field(self, "internal_bound", internal_bound)
@@ -886,13 +884,9 @@ class Decision(Value):
     prefix_defects: List[str]
     stats: Optional[SearchStats]
 
-    def __init__(
-        self,
-        nonempty: bool,
-        witness: Optional[FiniteTreeModel] = None,
-        prefix_defects: Optional[List[str]] = None,
-        stats: Optional[SearchStats] = None,
-    ) -> None:
+    def __init__(self, nonempty: bool, witness: Optional[FiniteTreeModel] = None,
+                 prefix_defects: Optional[List[str]] = None,
+                 stats: Optional[SearchStats] = None) -> None:
         set_field(self, "nonempty", nonempty)
         set_field(self, "witness", witness)
         set_field(self, "prefix_defects", [] if prefix_defects is None else prefix_defects)

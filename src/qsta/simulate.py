@@ -91,8 +91,9 @@ def simulate(
     initial_tag = 1 if automaton.initial in accepting_in else 0
     initial: SimState = frozenset({(automaton.initial, initial_tag)})
 
+    # Every simulation state met so far, in the order met, with its name.
+    names: Dict[SimState, str] = {initial: sim_state_name(initial)}
     order: List[SimState] = [initial]
-    seen = {initial}
     delta: Dict[str, Tuple[Transition, ...]] = {}
     index = 0
     while index < len(order):
@@ -108,7 +109,7 @@ def simulate(
             choice_count *= len(options)
         if choice_count > max_disjuncts:
             raise ResourceLimitError(
-                f"simulation state {sim_state_name(current)} has {choice_count} "
+                f"simulation state {names[current]} has {choice_count} "
                 f"choice functions (limit {max_disjuncts})"
             )
 
@@ -133,29 +134,30 @@ def simulate(
                     (target, 1 if target in accepting_in else 0 if at_breakpoint else tag)
                     for target, tag in tags.items()
                 )
-                if successor not in seen:
-                    if len(seen) >= max_states:
+                name = names.get(successor)
+                if name is None:
+                    if len(names) >= max_states:
                         raise ResourceLimitError(
                             f"more than {max_states} simulation states"
                         )
-                    seen.add(successor)
+                    name = names[successor] = sim_state_name(successor)
                     order.append(successor)
-                succ_names.append(sim_state_name(successor))
+                succ_names.append(name)
 
             transitions[Transition(literals, constraints, tuple(succ_names))] = None
-        delta[sim_state_name(current)] = tuple(transitions)
+        delta[names[current]] = tuple(transitions)
 
-    state_names = tuple(sim_state_name(s) for s in order) + (ACCEPT_ALL_NAME,)
+    state_names = tuple(names.values()) + (ACCEPT_ALL_NAME,)
     delta[ACCEPT_ALL_NAME] = (
         Transition(frozenset(), frozenset(), (ACCEPT_ALL_NAME,) * sig.k),
     )
     accepting_out = frozenset(
-        sim_state_name(s) for s in order if all(tag == 1 for _, tag in s)
+        name for s, name in names.items() if all(tag == 1 for _, tag in s)
     ) | {ACCEPT_ALL_NAME}
     return NondetAutomaton(
         sig=sig,
         states=state_names,
-        initial=sim_state_name(initial),
+        initial=names[initial],
         accepting=accepting_out,
         delta=delta,
         accept_all=ACCEPT_ALL_NAME,

@@ -1,5 +1,6 @@
 """Emptiness search, witness structure, unfolding and serialization."""
 
+import gc
 import hashlib
 import importlib.util
 import json
@@ -701,7 +702,9 @@ SEARCH_OUTCOMES_SHA256 = "e8e766e43915876b8c416541f771e3f70d30f61feae4576b279fc2
 SEARCH_VERDICTS_SHA256 = "72ee19f804e04408a88976b260a2805c8b42a3083d230ecacdbe5340873ffd4f"
 
 
-def _search_outcomes():
+def _pinned_automata():
+    """The corpus, criterion 5 at seed 31337 (both readings), 100
+    random_nondet automata at seed 7 and 12 fallback instances."""
     spec = importlib.util.spec_from_file_location("bench_fallback", FALLBACK)
     fallback = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fallback)
@@ -711,7 +714,11 @@ def _search_outcomes():
     for i in range(12):
         text, _ = fallback.fallback_instance(rng, i)
         automata.append((f"fb-{i}", load_automaton(text)))
-    for name, automaton in automata:
+    return automata
+
+
+def _search_outcomes():
+    for name, automaton in _pinned_automata():
         model, stats = ftm_search(automaton)
         witness = "" if model is None else hashlib.sha256(
             json.dumps(witness_to_json(model), sort_keys=True).encode()
@@ -744,6 +751,20 @@ def test_search_outcomes_are_pinned(search_outcomes):
 def test_search_verdicts_and_witnesses_are_pinned(search_outcomes):
     digest = _outcomes_digest(row[:3] for row in search_outcomes)
     assert digest == SEARCH_VERDICTS_SHA256
+
+
+def test_search_leaves_no_cyclic_garbage():
+    # the search links its nodes both ways and must unlink them before it
+    # returns, so reference counting alone frees every decision's garbage
+    automata = [automaton for _, automaton in _pinned_automata()]
+    gc.collect()
+    gc.disable()
+    try:
+        for automaton in automata:
+            decide(automaton)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_check_witness_implies_a_sound_unfolded_run():
