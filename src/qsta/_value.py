@@ -15,6 +15,12 @@ benchmark workload calls these methods about 1 000 (corpus), 6 300
 140 ns a call (Python 3.11, 2-vCPU VM), a few percent of fallback's and
 generated's time at most: ten benchmark pairs of this design against
 hand-written hot methods read 4% on each, within the benchmark's bounds.
+
+Constructors stay hand-written: one generic ``Value.__init__`` in place of
+18 of them, 86 lines fewer, read over 3 alternating 8 s benchmark pairs
+``generated``'s median instance at 0.0772-0.0799 ms, not 0.0743-0.0752
+(+5%; +16% with keyword arguments at the hot call sites), and ``corpus``
+at 1 395-1 440 instances/s, not 1 484-1 508 (-5%).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ only finite run prefixes are.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import ClassVar, Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple, Union
 
 from . import formula as fm
 from ._value import Value, set_field
@@ -149,21 +149,6 @@ class NondetAutomaton(Value):
 Automaton = Union[AlternatingAutomaton, NondetAutomaton]
 
 
-def _iter_constraints(automaton: Automaton) -> Iterator[SpatialConstraint]:
-    if isinstance(automaton, AlternatingAutomaton):
-        for state in automaton.states:
-            formula = automaton.delta.get(state)
-            if formula is None:
-                continue
-            for gen in fm.generators(formula):
-                if isinstance(gen, fm.Constraint):
-                    yield gen.constraint
-    else:
-        for state in automaton.states:
-            for transition in automaton.delta.get(state, ()):
-                yield from transition.constraints
-
-
 def _check_constraint(
     sig: Signature, constraint: SpatialConstraint, where: str, defects: List[str]
 ) -> None:
@@ -187,6 +172,16 @@ def _check_literal(
         defects.append(f"{where}: unknown concept '{literal.name}'")
 
 
+def _witness_can_carry(kind: str, name: str) -> bool:
+    """Whether a witness (``schemas/witness.schema.json``) can carry a name:
+    a concept must not be empty or start with ``!``, the negation mark;
+    another name must be one word, as a word key joins names by spaces, and
+    a direction or feature holds no ``,``, which splits a constraint's text."""
+    if kind == "concept":
+        return name[:1] not in ("", "!")
+    return name.split() == [name] and (kind == "state" or "," not in name)
+
+
 def validate(automaton: Automaton) -> List[str]:
     """Collect structural defects; an empty list means the automaton is
     well formed."""
@@ -204,6 +199,8 @@ def validate(automaton: Automaton) -> List[str]:
         for name in names:
             if name in seen:
                 defects.append(f"signature: duplicate {kind} '{name}'")
+            elif not _witness_can_carry(kind, name):
+                defects.append(f"signature: {kind} '{name}' cannot be written in a witness")
             seen.add(name)
     pools = {
         "directions": set(sig.directions),
@@ -237,8 +234,8 @@ def validate(automaton: Automaton) -> List[str]:
             for gen in fm.generators(formula):
                 if isinstance(gen, (fm.PosLiteral, fm.NegLiteral)):
                     _check_literal(sig, gen, where, defects)
-                elif isinstance(gen, fm.Constraint):
-                    _check_constraint(sig, gen.constraint, where, defects)
+                elif isinstance(gen, SpatialConstraint):
+                    _check_constraint(sig, gen, where, defects)
                 elif isinstance(gen, fm.Move):
                     if gen.direction not in sig.directions:
                         defects.append(f"{where}: unknown direction '{gen.direction}'")
@@ -283,26 +280,28 @@ class Metrics(Value):
 
     ``constraint_count`` counts distinct constraints, ``chain_length`` is the
     longest chain argument (a bare feature counts 1, empty defaults to 1),
-    and ``arity`` is the constraint arity, fixed at 2 for RCC8.
+    and the class constant ``arity`` is the constraint arity, 2 for RCC8.
     """
 
-    __slots__ = ("constraint_count", "chain_length", "arity")
+    __slots__ = ("constraint_count", "chain_length")
     constraint_count: int
     chain_length: int
-    arity: int
+    arity: ClassVar[int] = 2
 
-    def __init__(self, constraint_count: int, chain_length: int, arity: int = 2) -> None:
+    def __init__(self, constraint_count: int, chain_length: int) -> None:
         set_field(self, "constraint_count", constraint_count)
         set_field(self, "chain_length", chain_length)
-        set_field(self, "arity", arity)
 
 
-def metrics(automaton: Automaton) -> Metrics:
-    constraints = set(_iter_constraints(automaton))
-    chain_length = 1
-    for constraint in constraints:
-        for term in constraint.args:
-            chain_length = max(chain_length, term.length)
+def metrics(automaton: NondetAutomaton) -> Metrics:
+    """The metrics of the constraints on the declared states' transitions."""
+    constraints = {
+        constraint
+        for state in automaton.states
+        for transition in automaton.transitions(state)
+        for constraint in transition.constraints
+    }
+    chain_length = max((term.length for c in constraints for term in c.args), default=1)
     return Metrics(constraint_count=len(constraints), chain_length=chain_length)
 
 

@@ -188,7 +188,7 @@ class _Parser:
             self.expect_punct(">")
             return fm.Move(direction, state)
         if self.at_punct("{") or named and self.at_punct("(", 1):
-            return fm.Constraint(self.constraint())
+            return self.constraint()
         if named or self.at_punct("!"):
             return self.literal()
         raise self.fail("expected a formula")
@@ -422,8 +422,8 @@ def _formula_text(formula: fm.Formula, parent: str = "or") -> str:
         return _literal_text(formula)
     if isinstance(formula, fm.Move):
         return f"<{_name_text(formula.direction)}:{_name_text(formula.state)}>"
-    if isinstance(formula, fm.Constraint):
-        return _constraint_text(formula.constraint)
+    if isinstance(formula, SpatialConstraint):
+        return _constraint_text(formula)
     raise TypeError(f"not a formula: {formula!r}")
 
 

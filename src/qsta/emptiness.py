@@ -164,10 +164,10 @@ def backconstraints_step(parent, direction: str) -> FrozenSet[PtpTriple]:
 
 
 class FtmNode(Value):
-    """One node of a finite tree model; leaves carry a backnode word."""
+    """One node of a finite tree model, which keys it by its word; leaves
+    carry a backnode word."""
 
-    __slots__ = ("word", "state", "literals", "constraints", "children", "backnode", "ptpge")
-    word: Word
+    __slots__ = ("state", "literals", "constraints", "children", "backnode", "ptpge")
     state: str
     literals: FrozenSet
     constraints: FrozenSet[SpatialConstraint]
@@ -175,10 +175,9 @@ class FtmNode(Value):
     backnode: Optional[Word]
     ptpge: FrozenSet[PtpTriple]
 
-    def __init__(self, word: Word, state: str, literals: FrozenSet,
+    def __init__(self, state: str, literals: FrozenSet,
                  constraints: FrozenSet[SpatialConstraint], children: Tuple[Word, ...],
                  backnode: Optional[Word], ptpge: FrozenSet[PtpTriple]) -> None:
-        set_field(self, "word", word)
         set_field(self, "state", state)
         set_field(self, "literals", literals)
         set_field(self, "constraints", constraints)
@@ -238,9 +237,9 @@ _Signature = Tuple[str, FrozenSet[PtpTriple]]
 
 
 class _SearchNode:
-    """A live node of the search at ``word``, linked to its ``parent`` and
-    the direction ``slot`` it fills there; ``rank`` is the word as direction
-    slots, so ranks compare in the lexicographic word order.  A leaf links its
+    """A live node of the search, linked to its ``parent`` and the direction
+    ``slot`` it fills there; ``rank`` is its word as direction slots, so
+    ranks compare in the lexicographic word order.  A leaf links its
     ``back`` node and has no children.  An internal node keeps its
     ``picked`` transition, the interned signatures of the children it
     implies, its built ``kids`` and, per slot, the walks ``waiting`` for
@@ -250,12 +249,11 @@ class _SearchNode:
     the state a retract to this node restores before it tries the node's
     next transition."""
 
-    __slots__ = ("word", "parent", "slot", "rank", "signature", "state", "ptpge", "back",
+    __slots__ = ("parent", "slot", "rank", "signature", "state", "ptpge", "back",
                  "kids", "waiting", "choice", "picked", "children", "mark")
 
-    def __init__(self, word: Word, parent: Optional[_SearchNode], slot: int,
-                 signature: _Signature, back: Optional[_SearchNode] = None):
-        self.word = word
+    def __init__(self, parent: Optional[_SearchNode], slot: int, signature: _Signature,
+                 back: Optional[_SearchNode] = None):
         self.parent = parent
         self.slot = slot
         self.rank = () if parent is None else parent.rank + (slot,)
@@ -493,7 +491,7 @@ def ftm_search(
 
     root_signature = (automaton.initial, frozenset())
     interned[root_signature] = root_signature
-    root = _SearchNode((), None, 0, root_signature)
+    root = _SearchNode(None, 0, root_signature)
     try:
         register(root)
         by_signature[root.signature] = root
@@ -504,10 +502,9 @@ def ftm_search(
         while True:
             if j < k:
                 signature = node.children[j]
-                word = node.word + (directions[j],)
                 match = by_signature.get(signature)
                 if match is None:
-                    child = _SearchNode(word, node, j, signature)
+                    child = _SearchNode(node, j, signature)
                     register(child)
                     by_signature[signature] = child
                     if apply_choice(child):
@@ -518,7 +515,7 @@ def ftm_search(
                     # A cycle through the backnode passes an accepting state
                     # when the backnode's own state is accepting.
                     if match.state in accepting or not closes_rejecting_cycle(node, match):
-                        register(_SearchNode(word, node, j, signature, match))
+                        register(_SearchNode(node, j, signature, match))
                         j += 1
                         continue
             elif node.parent is not None:
@@ -564,17 +561,17 @@ def _closes_rejecting_cycle(
 
 
 def _freeze(directions: Tuple[str, ...], created: Sequence[_SearchNode]) -> FiniteTreeModel:
+    words = {node: tuple([directions[j] for j in node.rank]) for node in created}
     nodes: Dict[Word, FtmNode] = {}
     for node in created:
-        word = node.word
+        word = words[node]
         internal = node.back is None
         nodes[word] = FtmNode(
-            word=word,
             state=node.state,
             literals=node.picked.literals if internal else frozenset(),
             constraints=node.picked.constraints if internal else frozenset(),
             children=tuple(word + (d,) for d in directions) if internal else (),
-            backnode=None if internal else node.back.word,
+            backnode=None if internal else words[node.back],
             ptpge=node.ptpge,
         )
     return FiniteTreeModel(directions=directions, nodes=nodes)
@@ -799,8 +796,6 @@ def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[st
 
     for word, node in model.nodes.items():
         label = "node '" + " ".join(word) + "'"
-        if node.word != word:
-            defects.append(f"{label}: stored word disagrees with its key")
         if word:
             parent = model.nodes.get(word[:-1])
             if parent is None or parent.is_leaf:
@@ -860,13 +855,13 @@ def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[st
         defects.append("global constraint network is inconsistent")
     if not defects:
         bounds = check_bounds(model, compute_metrics(automaton), len(automaton.states))
-        if not bounds.ok:
+        if bounds.internal_count > bounds.internal_bound or bounds.leaf_count > bounds.leaf_bound:
             defects.append(
                 f"node bounds violated (internal {bounds.internal_count}/"
                 f"{bounds.internal_bound}, leaves {bounds.leaf_count}/{bounds.leaf_bound})"
             )
-            for first, second in bounds.duplicate_signatures:
-                defects.append(f"internal nodes '{first}' and '{second}' share a signature")
+        for first, second in bounds.duplicate_signatures:
+            defects.append(f"internal nodes '{first}' and '{second}' share a signature")
     return defects
 
 
@@ -1072,7 +1067,6 @@ def witness_from_json(payload: Dict) -> FiniteTreeModel:
             )
             backnode = _json_field(raw, "backnode", (str, type(None)))
             nodes[word] = FtmNode(
-                word=word,
                 state=_json_field(raw, "state", str),
                 literals=frozenset(
                     fm.parse_literal(t) for t in _json_field(raw, "literals", list, str)

@@ -2,6 +2,7 @@
 
 Formulas are built from four generator kinds (concept literals, negated
 concept literals, spatial constraints, moves) combined with And/Or only.
+A spatial constraint generator is the ``SpatialConstraint`` itself.
 Negation exists solely at the literal level, so every formula is monotone in
 its generators and has a DNF that is unique once duplicate and superset
 disjuncts are removed and the remainder is sorted canonically.
@@ -19,7 +20,6 @@ from .terms import SpatialConstraint
 __all__ = [
     "PosLiteral",
     "NegLiteral",
-    "Constraint",
     "Move",
     "And",
     "Or",
@@ -53,14 +53,6 @@ class NegLiteral(Value):
         set_field(self, "name", name)
 
 
-class Constraint(Value):
-    __slots__ = ("constraint",)
-    constraint: SpatialConstraint
-
-    def __init__(self, constraint: SpatialConstraint) -> None:
-        set_field(self, "constraint", constraint)
-
-
 class Move(Value):
     __slots__ = ("direction", "state")
     direction: str
@@ -71,7 +63,7 @@ class Move(Value):
         set_field(self, "state", state)
 
 
-Generator = Union[PosLiteral, NegLiteral, Constraint, Move]
+Generator = Union[PosLiteral, NegLiteral, SpatialConstraint, Move]
 
 
 class And(Value):
@@ -94,7 +86,7 @@ class Or(Value):
             raise ValueError("Or needs at least one child")
 
 
-Formula = Union[And, Or, PosLiteral, NegLiteral, Constraint, Move]
+Formula = Union[And, Or, PosLiteral, NegLiteral, SpatialConstraint, Move]
 
 
 def encode_generator(gen: Generator) -> str:
@@ -103,8 +95,8 @@ def encode_generator(gen: Generator) -> str:
         return gen.name
     if isinstance(gen, NegLiteral):
         return "!" + gen.name
-    if isinstance(gen, Constraint):
-        return gen.constraint.encode()
+    if isinstance(gen, SpatialConstraint):
+        return gen.encode()
     if isinstance(gen, Move):
         return f"<{gen.direction}:{gen.state}>"
     raise TypeError(f"not a generator: {gen!r}")
@@ -161,18 +153,13 @@ class Disjunct(Value):
     @staticmethod
     def from_generators(gens: FrozenSet[Generator]) -> "Disjunct":
         literals = frozenset(g for g in gens if isinstance(g, (PosLiteral, NegLiteral)))
-        constraints = frozenset(
-            g.constraint for g in gens if isinstance(g, Constraint)
-        )
+        constraints = frozenset(g for g in gens if isinstance(g, SpatialConstraint))
         moves = frozenset(g for g in gens if isinstance(g, Move))
         return Disjunct(literals, constraints, moves)
 
     @property
     def generators(self) -> FrozenSet[Generator]:
-        gens: List[Generator] = list(self.literals)
-        gens.extend(Constraint(c) for c in self.constraints)
-        gens.extend(self.moves)
-        return frozenset(gens)
+        return self.literals | self.constraints | self.moves
 
 
 def _expand(formula: Formula, cap: int) -> List[FrozenSet[Generator]]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 from typing import Dict, FrozenSet, List, Tuple
 
-import qsta
 from qsta import (
     AlternatingAutomaton,
     ChainTerm,
@@ -146,7 +145,7 @@ def random_alternating(
         if roll < 0.85:
             return NegLiteral(rng.choice(_CONCEPTS))
         if allow_constraints and roll < 0.95:
-            return qsta.Constraint(_random_constraint(rng, sig))
+            return _random_constraint(rng, sig)
         return Move(rng.choice(sig.directions), rng.choice(states))
 
     def formula(depth: int) -> Formula:
@@ -189,7 +188,7 @@ def random_nondet_shaped(
                 PosLiteral(concept) if rng.random() < 0.7 else NegLiteral(concept)
             )
         if allow_constraints and rng.random() < 0.3:
-            parts.append(qsta.Constraint(_random_constraint(rng, sig)))
+            parts.append(_random_constraint(rng, sig))
         for d in sig.directions:
             parts.append(Move(d, rng.choice(states)))
         return And(tuple(parts)) if len(parts) > 1 else parts[0]
@@ -224,8 +223,8 @@ def direct_reading(automaton: AlternatingAutomaton) -> NondetAutomaton:
             for part in parts:
                 if isinstance(part, (PosLiteral, NegLiteral)):
                     literals.append(part)
-                elif isinstance(part, qsta.Constraint):
-                    constraints.append(part.constraint)
+                elif isinstance(part, SpatialConstraint):
+                    constraints.append(part)
                 elif isinstance(part, Move):
                     assert part.direction not in moves, "not nondet-shaped"
                     moves[part.direction] = part.state

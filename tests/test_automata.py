@@ -150,6 +150,38 @@ def test_validate_accept_all_contract():
     assert any("empty self loop" in d for d in validate(wrong_loop))
 
 
+def test_validate_accept_all_names_a_declared_state():
+    a = nondet({"q0": (loop_transition("q0", "q0"),)}, accept_all="sink")
+    assert validate(a) == ["acceptall: unknown state 'sink'"]
+
+
+def test_validate_reports_names_a_witness_cannot_carry():
+    sig = Signature(("d1", "d 1", "d,2"), ("A", "!A", ""), ("g", "g,h", "g h"))
+    states = ("q0", "q 1", "")
+    expected = [
+        "signature: direction 'd 1' cannot be written in a witness",
+        "signature: direction 'd,2' cannot be written in a witness",
+        "signature: concept '!A' cannot be written in a witness",
+        "signature: concept '' cannot be written in a witness",
+        "signature: feature 'g,h' cannot be written in a witness",
+        "signature: feature 'g h' cannot be written in a witness",
+        "signature: state 'q 1' cannot be written in a witness",
+        "signature: state '' cannot be written in a witness",
+    ]
+    assert validate(nondet({}, states=states, sig=sig)) == expected
+    alternating = AlternatingAutomaton(
+        sig=sig,
+        states=states,
+        initial="q0",
+        accepting=frozenset({"q0"}),
+        delta={state: fm.Move("d1", "q0") for state in states},
+    )
+    assert validate(alternating) == expected
+    # simulated state names hold commas, colons, braces and '#'
+    simulated = ("{a:0,b:1}", "#", "a:0,b", "{a\\,b:1}")
+    assert validate(nondet({}, states=simulated, accepting=simulated)) == []
+
+
 def test_validate_alternating_missing_formula_and_bad_names():
     a = AlternatingAutomaton(
         sig=sig2(),
@@ -198,7 +230,7 @@ def test_metrics_single_long_chain():
         succ=("q0", "q0"),
     )
     a = nondet({"q0": (t,)})
-    assert metrics(a) == Metrics(constraint_count=1, chain_length=3, arity=2)
+    assert metrics(a) == Metrics(constraint_count=1, chain_length=3)
 
 
 def test_metrics_counts_distinct_constraints_across_states():
@@ -206,12 +238,12 @@ def test_metrics_counts_distinct_constraints_across_states():
     t1 = Transition(frozenset(), frozenset({shared, constraint("TPP", "g", "d1 g")}), ("q0", "q0"))
     t2 = Transition(frozenset(), frozenset({shared}), ("q0", "q0"))
     a = nondet({"q0": (t1, t2)})
-    assert metrics(a) == Metrics(constraint_count=2, chain_length=2, arity=2)
+    assert metrics(a) == Metrics(constraint_count=2, chain_length=2)
 
 
 def test_metrics_constraint_free():
     a = nondet({"q0": (loop_transition("q0", "q0"),)})
-    assert metrics(a) == Metrics(constraint_count=0, chain_length=1, arity=2)
+    assert metrics(a) == Metrics(constraint_count=0, chain_length=1)
 
 
 # -- run prefixes ---------------------------------------------------------

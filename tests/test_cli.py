@@ -292,6 +292,71 @@ def test_emptiness_tells_apart_states_named_with_commas_and_colons(tmp_path, cap
     assert capsys.readouterr().out == "ok\n"
 
 
+# Names that the witness format cannot carry: (directions, concepts, L, X,
+# succ) of a one-state automaton, and the defect validate reports.  Each
+# would decide not-empty and write a witness its own check-witness rejects.
+UNWRITABLE_NAMES = {
+    "comma": ('"d,1"', "", "", 'EQ("d,1" g, g)', "q", "direction 'd,1'"),
+    "space": ('"d 1"', "", "", "", "q", "direction 'd 1'"),
+    "empty": ('"" d2', "", "", "", "q, q", "direction ''"),
+    "negation": ("d1", '"!A"', '"!A"', "", "q", "concept '!A'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_NAMES))
+def test_names_a_witness_cannot_carry_are_defects(case, tmp_path, capsys):
+    directions, concepts, literals, constraints, succ, name = UNWRITABLE_NAMES[case]
+    path = tmp_path / f"{case}.aut"
+    path.write_text(
+        f"nondet {{\n  directions: {directions};\n  concepts: {concepts};\n"
+        "  features: g;\n  states: q;\n  initial: q;\n  accepting: q;\n"
+        f"  delta q -> {{ L={{{literals}}}; X={{{constraints}}}; succ=({succ}) }};\n}}\n"
+    )
+    defect = f"signature: {name} cannot be written in a witness"
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == defect + "\n"
+    assert main(["emptiness", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{path}: {defect}\nerror: {path}: automaton is not well formed\n"
+    )
+
+
+def _self_loop_witness(tmp_path, capsys):
+    w = tmp_path / "w.json"
+    assert main(["emptiness", corpus("self_loop"), "--witness", str(w)]) == 0
+    capsys.readouterr()
+    return w, json.loads(w.read_text())
+
+
+def test_check_witness_reports_pending_triples_at_the_root(tmp_path, capsys):
+    w, payload = _self_loop_witness(tmp_path, capsys)
+    payload["nodes"][""]["ptpge"] = [
+        {"constraint": "EQ(d1 g, g)", "argIndex": 1, "remainingChain": "g"}
+    ]
+    w.write_text(json.dumps(payload))
+    assert main(["check-witness", corpus("self_loop"), str(w)]) == 1
+    assert capsys.readouterr().out == (
+        "root has pending triples\n"
+        "node 'd1': backnode signature differs\n"
+        "node 'd2': backnode signature differs\n"
+    )
+
+
+def test_check_witness_reports_a_shared_signature_within_the_bounds(tmp_path, capsys):
+    # Leaf d1 becomes an internal copy of the root whose children fold back
+    # to it: 2 internal nodes and 3 leaves, within the bounds 2 and 4.
+    w, payload = _self_loop_witness(tmp_path, capsys)
+    nodes = payload["nodes"]
+    nodes["d1"] = dict(nodes[""], children=["d1 d1", "d1 d2"])
+    nodes["d1 d1"] = nodes["d1 d2"] = nodes["d2"]
+    payload["height"] = 2
+    w.write_text(json.dumps(payload))
+    assert main(["check-witness", corpus("self_loop"), str(w)]) == 1
+    assert capsys.readouterr().out == "internal nodes '' and 'd1' share a signature\n"
+
+
 def test_check_witness_flags_tampering(tmp_path, capsys):
     w = tmp_path / "w.json"
     main(["emptiness", corpus("eq_loop"), "--witness", str(w)])

@@ -354,7 +354,7 @@ def test_alternating_constraint_with_relation_set():
         "  delta q0 -> {TPP,NTPP}(d1 g, h) & <d1:q0>;\n}\n"
     )
     body = automaton.delta["q0"]
-    constraint = body.children[0].constraint
+    constraint = body.children[0]
     assert str(constraint.rel) == "{TPP,NTPP}"
     assert constraint.args[0].path == ("d1",)
     assert constraint.args[1].feature == "h"
@@ -413,6 +413,15 @@ def test_acceptall_is_rejected_in_alternating_documents():
     )
     assert e.bare_message == "section 'acceptall' applies only to nondet automata"
     assert (e.line, e.column) == (8, 3)
+
+
+def test_acceptall_needs_exactly_one_name():
+    e = err(
+        "nondet { directions: d1; features: g; states: q0 q1;"
+        " initial: q0; accepting: q0; acceptall: q0 q1; }"
+    )
+    assert e.bare_message == "section 'acceptall' needs exactly one name"
+    assert (e.line, e.column) == (1, 1)
 
 
 def test_transition_order_is_preserved():

@@ -123,7 +123,6 @@ def test_ptp_triple_origin_recovers_issuing_node():
 def test_backconstraints_step_from_root_constraint():
     c = parse_constraint("TPP(g, d1 d2 h)")
     root = FtmNode(
-        word=(),
         state="q0",
         literals=frozenset(),
         constraints=frozenset({c}),
@@ -140,7 +139,6 @@ def test_backconstraints_step_from_root_constraint():
 def test_backconstraints_step_advances_pending_triples():
     c = parse_constraint("TPP(g, d1 d2 h)")
     child = FtmNode(
-        word=("d1",),
         state="q0",
         literals=frozenset(),
         constraints=frozenset(),
@@ -157,7 +155,6 @@ def test_backconstraints_step_advances_pending_triples():
 def test_backconstraints_step_bare_feature_triple_dies():
     c = parse_constraint("EQ(g, d1 g)")
     node = FtmNode(
-        word=("d1",),
         state="q0",
         literals=frozenset(),
         constraints=frozenset(),
@@ -347,9 +344,9 @@ def test_resolve_variable_rejects_backnode_cycles():
     bad = FiniteTreeModel(
         directions=("d1", "d2"),
         nodes={
-            (): FtmNode((), "q0", frozenset(), frozenset(), (("d1",), ("d2",)), None, frozenset()),
-            ("d1",): FtmNode(("d1",), "q0", frozenset(), frozenset(), (), ("d2",), frozenset()),
-            ("d2",): FtmNode(("d2",), "q0", frozenset(), frozenset(), (), ("d1",), frozenset()),
+            (): FtmNode("q0", frozenset(), frozenset(), (("d1",), ("d2",)), None, frozenset()),
+            ("d1",): FtmNode("q0", frozenset(), frozenset(), (), ("d2",), frozenset()),
+            ("d2",): FtmNode("q0", frozenset(), frozenset(), (), ("d1",), frozenset()),
         },
     )
     with pytest.raises(MalformedModelError):
@@ -531,9 +528,9 @@ def test_check_witness_flags_label_tampering():
 def test_check_witness_flags_rejecting_ancestor_loop():
     automaton = corpus_automaton("no_accept")
     nodes = {
-        (): FtmNode((), "q0", frozenset(), frozenset(), (("d1",), ("d2",)), None, frozenset()),
-        ("d1",): FtmNode(("d1",), "q0", frozenset(), frozenset(), (), (), frozenset()),
-        ("d2",): FtmNode(("d2",), "q0", frozenset(), frozenset(), (), (), frozenset()),
+        (): FtmNode("q0", frozenset(), frozenset(), (("d1",), ("d2",)), None, frozenset()),
+        ("d1",): FtmNode("q0", frozenset(), frozenset(), (), (), frozenset()),
+        ("d2",): FtmNode("q0", frozenset(), frozenset(), (), (), frozenset()),
     }
     model = FiniteTreeModel(("d1", "d2"), nodes)
     defects = check_witness(automaton, model)
@@ -565,11 +562,11 @@ def test_check_witness_flags_inconsistent_network():
         {PtpTriple(c_dc, 2, parse_chain("g")), PtpTriple(c_eq, 2, parse_chain("g"))}
     )
     nodes = {
-        (): FtmNode((), "q0", frozenset(), cs, (("d1",), ("d2",)), None, frozenset()),
-        ("d1",): FtmNode(("d1",), "q0", frozenset(), cs, (("d1", "d1"), ("d1", "d2")), None, step),
-        ("d2",): FtmNode(("d2",), "q0", frozenset(), frozenset(), (), (), frozenset()),
-        ("d1", "d1"): FtmNode(("d1", "d1"), "q0", frozenset(), frozenset(), (), ("d1",), step),
-        ("d1", "d2"): FtmNode(("d1", "d2"), "q0", frozenset(), frozenset(), (), (), frozenset()),
+        (): FtmNode("q0", frozenset(), cs, (("d1",), ("d2",)), None, frozenset()),
+        ("d1",): FtmNode("q0", frozenset(), cs, (("d1", "d1"), ("d1", "d2")), None, step),
+        ("d2",): FtmNode("q0", frozenset(), frozenset(), (), (), frozenset()),
+        ("d1", "d1"): FtmNode("q0", frozenset(), frozenset(), (), ("d1",), step),
+        ("d1", "d2"): FtmNode("q0", frozenset(), frozenset(), (), (), frozenset()),
     }
     model = FiniteTreeModel(("d1", "d2"), nodes)
     defects = check_witness(automaton, model)

@@ -12,7 +12,6 @@ from gen_random import eval_formula, random_monotone_formula
 from qsta import ChainTerm, ResourceLimitError, SpatialConstraint, parse_relation
 from qsta.formula import (
     And,
-    Constraint,
     Move,
     NegLiteral,
     Or,
@@ -29,11 +28,9 @@ def lit(name):
 
 
 def tpp_g_d1h():
-    return Constraint(
-        SpatialConstraint(
-            rel=parse_relation("TPP"),
-            args=(ChainTerm((), "g"), ChainTerm(("d1",), "h")),
-        )
+    return SpatialConstraint(
+        rel=parse_relation("TPP"),
+        args=(ChainTerm((), "g"), ChainTerm(("d1",), "h")),
     )
 
 

@@ -119,7 +119,7 @@ def test_simulate_literals_and_constraints_carried_over():
             "q0": fm.And(
                 (
                     fm.PosLiteral("A"),
-                    fm.Constraint(c),
+                    c,
                     fm.Move("d1", "q0"),
                     fm.Move("d2", "q0"),
                 )

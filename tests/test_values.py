@@ -10,7 +10,6 @@ from qsta import (
     AlternatingAutomaton,
     And,
     ChainTerm,
-    Constraint,
     Decision,
     Disjunct,
     FiniteTreeModel,
@@ -42,8 +41,8 @@ LITERALS = frozenset({PosLiteral("A"), NegLiteral("B")})
 SIG = Signature(("d1", "d2"), ("A", "B"), ("g",))
 STEP = Transition(LITERALS, frozenset({TPP}), ("q", "q"))
 TRIPLE = PtpTriple(TPP, 1, G)
-LEAF = FtmNode(("d1",), "q", frozenset(), frozenset(), (), (), frozenset({TRIPLE}))
-ROOT = FtmNode((), "q", LITERALS, frozenset({TPP}), (("d1",),), None, frozenset())
+LEAF = FtmNode("q", frozenset(), frozenset(), (), (), frozenset({TRIPLE}))
+ROOT = FtmNode("q", LITERALS, frozenset({TPP}), (("d1",),), None, frozenset())
 SCENE = Qcsp(((("d1",), "g"), ((), "g")), {}, {})
 RUN = RunNode("q", LITERALS, frozenset({TPP}))
 
@@ -54,7 +53,6 @@ FROZEN = [
     (SpatialConstraint, {"rel": Relation.of("EQ"), "args": (G, D1G)}),
     (PosLiteral, {"name": "A"}),
     (NegLiteral, {"name": "A"}),
-    (Constraint, {"constraint": TPP}),
     (Move, {"direction": "d1", "state": "q"}),
     (And, {"children": (PosLiteral("A"), Move("d1", "q"))}),
     (Or, {"children": (PosLiteral("A"), Move("d1", "q"))}),
@@ -71,7 +69,7 @@ FROZEN = [
         {"sig": SIG, "states": ("q",), "initial": "q", "accepting": frozenset({"q"}),
          "delta": {"q": (STEP,)}, "accept_all": "q"},
     ),
-    (Metrics, {"constraint_count": 3, "chain_length": 2, "arity": 2}),
+    (Metrics, {"constraint_count": 3, "chain_length": 2}),
     (RunNode, {"state": "q", "literals": LITERALS, "constraints": frozenset({TPP}), "children": (RUN, RUN)}),
     (RunPrefix, {"k": 2, "depth": 1, "root": RUN}),
     (SceneNode, {"concepts": frozenset({"A"}), "scene": SCENE, "children": ()}),
@@ -80,7 +78,7 @@ FROZEN = [
     (PtpTriple, {"constraint": TPP, "arg_index": 1, "remaining": G}),
     (
         FtmNode,
-        {"word": (), "state": "q", "literals": LITERALS, "constraints": frozenset({TPP}),
+        {"state": "q", "literals": LITERALS, "constraints": frozenset({TPP}),
          "children": (("d1",),), "backnode": None, "ptpge": frozenset({TRIPLE})},
     ),
     (FiniteTreeModel, {"directions": ("d1",), "nodes": {(): ROOT, ("d1",): LEAF}}),
@@ -158,7 +156,7 @@ def test_copy_and_pickle_rebuild_an_equal_value(cls, fields):
 
 
 def test_defaults():
-    assert Metrics(1, 2) == Metrics(1, 2, 2)
+    assert Metrics(1, 2).arity == 2
     assert RunNode("q", frozenset(), frozenset()).children == ()
     assert SceneNode(frozenset(), SCENE).children == ()
     assert NondetAutomaton(SIG, ("q",), "q", frozenset(), {}).accept_all is None
