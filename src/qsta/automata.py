@@ -95,11 +95,13 @@ class AlternatingAutomaton(Value):
         accepting: FrozenSet[str],
         delta: Mapping[str, fm.Formula],
     ) -> None:
-        set_field(self, "sig", sig)
-        set_field(self, "states", states)
-        set_field(self, "initial", initial)
-        set_field(self, "accepting", accepting)
-        set_field(self, "delta", delta)
+        set_field(self, "__class__", self._open)
+        self.sig = sig
+        self.states = states
+        self.initial = initial
+        self.accepting = accepting
+        self.delta = delta
+        self.__class__ = AlternatingAutomaton
 
 
 class NondetAutomaton(Value):
@@ -123,12 +125,14 @@ class NondetAutomaton(Value):
         delta: Mapping[str, Tuple[Transition, ...]],
         accept_all: Optional[str] = None,
     ) -> None:
-        set_field(self, "sig", sig)
-        set_field(self, "states", states)
-        set_field(self, "initial", initial)
-        set_field(self, "accepting", accepting)
-        set_field(self, "delta", delta)
-        set_field(self, "accept_all", accept_all)
+        set_field(self, "__class__", self._open)
+        self.sig = sig
+        self.states = states
+        self.initial = initial
+        self.accepting = accepting
+        self.delta = delta
+        self.accept_all = accept_all
+        self.__class__ = NondetAutomaton
 
     def transitions(self, state: str) -> Tuple[Transition, ...]:
         return self.delta.get(state, ())
@@ -138,12 +142,14 @@ class NondetAutomaton(Value):
     ) -> bool:
         """Whether a transition of ``state`` carries exactly these literals,
         constraints and (unless ``succ`` is None) successor states."""
-        return any(
-            t.literals == literals
-            and t.constraints == constraints
-            and (succ is None or t.succ == succ)
-            for t in self.transitions(state)
-        )
+        for t in self.transitions(state):
+            if (
+                t.literals == literals
+                and t.constraints == constraints
+                and (succ is None or t.succ == succ)
+            ):
+                return True
+        return False
 
 
 Automaton = Union[AlternatingAutomaton, NondetAutomaton]
@@ -172,14 +178,20 @@ def _check_literal(
         defects.append(f"{where}: unknown concept '{literal.name}'")
 
 
+# Characters a one-word name of each kind cannot hold in a witness: ``,``
+# splits a constraint's text, and the schema's ``name`` pattern, which types
+# directions and states, forbids ``"``.
+_NOT_IN_WITNESS = {"direction": ',"', "feature": ",", "state": '"'}
+
+
 def _witness_can_carry(kind: str, name: str) -> bool:
     """Whether a witness (``schemas/witness.schema.json``) can carry a name:
     a concept must not be empty or start with ``!``, the negation mark;
     another name must be one word, as a word key joins names by spaces, and
-    a direction or feature holds no ``,``, which splits a constraint's text."""
+    hold none of its kind's ``_NOT_IN_WITNESS`` characters."""
     if kind == "concept":
         return name[:1] not in ("", "!")
-    return name.split() == [name] and (kind == "state" or "," not in name)
+    return name.split() == [name] and not any(c in name for c in _NOT_IN_WITNESS[kind])
 
 
 def validate(automaton: Automaton) -> List[str]:
@@ -323,10 +335,12 @@ class RunNode(Value):
         constraints: FrozenSet[SpatialConstraint],
         children: Tuple["RunNode", ...] = (),
     ) -> None:
-        set_field(self, "state", state)
-        set_field(self, "literals", literals)
-        set_field(self, "constraints", constraints)
-        set_field(self, "children", children)
+        set_field(self, "__class__", self._open)
+        self.state = state
+        self.literals = literals
+        self.constraints = constraints
+        self.children = children
+        self.__class__ = RunNode
 
 
 class RunPrefix(Value):

@@ -12,14 +12,14 @@ and, for a leaf, its backnode, and never looks a node up by its word: a
 chain walk whose next child is not built waits on that (node, slot) pair,
 and a backtrack unlinks the nodes it drops.  It resolves each constraint's
 chains once, as the nodes they reach are registered, and decides that
-check from its log of resolved constraints; ``globalcsp`` rebuilds the
-same network from a finished model for ``check_witness``, which checks
-words, not the search's links.
+check from its log of resolved constraints.  ``check_witness`` and
+``globalcsp`` resolve the same network from a finished model's words, and
+check words, not the search's links.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from . import formula as fm
 from ._value import Value, set_field
@@ -38,8 +38,8 @@ from .relalg import (
     EQ_RELATION,
     Qcsp,
     QcspBuilder,
+    Relation,
     consistent_scenario,
-    is_consistent,
     masks_consistent,
 )
 from .terms import ChainTerm, SpatialConstraint, parse_chain, parse_constraint
@@ -71,20 +71,24 @@ Word = Tuple[str, ...]
 
 class WordOrder:
     """Prefix and lexicographic order on node words for a fixed direction
-    order d_1 < ... < d_k (the declaration order, not alphabetical)."""
+    order d_1 < ... < d_k (the declaration order, not alphabetical).  A
+    comparison that meets another name raises ValueError."""
 
     def __init__(self, directions: Sequence[str]):
         self.directions = tuple(directions)
-        self._rank = {d: i for i, d in enumerate(self.directions)}
 
     def key(self, word: Word) -> Tuple[int, ...]:
-        return tuple(self._rank[d] for d in word)
+        return tuple(map(self.directions.index, word))
 
     def lex_lt(self, left: Word, right: Word) -> bool:
-        return self.key(left) < self.key(right)
+        """``key(left) < key(right)``, decided at the first difference."""
+        for a, b in zip(left, right):
+            if a != b:
+                return self.directions.index(a) < self.directions.index(b)
+        return len(left) < len(right)
 
     def lex_le(self, left: Word, right: Word) -> bool:
-        return self.key(left) <= self.key(right)
+        return not self.lex_lt(right, left)
 
     @staticmethod
     def is_strict_prefix(left: Word, right: Word) -> bool:
@@ -178,12 +182,14 @@ class FtmNode(Value):
     def __init__(self, state: str, literals: FrozenSet,
                  constraints: FrozenSet[SpatialConstraint], children: Tuple[Word, ...],
                  backnode: Optional[Word], ptpge: FrozenSet[PtpTriple]) -> None:
-        set_field(self, "state", state)
-        set_field(self, "literals", literals)
-        set_field(self, "constraints", constraints)
-        set_field(self, "children", children)
-        set_field(self, "backnode", backnode)
-        set_field(self, "ptpge", ptpge)
+        set_field(self, "__class__", self._open)
+        self.state = state
+        self.literals = literals
+        self.constraints = constraints
+        self.children = children
+        self.backnode = backnode
+        self.ptpge = ptpge
+        self.__class__ = FtmNode
 
     @property
     def is_leaf(self) -> bool:
@@ -225,10 +231,12 @@ class SearchStats(Value):
 
     def __init__(self, nodes_created: int = 0, peak_nodes: int = 0, csp_checks: int = 0,
                  bound_exceeded: bool = False) -> None:
-        set_field(self, "nodes_created", nodes_created)
-        set_field(self, "peak_nodes", peak_nodes)
-        set_field(self, "csp_checks", csp_checks)
-        set_field(self, "bound_exceeded", bound_exceeded)
+        set_field(self, "__class__", self._open)
+        self.nodes_created = nodes_created
+        self.peak_nodes = peak_nodes
+        self.csp_checks = csp_checks
+        self.bound_exceeded = bound_exceeded
+        self.__class__ = SearchStats
 
 
 # A search node's signature: its state and pending triples.  The search
@@ -286,6 +294,17 @@ def _witness_bound(size_q: int, met: Metrics, k: int) -> Tuple[int, int]:
     return base, base * k
 
 
+def _bound_total(automaton: NondetAutomaton, met: Metrics) -> int:
+    """The witness bound on all nodes, internal and leaves, under ``met``."""
+    return sum(_witness_bound(len(automaton.states), met, automaton.sig.k))
+
+
+# Metrics whose factors all sit at the clamp: the bound over them is the
+# floor of every automaton's bound with the same states and directions, so
+# node counts within it are within the bound without computing ``metrics``.
+_FLOOR_METRICS = Metrics(0, 0)
+
+
 def ftm_search(
     automaton: NondetAutomaton, *, max_nodes: Optional[int] = None
 ) -> Tuple[Optional[FiniteTreeModel], SearchStats]:
@@ -332,17 +351,22 @@ def ftm_search(
 
     ``max_nodes`` caps the number of live nodes, not the number created
     over the whole search; the default is twice the theoretical witness
-    bound.
+    bound.  The bound is computed, from the automaton's metrics, only once
+    the live tree outgrows its floor (the bound with every metric factor at
+    one): a smaller search can neither reach the default cap nor exceed
+    the bound.  A complete tree whose log holds no constraint passes its
+    check without the solver, as the empty network is consistent; the
+    check still counts in ``csp_checks``.
     """
     sig = automaton.sig
     k = sig.k
     directions = sig.directions
-    slot_of = {d: j for j, d in enumerate(directions)}
+    # Direction slots by name, for the chain walks: built at the first one.
+    slot_of: Optional[Dict[str, int]] = None
     accepting = automaton.accepting
-    met = compute_metrics(automaton)
-    internal_bound, leaf_bound = _witness_bound(len(automaton.states), met, k)
-    exact_total = internal_bound + leaf_bound
-    limit = max_nodes if max_nodes is not None else 2 * exact_total
+    floor_total = _bound_total(automaton, _FLOOR_METRICS)
+    exact_total: Optional[int] = None
+    limit = max_nodes if max_nodes is not None else 2 * floor_total
 
     nodes_created = peak_nodes = csp_checks = 0
     by_signature: Dict[_Signature, _SearchNode] = {}
@@ -420,17 +444,21 @@ def ftm_search(
                 stack.extend(kid for kid in node.kids if kid is not None)
         return False
 
-    def stats() -> SearchStats:
-        return SearchStats(nodes_created, peak_nodes, csp_checks, peak_nodes > exact_total)
-
     def register(node: _SearchNode) -> None:
-        nonlocal nodes_created, peak_nodes
+        nonlocal nodes_created, peak_nodes, limit, exact_total
         size = len(created)
         if size >= limit:
-            raise ResourceLimitError(
-                f"search tree exceeded {limit} nodes "
-                f"(witness bound {exact_total}; raise max_nodes to override)"
-            )
+            # The limit sits at its floor or at the cap: lift a default one
+            # to twice the witness bound, then fail if the tree is still at it.
+            if exact_total is None:
+                exact_total = _bound_total(automaton, compute_metrics(automaton))
+                if max_nodes is None:
+                    limit = 2 * exact_total
+            if size >= limit:
+                raise ResourceLimitError(
+                    f"search tree exceeded {limit} nodes "
+                    f"(witness bound {exact_total}; raise max_nodes to override)"
+                )
         created.append(node)
         size += 1
         nodes_created += 1
@@ -448,7 +476,7 @@ def ftm_search(
             node.mark = (len(waits), len(log), len(ids), issued)
 
     def apply_choice(node: _SearchNode) -> bool:
-        nonlocal issued
+        nonlocal issued, slot_of
         choices = automaton.transitions(node.state)
         if node.choice >= len(choices):
             return False
@@ -461,9 +489,12 @@ def ftm_search(
                 signature = (state, backconstraints_step(node, direction))
                 children.append(interned.setdefault(signature, signature))
         node.children = children
-        issued += len(picked.constraints)
-        for constraint in picked.constraints:
-            walk(node, 0, None, node, constraint)
+        if picked.constraints:
+            if slot_of is None:
+                slot_of = {d: j for j, d in enumerate(directions)}
+            issued += len(picked.constraints)
+            for constraint in picked.constraints:
+                walk(node, 0, None, node, constraint)
         return True
 
     def retract() -> Optional[_SearchNode]:
@@ -492,14 +523,13 @@ def ftm_search(
     root_signature = (automaton.initial, frozenset())
     interned[root_signature] = root_signature
     root = _SearchNode(None, 0, root_signature)
+    model: Optional[FiniteTreeModel] = None
     try:
         register(root)
         by_signature[root.signature] = root
-        if not apply_choice(root):
-            return None, stats()
-
-        node, j = root, 0
-        while True:
+        node: Optional[_SearchNode] = root if apply_choice(root) else None
+        j = 0
+        while node is not None:
             if j < k:
                 signature = node.children[j]
                 match = by_signature.get(signature)
@@ -524,15 +554,18 @@ def ftm_search(
             else:
                 assert len(log) == issued, "a complete tree resolves every chain"
                 csp_checks += 1
-                if masks_consistent(len(ids), log):
-                    return _freeze(directions, created), stats()
+                if not log or masks_consistent(len(ids), log):
+                    model = _freeze(directions, created)
+                    break
             # The configuration is rejected.
             node, j = retract(), 0
-            if node is None:
-                return None, stats()
     finally:
-        for node in created:
-            node.parent = node.back = node.kids = node.waiting = None
+        for live in created:
+            live.parent = live.back = live.kids = live.waiting = None
+    if exact_total is None and peak_nodes > floor_total:
+        exact_total = _bound_total(automaton, compute_metrics(automaton))
+    exceeded = exact_total is not None and peak_nodes > exact_total
+    return model, SearchStats(nodes_created, peak_nodes, csp_checks, exceeded)
 
 
 def _closes_rejecting_cycle(
@@ -561,20 +594,23 @@ def _closes_rejecting_cycle(
 
 
 def _freeze(directions: Tuple[str, ...], created: Sequence[_SearchNode]) -> FiniteTreeModel:
-    words = {node: tuple([directions[j] for j in node.rank]) for node in created}
+    """The model of a complete tree, whose live nodes ``created`` lists in
+    registration order: a parent and a backnode come before the node."""
+    words: Dict[_SearchNode, Word] = {}
     nodes: Dict[Word, FtmNode] = {}
+    empty: FrozenSet = frozenset()
     for node in created:
-        word = words[node]
-        internal = node.back is None
-        nodes[word] = FtmNode(
-            state=node.state,
-            literals=node.picked.literals if internal else frozenset(),
-            constraints=node.picked.constraints if internal else frozenset(),
-            children=tuple(word + (d,) for d in directions) if internal else (),
-            backnode=None if internal else words[node.back],
-            ptpge=node.ptpge,
-        )
-    return FiniteTreeModel(directions=directions, nodes=nodes)
+        parent = node.parent
+        word = words[node] = () if parent is None else words[parent] + (directions[node.slot],)
+        if node.back is None:
+            picked = node.picked
+            children = tuple([word + (d,) for d in directions])
+            nodes[word] = FtmNode(
+                node.state, picked.literals, picked.constraints, children, None, node.ptpge
+            )
+        else:
+            nodes[word] = FtmNode(node.state, empty, empty, (), words[node.back], node.ptpge)
+    return FiniteTreeModel(directions, nodes)
 
 
 def resolve_variable(
@@ -604,18 +640,30 @@ def resolve_variable(
         path = path[1:]
 
 
+def _resolved_constraints(
+    nodes: Mapping[Word, object], internal: Sequence[Tuple[Word, object]]
+) -> Iterator[Tuple[Tuple[Word, str], Tuple[Word, str], Relation]]:
+    """The constraints of the ``internal`` (word, node) pairs as (variable,
+    variable, relation), each argument resolved in ``nodes`` to an
+    (internal node, feature) variable."""
+    for word, node in internal:
+        for constraint in node.constraints:
+            first, second = constraint.args
+            yield (
+                resolve_variable(nodes, word, first),
+                resolve_variable(nodes, word, second),
+                constraint.rel,
+            )
+
+
 def globalcsp(nodes: Mapping[Word, object]) -> Qcsp:
     """The union, over internal nodes, of each node's constraints with
     arguments resolved to (internal node, feature) variables; repeated pairs
     intersect, so order does not matter, and the result is converse closed."""
+    internal = [(word, node) for word, node in nodes.items() if node.backnode is None]
     builder = QcspBuilder()
-    for word, node in nodes.items():
-        if node.backnode is not None:
-            continue
-        for constraint in node.constraints:
-            first = resolve_variable(nodes, word, constraint.args[0])
-            second = resolve_variable(nodes, word, constraint.args[1])
-            builder.add(first, second, constraint.rel)
+    for first, second, rel in _resolved_constraints(nodes, internal):
+        builder.add(first, second, rel)
     return builder.build()
 
 
@@ -724,13 +772,14 @@ class BoundsReport(Value):
     def __init__(self, internal_count: int, leaf_count: int, internal_bound: int,
                  leaf_bound: int, clamped: bool,
                  duplicate_signatures: Optional[List[Tuple[str, str]]] = None) -> None:
-        set_field(self, "internal_count", internal_count)
-        set_field(self, "leaf_count", leaf_count)
-        set_field(self, "internal_bound", internal_bound)
-        set_field(self, "leaf_bound", leaf_bound)
-        set_field(self, "clamped", clamped)
-        duplicates = [] if duplicate_signatures is None else duplicate_signatures
-        set_field(self, "duplicate_signatures", duplicates)
+        set_field(self, "__class__", self._open)
+        self.internal_count = internal_count
+        self.leaf_count = leaf_count
+        self.internal_bound = internal_bound
+        self.leaf_bound = leaf_bound
+        self.clamped = clamped
+        self.duplicate_signatures = [] if duplicate_signatures is None else duplicate_signatures
+        self.__class__ = BoundsReport
 
     @property
     def ok(self) -> bool:
@@ -745,25 +794,26 @@ def check_bounds(model: FiniteTreeModel, met: Metrics, size_q: int) -> BoundsRep
     """Compare node counts against the witness bounds and list any internal
     nodes that wrongly share a (state, pending triples) signature."""
     internal_bound, leaf_bound = _witness_bound(size_q, met, len(model.directions))
-    internal = model.internal_words()
-    leaves = model.leaf_words()
-    seen: Dict[Tuple[str, FrozenSet[PtpTriple]], Word] = {}
+    seen: Dict[_Signature, Word] = {}
     duplicates: List[Tuple[str, str]] = []
-    for word in internal:
-        node = model.nodes[word]
-        signature = (node.state, node.ptpge)
-        if signature in seen:
-            duplicates.append((" ".join(seen[signature]), " ".join(word)))
-        else:
-            seen[signature] = word
+    for word, node in model.nodes.items():
+        if node.backnode is None:
+            first = seen.setdefault((node.state, node.ptpge), word)
+            if first is not word:
+                duplicates.append((" ".join(first), " ".join(word)))
+    internal_count = len(seen) + len(duplicates)
     return BoundsReport(
-        internal_count=len(internal),
-        leaf_count=len(leaves),
-        internal_bound=internal_bound,
-        leaf_bound=leaf_bound,
-        clamped=met.constraint_count < 1 or met.chain_length < 1,
-        duplicate_signatures=duplicates,
+        internal_count,
+        len(model.nodes) - internal_count,
+        internal_bound,
+        leaf_bound,
+        met.constraint_count < 1 or met.chain_length < 1,
+        duplicates,
     )
+
+
+def _label(word: Word) -> str:
+    return "node '" + " ".join(word) + "'"
 
 
 def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[str]:
@@ -774,18 +824,27 @@ def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[st
     fold, the consistency of the global network and the node bounds.  Each
     node of the unfolded run copies an internal node checked here, so the
     checks cover the whole run without unfolding it.
+
+    The network is the one ``globalcsp`` builds, resolved from the model's
+    words by the same walk and decided as masks; a model without
+    constraints has the empty network, which is consistent and not
+    decided.  The bounds are checked at their floor first (every
+    metric factor at one); the automaton's metrics are computed only when
+    the counts outgrow it.
     """
     defects: List[str] = []
     sig = automaton.sig
-    order = WordOrder(sig.directions)
-    if tuple(model.directions) != sig.directions:
+    directions = sig.directions
+    order = WordOrder(directions)
+    if tuple(model.directions) != directions:
         defects.append("witness directions differ from the automaton signature")
         return defects
-    if () not in model.nodes:
+    nodes = model.nodes
+    root = nodes.get(())
+    if root is None:
         defects.append("witness has no root")
         return defects
 
-    root = model.nodes[()]
     if root.state != automaton.initial:
         defects.append(f"root state '{root.state}' is not the initial state")
     if root.is_leaf:
@@ -794,72 +853,93 @@ def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[st
     if root.ptpge:
         defects.append("root has pending triples")
 
-    for word, node in model.nodes.items():
-        label = "node '" + " ".join(word) + "'"
+    leaves: List[Word] = []
+    constrained: List[Tuple[Word, FtmNode]] = []
+    for word, node in nodes.items():
         if word:
-            parent = model.nodes.get(word[:-1])
-            if parent is None or parent.is_leaf:
-                defects.append(f"{label}: parent is missing or a leaf")
+            parent = nodes.get(word[:-1])
+            if parent is None or parent.backnode is not None:
+                defects.append(f"{_label(word)}: parent is missing or a leaf")
                 continue
-        if node.is_leaf:
+            if word[-1] not in directions:
+                defects.append(f"{_label(word)}: direction '{word[-1]}' is not declared")
+                continue
+        backnode = node.backnode
+        if backnode is not None:
+            leaves.append(word)
             if node.children:
-                defects.append(f"{label}: leaf with children")
-            target = model.nodes.get(node.backnode)
+                defects.append(f"{_label(word)}: leaf with children")
+            target = nodes.get(backnode)
             if target is None:
-                defects.append(f"{label}: dangling backnode")
+                defects.append(f"{_label(word)}: dangling backnode")
                 continue
-            if target.is_leaf:
-                defects.append(f"{label}: backnode is not internal")
+            if target.backnode is not None:
+                defects.append(f"{_label(word)}: backnode is not internal")
                 continue
-            if not order.lex_lt(node.backnode, word):
-                defects.append(f"{label}: backnode is not lexicographically smaller")
+            try:
+                smaller = order.lex_lt(backnode, word)
+            except ValueError:  # only a model built in code keys such words
+                defects.append(f"{_label(word)}: word or backnode holds an undeclared direction")
+            else:
+                if not smaller:
+                    defects.append(f"{_label(word)}: backnode is not lexicographically smaller")
             if target.state != node.state or target.ptpge != node.ptpge:
-                defects.append(f"{label}: backnode signature differs")
-        else:
-            expected = tuple(word + (d,) for d in sig.directions)
-            if node.children != expected:
-                defects.append(f"{label}: internal node without its {sig.k} children")
-                continue
-            for child_word in expected:
-                if child_word not in model.nodes:
-                    defects.append(f"{label}: missing child '{' '.join(child_word)}'")
-            succ = tuple(model.nodes[c].state for c in expected if c in model.nodes)
-            if not automaton.has_transition(
-                node.state, node.literals, node.constraints, succ
-            ):
+                defects.append(f"{_label(word)}: backnode signature differs")
+            continue
+        expected = tuple([word + (d,) for d in directions])
+        if node.children != expected:
+            defects.append(f"{_label(word)}: internal node without its {sig.k} children")
+            continue
+        if node.constraints:
+            constrained.append((word, node))
+        children = [nodes.get(child_word) for child_word in expected]
+        for child_word, child in zip(expected, children):
+            if child is None:
+                defects.append(f"{_label(word)}: missing child '{' '.join(child_word)}'")
+        succ = tuple([child.state for child in children if child is not None])
+        if not automaton.has_transition(node.state, node.literals, node.constraints, succ):
+            defects.append(
+                f"{_label(word)}: label does not match any transition of '{node.state}'"
+            )
+        for name in fm.complementary_names(node.literals):
+            defects.append(f"{_label(word)}: complementary literal pair on '{name}'")
+        for child_word, child, direction in zip(expected, children, directions):
+            if child is not None and child.ptpge != backconstraints_step(node, direction):
                 defects.append(
-                    f"{label}: label does not match any transition of '{node.state}'"
+                    f"{_label(child_word)}: stored pending triples disagree with recomputation"
                 )
-            for name in fm.complementary_names(node.literals):
-                defects.append(f"{label}: complementary literal pair on '{name}'")
-            for child_word, direction in zip(expected, sig.directions):
-                child = model.nodes.get(child_word)
-                if child is not None and child.ptpge != backconstraints_step(
-                    node, direction
-                ):
-                    defects.append(
-                        f"node '{' '.join(child_word)}': stored pending triples "
-                        "disagree with recomputation"
-                    )
 
     if not defects:
-        for word in model.leaf_words():
-            if _closes_rejecting_cycle(
-                automaton, model.nodes, word[:-1], model.nodes[word].backnode
+        accepting = automaton.accepting
+        for word in leaves:
+            backnode = nodes[word].backnode
+            # A cycle through the backnode passes an accepting state when the
+            # backnode's own state is accepting.
+            if nodes[backnode].state not in accepting and _closes_rejecting_cycle(
+                automaton, nodes, word[:-1], backnode
             ):
                 defects.append(
-                    f"node '{' '.join(word)}': fold closes a cycle without an "
-                    "accepting state"
+                    f"{_label(word)}: fold closes a cycle without an accepting state"
                 )
-    if not defects and not is_consistent(globalcsp(model.nodes)):
-        defects.append("global constraint network is inconsistent")
+    if not defects and constrained:
+        ids: Dict[Tuple[Word, str], int] = {}
+        log = [
+            (ids.setdefault(first, len(ids)), ids.setdefault(second, len(ids)), rel.mask)
+            for first, second, rel in _resolved_constraints(nodes, constrained)
+        ]
+        if not masks_consistent(len(ids), log):
+            defects.append("global constraint network is inconsistent")
     if not defects:
-        bounds = check_bounds(model, compute_metrics(automaton), len(automaton.states))
-        if bounds.internal_count > bounds.internal_bound or bounds.leaf_count > bounds.leaf_bound:
-            defects.append(
-                f"node bounds violated (internal {bounds.internal_count}/"
-                f"{bounds.internal_bound}, leaves {bounds.leaf_count}/{bounds.leaf_bound})"
-            )
+        size_q, k = len(automaton.states), sig.k
+        bounds = check_bounds(model, _FLOOR_METRICS, size_q)
+        internal_count, leaf_count = bounds.internal_count, bounds.leaf_count
+        if internal_count > bounds.internal_bound or leaf_count > bounds.leaf_bound:
+            internal_bound, leaf_bound = _witness_bound(size_q, compute_metrics(automaton), k)
+            if internal_count > internal_bound or leaf_count > leaf_bound:
+                defects.append(
+                    f"node bounds violated (internal {internal_count}/{internal_bound}, "
+                    f"leaves {leaf_count}/{leaf_bound})"
+                )
         for first, second in bounds.duplicate_signatures:
             defects.append(f"internal nodes '{first}' and '{second}' share a signature")
     return defects
@@ -882,10 +962,12 @@ class Decision(Value):
     def __init__(self, nonempty: bool, witness: Optional[FiniteTreeModel] = None,
                  prefix_defects: Optional[List[str]] = None,
                  stats: Optional[SearchStats] = None) -> None:
-        set_field(self, "nonempty", nonempty)
-        set_field(self, "witness", witness)
-        set_field(self, "prefix_defects", [] if prefix_defects is None else prefix_defects)
-        set_field(self, "stats", stats)
+        set_field(self, "__class__", self._open)
+        self.nonempty = nonempty
+        self.witness = witness
+        self.prefix_defects = [] if prefix_defects is None else prefix_defects
+        self.stats = stats
+        self.__class__ = Decision
 
     @property
     def verdict(self) -> str:
@@ -907,13 +989,8 @@ def decide(
     """
     model, stats = ftm_search(automaton, max_nodes=max_nodes)
     if model is None:
-        return Decision(nonempty=False, stats=stats)
-    return Decision(
-        nonempty=True,
-        witness=model,
-        prefix_defects=check_witness(automaton, model),
-        stats=stats,
-    )
+        return Decision(False, None, [], stats)
+    return Decision(True, model, check_witness(automaton, model), stats)
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,10 @@ def parse_literal(text: str) -> Union[PosLiteral, NegLiteral]:
 
 def complementary_names(literals) -> List[str]:
     """Concept names, sorted, that occur both as A and as !A."""
-    positive = {lit.name for lit in literals if isinstance(lit, PosLiteral)}
     negative = {lit.name for lit in literals if isinstance(lit, NegLiteral)}
+    if not negative:
+        return []
+    positive = {lit.name for lit in literals if isinstance(lit, PosLiteral)}
     return sorted(positive & negative)
 
 

@@ -156,17 +156,20 @@ def test_validate_accept_all_names_a_declared_state():
 
 
 def test_validate_reports_names_a_witness_cannot_carry():
-    sig = Signature(("d1", "d 1", "d,2"), ("A", "!A", ""), ("g", "g,h", "g h"))
-    states = ("q0", "q 1", "")
+    # the schema's name pattern forbids '"' in directions and states
+    sig = Signature(("d1", "d 1", "d,2", 'd"3'), ("A", "!A", ""), ("g", "g,h", "g h"))
+    states = ("q0", "q 1", "", 'q"')
     expected = [
         "signature: direction 'd 1' cannot be written in a witness",
         "signature: direction 'd,2' cannot be written in a witness",
+        "signature: direction 'd\"3' cannot be written in a witness",
         "signature: concept '!A' cannot be written in a witness",
         "signature: concept '' cannot be written in a witness",
         "signature: feature 'g,h' cannot be written in a witness",
         "signature: feature 'g h' cannot be written in a witness",
         "signature: state 'q 1' cannot be written in a witness",
         "signature: state '' cannot be written in a witness",
+        "signature: state 'q\"' cannot be written in a witness",
     ]
     assert validate(nondet({}, states=states, sig=sig)) == expected
     alternating = AlternatingAutomaton(

@@ -15,9 +15,12 @@ from qsta import (
     FtmNode,
     MalformedModelError,
     PtpTriple,
+    Relation,
     ResourceLimitError,
     SceneNode,
     SceneTreePrefix,
+    SpatialConstraint,
+    Transition,
     WordOrder,
     backconstraints_step,
     check_bounds,
@@ -444,6 +447,21 @@ def test_decide_checks_the_bounds_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_decide_computes_the_metrics_at_most_once(monkeypatch):
+    # the search and check_witness need the metrics only for a tree past
+    # the witness bound's floor, where every metric factor is one
+    calls = []
+
+    def counting(automaton):
+        calls.append(automaton)
+        return metrics(automaton)
+
+    monkeypatch.setattr(qsta.emptiness, "compute_metrics", counting)
+    decision = decide(corpus_automaton("eq_loop"))
+    assert decision.nonempty and decision.prefix_defects == []
+    assert len(calls) <= 1
+
+
 # ---------------------------------------------------------------------------
 # Unfolding
 
@@ -506,6 +524,31 @@ def test_check_witness_flags_dangling_backnode():
     assert any("dangling backnode" in d for d in defects)
 
 
+def test_check_witness_flags_a_node_under_an_undeclared_direction():
+    # the witness reader rejects such a word; a model built in code reaches
+    # check_witness with it
+    automaton = corpus_automaton("self_loop")
+    model = decide(automaton).witness
+    nodes = dict(model.nodes)
+    nodes[("x",)] = nodes[("d1",)]
+    defects = check_witness(automaton, FiniteTreeModel(model.directions, nodes))
+    assert defects == ["node 'x': direction 'x' is not declared"]
+
+    # an internal node under x, a leaf folding to it and leaves below it
+    empty = frozenset()
+    nodes = dict(model.nodes)
+    nodes[("x",)] = FtmNode("q0", empty, empty, (("x", "d1"), ("x", "d2")), None, empty)
+    nodes[("d1",)] = FtmNode("q0", empty, empty, (), ("x",), empty)
+    nodes[("x", "d1")] = FtmNode("q0", empty, empty, (), ("x",), empty)
+    nodes[("x", "d2")] = FtmNode("q0", empty, empty, (), ("d2",), empty)
+    defects = check_witness(automaton, FiniteTreeModel(model.directions, nodes))
+    assert defects == [
+        "node 'd1': word or backnode holds an undeclared direction",
+        "node 'x': direction 'x' is not declared",
+        "node 'x d2': backnode is not internal",
+    ]
+
+
 def test_check_witness_flags_backnode_signature_mismatch():
     automaton = corpus_automaton("eq_loop")
     model = decide(automaton).witness
@@ -513,6 +556,15 @@ def test_check_witness_flags_backnode_signature_mismatch():
     bad = replace_node(model, ("d1", "d1"), backnode=())
     defects = check_witness(automaton, bad)
     assert any("backnode signature differs" in d for d in defects)
+
+
+def test_check_witness_flags_a_backnode_that_is_not_smaller():
+    automaton = corpus_automaton("constraints4")
+    model = decide(automaton).witness
+    # d1 d1 d1 folds to d1 d1; d1 d1 d2, internal with the same state, follows it
+    bad = replace_node(model, ("d1", "d1", "d1"), backnode=("d1", "d1", "d2"))
+    defects = check_witness(automaton, bad)
+    assert "node 'd1 d1 d1': backnode is not lexicographically smaller" in defects
 
 
 def test_check_witness_flags_label_tampering():
@@ -571,6 +623,51 @@ def test_check_witness_flags_inconsistent_network():
     model = FiniteTreeModel(("d1", "d2"), nodes)
     defects = check_witness(automaton, model)
     assert defects == ["global constraint network is inconsistent"]
+
+
+def test_check_witness_decides_the_network_globalcsp_builds():
+    # check_witness hands the solver masks, not a Qcsp: on witnesses whose
+    # relations are redrawn at random, one to one, and an automaton that
+    # admits the new labels, its verdict is is_consistent's on globalcsp's
+    rng = random.Random(5)
+    verdicts = set()
+    for name, automaton in _differential_automata():
+        model, _ = ftm_search(automaton)
+        if model is None or not any(node.constraints for node in model.nodes.values()):
+            continue
+        for _ in range(10):
+            redrawn = {}
+            for node in model.nodes.values():
+                for constraint in node.constraints:
+                    while constraint not in redrawn:
+                        mask = rng.choice((rng.randrange(256), 1 << rng.randrange(8)))
+                        new = SpatialConstraint(Relation(mask), constraint.args)
+                        if new not in redrawn.values():
+                            redrawn[constraint] = new
+            nodes = {
+                word: replace(
+                    node,
+                    constraints=frozenset(redrawn[c] for c in node.constraints),
+                    ptpge=frozenset(
+                        PtpTriple(redrawn[t.constraint], t.arg_index, t.remaining)
+                        for t in node.ptpge
+                    ),
+                )
+                for word, node in model.nodes.items()
+            }
+            delta = {state: automaton.transitions(state) for state in automaton.states}
+            for node in nodes.values():
+                if node.backnode is None:
+                    succ = tuple(nodes[child].state for child in node.children)
+                    delta[node.state] += (Transition(node.literals, node.constraints, succ),)
+            consistent = is_consistent(globalcsp(nodes))
+            verdicts.add(consistent)
+            defects = check_witness(
+                replace(automaton, delta=delta), FiniteTreeModel(model.directions, nodes)
+            )
+            expected = [] if consistent else ["global constraint network is inconsistent"]
+            assert defects == expected, name
+    assert verdicts == {True, False}
 
 
 def test_check_witness_rejects_direction_mismatch():

@@ -10,6 +10,7 @@ that ``check-witness`` accepts must be valid under
 break one of the reader's rules the schema cannot state.
 """
 
+import hashlib
 import json
 import pathlib
 import random
@@ -36,6 +37,10 @@ NONEMPTY = [
 
 TEXT_CASES = 900
 WITNESS_CASES = 900
+
+# sha256 over the JSON list of (case, exit code, stdout) of the witness
+# mutants: every defect line ``check-witness`` prints, in its order.
+CHECK_WITNESS_OUTPUTS_SHA256 = "db45b82a2e40d4ca4f24aebfa21f2da0bf995e63e0e3c164b2c46c5d1852684d"
 
 # Pieces a text mutation inserts: the DSL's punctuation, names and keywords,
 # and characters it does not know.
@@ -186,12 +191,14 @@ def test_mutated_witnesses_keep_the_check_witness_contract(witnesses, tmp_path, 
     rng = random.Random(34)
     target = tmp_path / "mutant.json"
     codes = {0: 0, 1: 0, 2: 0}
+    outputs = []
     for case in range(WITNESS_CASES):
         name, text = rng.choice(witnesses)
         document = mutate_witness(rng, json.loads(text))
         target.write_text(json.dumps(document), encoding="utf-8")
         code, out, err = run(["check-witness", str(CORPUS / f"{name}.aut"), str(target)], capsys)
         codes[code] += 1
+        outputs.append((case, code, out))
         if code == 0:
             assert out == "ok\n" and err == "", case
             assert schema.is_valid(document), case
@@ -210,3 +217,5 @@ def test_mutated_witnesses_keep_the_check_witness_contract(witnesses, tmp_path, 
                     line,
                 )
     assert all(codes.values()), codes
+    digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
+    assert digest == CHECK_WITNESS_OUTPUTS_SHA256

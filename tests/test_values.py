@@ -116,6 +116,13 @@ def test_equal_fields_give_equal_values(cls, fields):
 
 
 @pytest.mark.parametrize("cls, fields", FROZEN, ids=_ids(FROZEN))
+def test_a_constructed_value_is_of_its_own_class(cls, fields):
+    # a class with an open twin moves each value back out of it
+    assert type(cls(*fields.values())) is cls
+    assert type(cls(**fields)) is cls
+
+
+@pytest.mark.parametrize("cls, fields", FROZEN, ids=_ids(FROZEN))
 def test_a_frozen_value_hashes_as_the_tuple_of_its_fields(cls, fields):
     value = cls(**fields)
     if cls is Qcsp:
