@@ -19,7 +19,7 @@ check words, not the search's links.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import formula as fm
 from ._value import Value, set_field
@@ -299,6 +299,39 @@ def _bound_total(automaton: NondetAutomaton, met: Metrics) -> int:
     return sum(_witness_bound(len(automaton.states), met, automaton.sig.k))
 
 
+def _trim(automaton: NondetAutomaton) -> Tuple[Set[str], Mapping[str, Tuple[Transition, ...]]]:
+    """The states with a classical Büchi run, literals and constraints
+    ignored, and the transitions whose successors all have one, per state in
+    declared order; that table is the automaton's own when no state is dead.
+    The live states are the greatest fixed point νZ.μY of the states with a
+    transition whose successors all lie in Y or are accepting states of Z
+    (Grädel, Thomas & Wilke, eds., LNCS 2500, chapters 6 and 8); the inner
+    least fixed point is swept in place, Gauss-Seidel style."""
+    delta = automaton.delta
+    live = {state for state, transitions in delta.items() if transitions}
+    while True:
+        reach: Set[str] = set()
+        target = live & automaton.accepting
+        grew = True
+        while grew:
+            grew = False
+            for state in live - reach:
+                for transition in delta[state]:
+                    if target.issuperset(transition.succ):
+                        reach.add(state)
+                        target.add(state)
+                        grew = True
+                        break
+        if len(reach) == len(live):
+            break
+        live = reach
+    if live.issuperset(automaton.states):
+        return live, delta
+    return live, {
+        state: tuple([t for t in delta[state] if live.issuperset(t.succ)]) for state in live
+    }
+
+
 # Metrics whose factors all sit at the clamp: the bound over them is the
 # floor of every automaton's bound with the same states and directions, so
 # node counts within it are within the bound without computing ``metrics``.
@@ -324,6 +357,18 @@ def ftm_search(
     rebuilt per tree: each constraint is resolved to its (internal node,
     feature) variables when the last node its chains reach is registered,
     and the check decides the log of resolved constraints.
+
+    Before the search, ``_trim`` finds the states with a classical Büchi
+    run, literals and constraints ignored, and the search picks only the
+    transitions whose successors all have one, in declared order; an
+    initial state without one is empty before any node is built.  Literals
+    and constraints only remove runs, so every configuration a dropped
+    transition leads to would have been rejected, and chronological
+    backtracking would have exhausted those subspaces and then advanced the
+    same choice: the first witness found is the same.  Only a search that
+    ran into ``max_nodes`` inside such a subspace now finishes.  The trim
+    speeds the search and is no part of what a witness must satisfy, so the
+    witness bound and ``check_witness`` read the automaton as given.
 
     No node is looked up by its word: a live node links to its parent, an
     internal one to the children built so far and a leaf to its backnode,
@@ -358,6 +403,9 @@ def ftm_search(
     check without the solver, as the empty network is consistent; the
     check still counts in ``csp_checks``.
     """
+    live, delta = _trim(automaton)
+    if automaton.initial not in live:
+        return None, SearchStats()
     sig = automaton.sig
     k = sig.k
     directions = sig.directions
@@ -477,7 +525,7 @@ def ftm_search(
 
     def apply_choice(node: _SearchNode) -> bool:
         nonlocal issued, slot_of
-        choices = automaton.transitions(node.state)
+        choices = delta.get(node.state, ())
         if node.choice >= len(choices):
             return False
         picked = node.picked = choices[node.choice]

@@ -13,6 +13,7 @@ from qsta import emptiness as emp
 from qsta.cli import main
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 NONEMPTY = [
     "self_loop",
@@ -223,6 +224,17 @@ def test_emptiness_respects_max_nodes_flag(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --max-nodes must be positive, got {value}\n"
+
+
+def test_emptiness_skips_a_dead_branch_larger_than_max_nodes(capsys):
+    # the first root transition leads into a subtree with no classical run
+    # that outgrows five live nodes; the five-node witness behind the second
+    # is found, where the search used to exhaust the limit and exit 2
+    path = str(FIXTURES / "dead_first_branch.aut")
+    assert main(["emptiness", path, "--max-nodes", "5"]) == 0
+    assert capsys.readouterr().out == "not-empty\n"
+    assert main(["emptiness", path, "--max-nodes", "4"]) == 2
+    assert "error: search tree exceeded 4 nodes" in capsys.readouterr().err
 
 
 def test_emptiness_notes_a_search_past_the_witness_bound(monkeypatch, capsys):

@@ -44,6 +44,7 @@ from qsta import (
     witness_to_json,
 )
 import qsta
+from qsta.emptiness import _trim
 
 from gen_random import direct_reading, random_nondet, random_nondet_shaped
 from oracle_classic import classical_nonempty
@@ -238,6 +239,8 @@ def test_no_accept_fails_without_touching_the_network():
     decision = decide(corpus_automaton("no_accept"))
     assert decision.witness is None
     assert decision.stats.csp_checks == 0
+    # its initial state has no classical run, so the search builds no node
+    assert decision.stats.nodes_created == 0
 
 
 def test_search_revisits_completed_sibling_subtrees():
@@ -787,10 +790,10 @@ def _differential_automata():
 FALLBACK = pathlib.Path(__file__).resolve().parent.parent / "bench" / "fallback.py"
 
 # sha256 of the rows of _search_outcomes(), one line each with its columns
-# joined by spaces, computed before the search resolved its constraints
-# incrementally; any change to what the search builds, rejects or returns
-# changes it.
-SEARCH_OUTCOMES_SHA256 = "e8e766e43915876b8c416541f771e3f70d30f61feae4576b279fc2fd0906b0f5"
+# joined by spaces, computed once the search dropped transitions into states
+# with no classical run; any change to what the search builds, rejects or
+# returns changes it, so a prune changes it by design.
+SEARCH_OUTCOMES_SHA256 = "1b7916eec2cf53f5bb595c2a6bdbc2f8be467379a0da99c12c28cde27c988d1f"
 # sha256 over the name, verdict and witness-hash columns only, computed with
 # the search that digest pins; a prune changes the counters by design, never these.
 SEARCH_VERDICTS_SHA256 = "72ee19f804e04408a88976b260a2805c8b42a3083d230ecacdbe5340873ffd4f"
@@ -845,6 +848,17 @@ def test_search_outcomes_are_pinned(search_outcomes):
 def test_search_verdicts_and_witnesses_are_pinned(search_outcomes):
     digest = _outcomes_digest(row[:3] for row in search_outcomes)
     assert digest == SEARCH_VERDICTS_SHA256
+
+
+def test_trim_keeps_the_classically_live_states_and_their_transitions():
+    for name, automaton in _pinned_automata():
+        live, delta = _trim(automaton)
+        assert live == {
+            q for q in automaton.states if classical_nonempty(replace(automaton, initial=q))
+        }, name
+        for q in automaton.states:
+            kept = tuple(t for t in automaton.transitions(q) if live.issuperset(t.succ))
+            assert tuple(delta.get(q, ())) == kept, (name, q)
 
 
 def test_search_leaves_no_cyclic_garbage():
@@ -955,6 +969,18 @@ def test_search_node_limit_caps_the_live_tree():
     assert str(info.value) == (
         "search tree exceeded 6 nodes (witness bound 48; raise max_nodes to override)"
     )
+
+
+def test_a_dead_first_branch_no_longer_exhausts_the_node_limit():
+    # the first root transition leads into a subtree with no classical run
+    # that needs more live nodes than the limit; the search skips it
+    automaton = load_automaton((FIXTURES / "dead_first_branch.aut").read_text())
+    decision = decide(automaton, max_nodes=5)
+    assert decision.verdict == "not-empty"
+    assert decision.prefix_defects == []
+    assert (decision.stats.nodes_created, decision.stats.peak_nodes) == (5, 5)
+    with pytest.raises(ResourceLimitError):
+        decide(automaton, max_nodes=4)
 
 
 def test_search_stats_are_populated():

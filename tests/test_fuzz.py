@@ -8,6 +8,12 @@ on stdout and exit 2 with exactly one ``error:`` line on stderr.  A witness
 that ``check-witness`` accepts must be valid under
 ``schemas/witness.schema.json``, and one that is valid but rejected must
 break one of the reader's rules the schema cannot state.
+
+Those mutants rarely get past the reader and the per-node checks, so
+readable mutants, built to pass both, reach the checks over the whole run:
+a backnode retargeted, a relation redrawn in the automaton and the witness
+alike, and an accepting state dropped.  Each must print exactly the defect
+lines its mutation implies.
 """
 
 import hashlib
@@ -18,6 +24,7 @@ import re
 
 import pytest
 
+from qsta import globalcsp, is_consistent, witness_from_json
 from qsta.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -34,6 +41,10 @@ NONEMPTY = [
     "alt_spatial",
     "chain3",
 ]
+
+# The non-empty corpus files that are nondeterministic: an accepting state
+# dropped from one changes no state name its witness holds.
+NONDET = ["self_loop", "eq_loop", "constraints4", "fallback", "chain3"]
 
 TEXT_CASES = 900
 WITNESS_CASES = 900
@@ -219,3 +230,116 @@ def test_mutated_witnesses_keep_the_check_witness_contract(witnesses, tmp_path, 
     assert all(codes.values()), codes
     digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
     assert digest == CHECK_WITNESS_OUTPUTS_SHA256
+
+
+def check_mutant(aut_text, document, tmp_path, capsys):
+    """Exit code and stdout of ``check-witness`` on an automaton text and a
+    witness document."""
+    automaton, witness = tmp_path / "mutant.aut", tmp_path / "mutant.json"
+    automaton.write_text(aut_text, encoding="utf-8")
+    witness.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run(["check-witness", str(automaton), str(witness)], capsys)
+    assert err == ""
+    return code, out
+
+
+def printed(defects):
+    """The exit code and stdout of ``check-witness`` that finds ``defects``."""
+    return (1, "".join(line + "\n" for line in defects)) if defects else (0, "ok\n")
+
+
+def test_retargeted_backnodes_report_the_fold(witnesses, tmp_path, capsys):
+    # internal nodes of a sound witness have distinct signatures, so a leaf
+    # folded onto another internal node differs from it in signature
+    cases = 0
+    for name, text in witnesses:
+        aut_text = (CORPUS / f"{name}.aut").read_text()
+        document = json.loads(text)
+        directions = document["directions"]
+        nodes = document["nodes"]
+        internal = [key for key, node in nodes.items() if node["backnode"] is None]
+        leaves = [(key, node) for key, node in nodes.items() if node["backnode"] is not None]
+        for leaf, node in leaves:
+            for target in internal:
+                if target == node["backnode"]:
+                    continue
+                mutant = json.loads(text)
+                mutant["nodes"][leaf]["backnode"] = target
+                defects = [f"node '{leaf}': backnode signature differs"]
+                rank = [directions.index(d) for d in target.split()]
+                if rank >= [directions.index(d) for d in leaf.split()]:
+                    defects.insert(0, f"node '{leaf}': backnode is not lexicographically smaller")
+                got = check_mutant(aut_text, mutant, tmp_path, capsys)
+                assert got == printed(defects), (name, leaf, target)
+                cases += 1
+    assert cases > 0
+
+
+def test_redrawn_relations_reach_the_global_network(witnesses, tmp_path, capsys):
+    # the relation changes in the automaton and in the witness alike, so every
+    # label still matches a transition and only the network can reject it;
+    # the network is decided as globalcsp builds it, by is_consistent
+    verdicts = set()
+    for name, text in witnesses:
+        aut_text = (CORPUS / f"{name}.aut").read_text()
+        nodes = json.loads(text)["nodes"]
+        for constraint in sorted({c for node in nodes.values() for c in node["constraints"]}):
+            assert aut_text.count(constraint) == 1, (name, constraint)
+            relation, args = constraint.split("(", 1)
+            for atom in ("DC", "EC", "PO", "TPP", "NTPP", "TPPI", "NTPPI", "EQ"):
+                if atom == relation:
+                    continue
+                redrawn = f"{atom}({args}"
+                mutant = json.loads(text.replace(json.dumps(constraint), json.dumps(redrawn)))
+                consistent = is_consistent(globalcsp(witness_from_json(mutant).nodes))
+                defects = [] if consistent else ["global constraint network is inconsistent"]
+                got = check_mutant(aut_text.replace(constraint, redrawn), mutant, tmp_path, capsys)
+                assert got == printed(defects), (name, redrawn)
+                verdicts.add(consistent)
+    assert verdicts == {True, False}
+
+
+def rejecting_folds(nodes, accepting):
+    """The leaves whose fold closes a cycle without an accepting state: the
+    backnode reaches the leaf's parent through non-accepting nodes only, an
+    internal node stepping to its children and a leaf to its backnode."""
+    folds = []
+    for leaf, node in nodes.items():
+        if node["backnode"] is None:
+            continue
+        parent = " ".join(leaf.split()[:-1])
+        seen, stack = set(), [node["backnode"]]
+        while stack:
+            key = stack.pop()
+            if key in seen or nodes[key]["state"] in accepting:
+                continue
+            if key == parent:
+                folds.append(leaf)
+                break
+            seen.add(key)
+            backnode = nodes[key]["backnode"]
+            stack.extend(nodes[key]["children"] if backnode is None else [backnode])
+    return folds
+
+
+def test_dropped_accepting_states_reach_the_buchi_rule(witnesses, tmp_path, capsys):
+    # every label still matches a transition, so only the folds can reject
+    hits = 0
+    for name, text in witnesses:
+        if name not in NONDET:
+            continue
+        aut_text = (CORPUS / f"{name}.aut").read_text()
+        line = re.search(r"accepting:([^;]*);", aut_text)
+        accepting = line.group(1).split()
+        document = json.loads(text)
+        for dropped in accepting:
+            kept = [state for state in accepting if state != dropped]
+            mutant_text = aut_text.replace(line.group(0), f"accepting: {' '.join(kept)};")
+            defects = [
+                f"node '{leaf}': fold closes a cycle without an accepting state"
+                for leaf in rejecting_folds(document["nodes"], kept)
+            ]
+            got = check_mutant(mutant_text, document, tmp_path, capsys)
+            assert got == printed(defects), (name, dropped)
+            hits += bool(defects)
+    assert hits > 0
