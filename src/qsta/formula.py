@@ -134,6 +134,10 @@ def complementary_names(literals) -> List[str]:
     return sorted(positive & negative)
 
 
+# The Disjunct field each generator class belongs to.
+_KIND = {PosLiteral: 0, NegLiteral: 0, SpatialConstraint: 1, Move: 2}
+
+
 class Disjunct(Value):
     """One DNF disjunct, its generators grouped by kind."""
 
@@ -154,10 +158,22 @@ class Disjunct(Value):
 
     @staticmethod
     def from_generators(gens: FrozenSet[Generator]) -> "Disjunct":
-        literals = frozenset(g for g in gens if isinstance(g, (PosLiteral, NegLiteral)))
-        constraints = frozenset(g for g in gens if isinstance(g, SpatialConstraint))
-        moves = frozenset(g for g in gens if isinstance(g, Move))
-        return Disjunct(literals, constraints, moves)
+        """Split ``gens`` by generator class in one pass.  A kind that holds
+        every generator is ``gens`` itself, and the moves are otherwise what
+        is left of ``gens``, so no move is hashed again."""
+        kinds: Tuple[List[Generator], ...] = ([], [], [])
+        for gen in gens:
+            kinds[_KIND[gen.__class__]].append(gen)
+        literals, constraints, moves = kinds
+        if len(moves) == len(gens):
+            return Disjunct(frozenset(), frozenset(), gens)
+        if len(literals) == len(gens):
+            return Disjunct(gens, frozenset(), frozenset())
+        literals_set = frozenset(literals)
+        constraints_set = frozenset(constraints)
+        return Disjunct(
+            literals_set, constraints_set, gens.difference(literals_set, constraints_set)
+        )
 
     @property
     def generators(self) -> FrozenSet[Generator]:
@@ -165,39 +181,63 @@ class Disjunct(Value):
 
 
 def _expand(formula: Formula, cap: int) -> List[FrozenSet[Generator]]:
-    """The disjuncts of ``formula`` before absorption, in expansion order.
+    """The disjuncts of ``formula`` before absorption.
 
-    Children are expanded left to right on an explicit stack of frames
-    [node, children done, partial result] rather than by recursion, so
-    formulas built through the library are not limited by their nesting
-    depth.  Each child's disjuncts join the partial result, as a union
-    under an Or and as a product under an And, only if the joined size is
-    within the cap.
+    Compound children are expanded left to right on an explicit stack of
+    frames [is an And, compound children, next child, partial result]
+    rather than by recursion, so formulas built through the library are
+    not limited by their nesting depth.  A node's generator children join
+    in one step when its frame opens: their frozenset under an And, one
+    singleton each under an Or.  Each compound child's disjuncts then join
+    the partial result, as a product under an And and as a union under an
+    Or, only if the joined size is within the cap.  A disjunct count is a
+    sum or product of its children's, so whether the cap trips does not
+    depend on the order of the joins.
     """
     stack: List[list] = []
     node = formula
     while True:
-        while isinstance(node, (And, Or)):
-            stack.append([node, 0, [frozenset()] if isinstance(node, And) else []])
-            node = node.children[0]
-        done: List[FrozenSet[Generator]] = [frozenset((node,))]
+        while True:
+            if not isinstance(node, (And, Or)):
+                done: List[FrozenSet[Generator]] = [frozenset((node,))]
+                break
+            gens = []
+            compound = []
+            for child in node.children:
+                (compound if isinstance(child, (And, Or)) else gens).append(child)
+            if isinstance(node, And):
+                partial = [frozenset(gens)]
+            elif len(gens) > cap:
+                raise _over_cap(cap)
+            else:
+                partial = [frozenset((gen,)) for gen in gens]
+            if not compound:
+                done = partial
+                break
+            stack.append([isinstance(node, And), compound, 1, partial])
+            node = compound[0]
         while stack:
             frame = stack[-1]
-            parent, partial = frame[0], frame[2]
-            union = isinstance(parent, Or)
-            if (len(partial) + len(done) if union else len(partial) * len(done)) > cap:
-                raise ResourceLimitError(f"DNF exceeds {cap} disjuncts; raise the cap to proceed")
-            if union:
+            conjoin, compound, partial = frame[0], frame[1], frame[3]
+            if (len(partial) * len(done) if conjoin else len(partial) + len(done)) > cap:
+                raise _over_cap(cap)
+            if not conjoin:
                 partial.extend(done)
-            else:
-                frame[2] = [a | b for a, b in itertools.product(partial, done)]
-            frame[1] += 1
-            if frame[1] < len(parent.children):
-                node = parent.children[frame[1]]
+            elif partial != [frozenset()]:
+                frame[3] = [a | b for a in partial for b in done]
+            else:  # an And without generator children
+                frame[3] = done
+            if frame[2] < len(compound):
+                node = compound[frame[2]]
+                frame[2] += 1
                 break
-            done = stack.pop()[2]
+            done = stack.pop()[3]
         else:
             return done
+
+
+def _over_cap(cap: int) -> ResourceLimitError:
+    return ResourceLimitError(f"DNF exceeds {cap} disjuncts; raise the cap to proceed")
 
 
 def dnf(formula: Formula, *, max_disjuncts: int = DEFAULT_MAX_DISJUNCTS) -> List[Disjunct]:
@@ -208,13 +248,15 @@ def dnf(formula: Formula, *, max_disjuncts: int = DEFAULT_MAX_DISJUNCTS) -> List
     their canonical generator encodings, so equal formulas yield identical
     lists.
     """
-    raw = _expand(formula, max_disjuncts)
-    kept: List[FrozenSet[Generator]] = []
-    for _, same_size in itertools.groupby(sorted(set(raw), key=len), key=len):
-        # Only a strictly smaller set can be a strict subset, so each size
-        # class is checked against the kept disjuncts of the sizes before it.
-        smaller = tuple(kept)
-        kept.extend([c for c in same_size if not any(s < c for s in smaller)])
-    kept.sort(key=lambda gens: sorted(map(encode_generator, gens)))
+    if max_disjuncts < 1:
+        raise ValueError(f"max_disjuncts must be at least 1, not {max_disjuncts}")
+    kept = _expand(formula, max_disjuncts)
+    if len(kept) > 1:
+        raw, kept = kept, []
+        for _, same_size in itertools.groupby(sorted(set(raw), key=len), key=len):
+            # Only a strictly smaller set can be a strict subset, so each size
+            # class is checked against the kept disjuncts of the sizes before it.
+            smaller = tuple(kept)
+            kept.extend([c for c in same_size if not any(s < c for s in smaller)])
+        kept.sort(key=lambda gens: sorted(map(encode_generator, gens)))
     return [Disjunct.from_generators(gens) for gens in kept]
-

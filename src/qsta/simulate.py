@@ -14,7 +14,7 @@ of the members whose chosen disjuncts move to it.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from . import formula as fm
 from .automata import AlternatingAutomaton, NondetAutomaton, Transition
@@ -24,8 +24,10 @@ __all__ = ["SimState", "sim_state_bound", "sim_state_name", "simulate"]
 
 SimState = FrozenSet[Tuple[str, int]]
 
-# A disjunct with the states it moves to, one set per direction.
-_Option = Tuple[fm.Disjunct, Tuple[Set[str], ...]]
+# One disjunct of a member state's formula: its literals, its constraints,
+# whether those literals hold a complementary pair, and the states it moves
+# to in each direction slot.
+_Option = Tuple[FrozenSet, FrozenSet, bool, Tuple[FrozenSet[str], ...]]
 
 ACCEPT_ALL_NAME = "#"
 
@@ -54,6 +56,138 @@ def sim_state_name(pairs: SimState) -> str:
     return "{" + inner + "}"
 
 
+class _Simulation:
+    """One simulation in progress: each member state's options, read once,
+    and the name of every simulation state met so far, in the order met.
+
+    ``transitions`` expands one simulation state into its transitions and
+    names the successors it meets; ``simulate`` runs it breadth first.
+    Nothing outlives the simulation that built it.
+    """
+
+    def __init__(
+        self, automaton: AlternatingAutomaton, max_states: int, max_disjuncts: int
+    ) -> None:
+        if max_states < 1:
+            raise ValueError(f"max_states must be at least 1, not {max_states}")
+        if max_disjuncts < 1:
+            raise ValueError(f"max_disjuncts must be at least 1, not {max_disjuncts}")
+        self.automaton = automaton
+        self.accepting = automaton.accepting
+        self.max_states = max_states
+        self.max_disjuncts = max_disjuncts
+        self.options: Dict[str, Tuple[int, Tuple[_Option, ...]]] = {}
+        tag = 1 if automaton.initial in self.accepting else 0
+        self.initial: SimState = frozenset({(automaton.initial, tag)})
+        self.names: Dict[SimState, str] = {self.initial: sim_state_name(self.initial)}
+        self.order: List[SimState] = [self.initial]
+
+    def options_of(self, state: str) -> Tuple[int, Tuple[_Option, ...]]:
+        """How many disjuncts ``state``'s formula has, and its distinct
+        options in disjunct order, built on first use.  Two disjuncts give
+        the same option only through a move in an undeclared direction."""
+        entry = self.options.get(state)
+        if entry is None:
+            directions = self.automaton.sig.directions
+            disjuncts = fm.dnf(self.automaton.delta[state], max_disjuncts=self.max_disjuncts)
+            options = dict.fromkeys(
+                (
+                    d.literals,
+                    d.constraints,
+                    bool(d.literals) and bool(fm.complementary_names(d.literals)),
+                    tuple(
+                        frozenset(m.state for m in d.moves if m.direction == e)
+                        for e in directions
+                    ),
+                )
+                for d in disjuncts
+            )
+            entry = self.options[state] = (len(disjuncts), tuple(options))
+        return entry
+
+    def name(self, successor: SimState) -> str:
+        """The name of a simulation state, registering it when new."""
+        name = self.names.get(successor)
+        if name is None:
+            if len(self.order) >= self.max_states:
+                raise ResourceLimitError(f"more than {self.max_states} simulation states")
+            name = self.names[successor] = sim_state_name(successor)
+            self.order.append(successor)
+        return name
+
+    def transitions(self, current: SimState) -> Tuple[Transition, ...]:
+        """The transitions of one simulation state, in choice order.
+
+        A choice picks one option per member, in sorted member order; a
+        repeated option would only repeat a transition.  A single member's
+        distinct options are its transitions as they stand, and a choice
+        with no literals needs no complementary-pair check.
+        """
+        accepting = self.accepting
+        name = self.name
+        members = sorted(current)
+        for state, tag in members:
+            assert tag == 1 or state not in accepting
+
+        if len(members) == 1:
+            # A lone member's successors carry tag 1 exactly when accepting:
+            # its own tag is 1 at a breakpoint and 0 otherwise.
+            out: List[Transition] = []
+            for literals, constraints, clash, slots in self.options_of(members[0][0])[1]:
+                if clash:
+                    continue
+                succ = tuple(
+                    name(frozenset((t, 1 if t in accepting else 0) for t in targets))
+                    if targets
+                    else ACCEPT_ALL_NAME
+                    for targets in slots
+                )
+                out.append(Transition(literals, constraints, succ))
+            return tuple(out)
+
+        per_member = []
+        choice_count = 1
+        for state, _ in members:
+            count, options = self.options_of(state)
+            choice_count *= count
+            per_member.append(options)
+        if choice_count > self.max_disjuncts:
+            raise ResourceLimitError(
+                f"simulation state {self.names[current]} has {choice_count} "
+                f"choice functions (limit {self.max_disjuncts})"
+            )
+
+        tags_of = [tag for _, tag in members]
+        at_breakpoint = all(tags_of)
+        k = self.automaton.sig.k
+        transitions: Dict[Transition, None] = {}
+        for choice in itertools.product(*per_member):
+            literals = frozenset().union(*[option[0] for option in choice])
+            if literals and fm.complementary_names(literals):
+                continue
+            constraints = frozenset().union(*[option[1] for option in choice])
+
+            succ_names: List[str] = []
+            for position in range(k):
+                tags: Dict[str, int] = {}
+                for tag, option in zip(tags_of, choice):
+                    for target in option[3][position]:
+                        tags[target] = tags.get(target, 1) & tag
+                if not tags:
+                    succ_names.append(ACCEPT_ALL_NAME)
+                    continue
+                succ_names.append(
+                    name(
+                        frozenset(
+                            (target, 1 if target in accepting else 0 if at_breakpoint else tag)
+                            for target, tag in tags.items()
+                        )
+                    )
+                )
+            transitions[Transition(literals, constraints, tuple(succ_names))] = None
+        return tuple(transitions)
+
+
 def simulate(
     automaton: AlternatingAutomaton,
     *,
@@ -64,100 +198,35 @@ def simulate(
     nondeterministic one over the same signature.
 
     The translation explores simulation states breadth first from the
-    initial set.  For each simulation state a choice function picks one
-    disjunct of each member state's transition formula in disjunctive
-    normal form; choices whose combined literals contain a complementary
-    pair are discarded.  Directions in which a choice moves nothing send
-    the run to the accept-all sink.
+    initial set, expanding one state at a time into its transitions.  Each
+    member state's transition formula is read once, through ``dnf``, into
+    options: a disjunct's literals, its constraints, and the states it
+    moves to in each direction.  A choice function picks one option per
+    member; choices whose combined literals contain a complementary pair
+    are discarded.  Directions in which a choice moves nothing send the
+    run to the accept-all sink.
 
-    Raises ResourceLimitError when more than ``max_states`` simulation
-    states appear, when a transition formula exceeds ``max_disjuncts`` in
-    normal form, or when one simulation state has more than
-    ``max_disjuncts`` choice functions.
+    Raises ValueError when a cap is below 1, and ResourceLimitError when
+    more than ``max_states`` simulation states appear, when a transition
+    formula exceeds ``max_disjuncts`` in normal form, or when one
+    simulation state has more than ``max_disjuncts`` choice functions.
     """
-    sig = automaton.sig
-    accepting_in = automaton.accepting
-
-    dnf_cache: Dict[str, Tuple[_Option, ...]] = {}
-
-    def disjuncts_of(state: str) -> Tuple[_Option, ...]:
-        if state not in dnf_cache:
-            dnf_cache[state] = tuple(
-                (d, tuple({m.state for m in d.moves if m.direction == e} for e in sig.directions))
-                for d in fm.dnf(automaton.delta[state], max_disjuncts=max_disjuncts)
-            )
-        return dnf_cache[state]
-
-    initial_tag = 1 if automaton.initial in accepting_in else 0
-    initial: SimState = frozenset({(automaton.initial, initial_tag)})
-
-    # Every simulation state met so far, in the order met, with its name.
-    names: Dict[SimState, str] = {initial: sim_state_name(initial)}
-    order: List[SimState] = [initial]
+    simulation = _Simulation(automaton, max_states, max_disjuncts)
+    names = simulation.names
     delta: Dict[str, Tuple[Transition, ...]] = {}
-    index = 0
-    while index < len(order):
-        current = order[index]
-        index += 1
-        members = sorted(current)
-        for state, tag in members:
-            assert tag == 1 or state not in accepting_in
+    # The order list grows while it is walked, so this is breadth first.
+    for current in simulation.order:
+        delta[names[current]] = simulation.transitions(current)
 
-        per_member = [disjuncts_of(state) for state, _ in members]
-        choice_count = 1
-        for options in per_member:
-            choice_count *= len(options)
-        if choice_count > max_disjuncts:
-            raise ResourceLimitError(
-                f"simulation state {names[current]} has {choice_count} "
-                f"choice functions (limit {max_disjuncts})"
-            )
-
-        at_breakpoint = all(tag == 1 for _, tag in members)
-        transitions: Dict[Transition, None] = {}
-        for choice in itertools.product(*per_member):
-            literals = frozenset().union(*(d.literals for d, _ in choice))
-            if fm.complementary_names(literals):
-                continue
-            constraints = frozenset().union(*(d.constraints for d, _ in choice))
-
-            succ_names: List[str] = []
-            for position in range(sig.k):
-                tags: Dict[str, int] = {}
-                for (_, tag), (_, moves) in zip(members, choice):
-                    for target in moves[position]:
-                        tags[target] = tags.get(target, 1) & tag
-                if not tags:
-                    succ_names.append(ACCEPT_ALL_NAME)
-                    continue
-                successor: SimState = frozenset(
-                    (target, 1 if target in accepting_in else 0 if at_breakpoint else tag)
-                    for target, tag in tags.items()
-                )
-                name = names.get(successor)
-                if name is None:
-                    if len(names) >= max_states:
-                        raise ResourceLimitError(
-                            f"more than {max_states} simulation states"
-                        )
-                    name = names[successor] = sim_state_name(successor)
-                    order.append(successor)
-                succ_names.append(name)
-
-            transitions[Transition(literals, constraints, tuple(succ_names))] = None
-        delta[names[current]] = tuple(transitions)
-
-    state_names = tuple(names.values()) + (ACCEPT_ALL_NAME,)
-    delta[ACCEPT_ALL_NAME] = (
-        Transition(frozenset(), frozenset(), (ACCEPT_ALL_NAME,) * sig.k),
-    )
+    k = automaton.sig.k
+    delta[ACCEPT_ALL_NAME] = (Transition(frozenset(), frozenset(), (ACCEPT_ALL_NAME,) * k),)
     accepting_out = frozenset(
         name for s, name in names.items() if all(tag == 1 for _, tag in s)
     ) | {ACCEPT_ALL_NAME}
     return NondetAutomaton(
-        sig=sig,
-        states=state_names,
-        initial=names[initial],
+        sig=automaton.sig,
+        states=tuple(names.values()) + (ACCEPT_ALL_NAME,),
+        initial=names[simulation.initial],
         accepting=accepting_out,
         delta=delta,
         accept_all=ACCEPT_ALL_NAME,

@@ -5,16 +5,19 @@ composition tables, kept textual and deliberately separate from the
 package's tables so that a typo in either copy makes the two sides
 disagree instead of agreeing by construction.
 
-The searcher enumerates atomic labelings of the unordered variable pairs
-in a fixed order and prunes a partial labeling as soon as any fully
-labeled triangle violates composition.  For RCC8 an atomic network whose
-triangles all satisfy composition is realizable, so the search is an
-exact decision procedure.
+The searcher keeps a set of atoms per ordered variable pair and closes it
+under path consistency over these tables: every triangle i, k, j removes
+from (i, j) the atoms outside the composition of (i, k) and (k, j).  It
+then branches on a pair with the fewest atoms left (more than one), one
+atom at a time in table order, and closes again.  Path consistency only
+removes atoms that no scenario uses, and for RCC8 an atomic network whose
+triangles all satisfy composition is realizable, so a closed network of
+single atoms is consistent and the search is an exact decision procedure.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 ATOM_NAMES = ("DC", "EC", "PO", "TPP", "NTPP", "TPPI", "NTPPI", "EQ")
 
@@ -128,40 +131,60 @@ def oracle_consistent(
         if "EQ" not in atoms:
             return False
 
-    pairs = [(i, j) for i in range(n_vars) for j in range(i + 1, n_vars)]
-    chosen: Dict[Tuple[int, int], str] = {}
+    every = frozenset(ATOM_NAMES)
+    domains: Dict[Tuple[int, int], FrozenSet[str]] = {}
+    for i in range(n_vars):
+        for j in range(i + 1, n_vars):
+            atoms = every & allowed.get((i, j), every)
+            domains[(i, j)] = atoms
+            domains[(j, i)] = frozenset(ORACLE_CONVERSE[a] for a in atoms)
+    composed: Dict[Tuple[FrozenSet[str], FrozenSet[str]], FrozenSet[str]] = {}
 
-    def atom_at(i: int, j: int) -> str:
-        if i < j:
-            return chosen[(i, j)]
-        return ORACLE_CONVERSE[chosen[(j, i)]]
+    def compose(first: FrozenSet[str], second: FrozenSet[str]) -> FrozenSet[str]:
+        key = (first, second)
+        if key not in composed:
+            composed[key] = frozenset().union(
+                *(ORACLE_COMPOSITION[(a, b)] for a in first for b in second)
+            )
+        return composed[key]
 
-    def compatible(i: int, j: int) -> bool:
-        for k in range(n_vars):
-            if k == i or k == j:
-                continue
-            if (min(i, k), max(i, k)) not in chosen:
-                continue
-            if (min(k, j), max(k, j)) not in chosen:
-                continue
-            if atom_at(i, j) not in ORACLE_COMPOSITION[(atom_at(i, k), atom_at(k, j))]:
-                return False
+    def close(d: Dict[Tuple[int, int], FrozenSet[str]], queue: List[Tuple[int, int]]) -> bool:
+        """Path consistency from the pairs in ``queue``, which it empties;
+        False once a pair has no atom left."""
+        while queue:
+            i, j = queue.pop()
+            for k in range(n_vars):
+                if k == i or k == j:
+                    continue
+                # (i, k) through j, and (k, j) through i
+                for a, b, c in ((i, j, k), (k, i, j)):
+                    narrowed = d[(a, c)] & compose(d[(a, b)], d[(b, c)])
+                    if narrowed != d[(a, c)]:
+                        if not narrowed:
+                            return False
+                        d[(a, c)] = narrowed
+                        d[(c, a)] = frozenset(ORACLE_CONVERSE[x] for x in narrowed)
+                        queue.append((a, c))
         return True
 
-    def search(index: int) -> bool:
-        if index == len(pairs):
+    def search(d: Dict[Tuple[int, int], FrozenSet[str]]) -> bool:
+        open_pairs = [pair for pair, atoms in d.items() if pair[0] < pair[1] and len(atoms) > 1]
+        if not open_pairs:
             return True
-        i, j = pairs[index]
+        i, j = min(open_pairs, key=lambda pair: len(d[pair]))
         for atom in ATOM_NAMES:
-            if atom not in allowed.get((i, j), frozenset(ATOM_NAMES)):
+            if atom not in d[(i, j)]:
                 continue
-            chosen[(i, j)] = atom
-            if compatible(i, j) and search(index + 1):
+            branch = dict(d)
+            branch[(i, j)] = frozenset((atom,))
+            branch[(j, i)] = frozenset((ORACLE_CONVERSE[atom],))
+            if close(branch, [(i, j)]) and search(branch):
                 return True
-            del chosen[(i, j)]
         return False
 
-    return search(0)
+    if any(not atoms for atoms in domains.values()):
+        return False
+    return close(domains, [pair for pair in domains if pair[0] < pair[1]]) and search(domains)
 
 
 def oracle_consistent_atoms(n_vars: int, atoms: Dict[Tuple[int, int], str]) -> bool:

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import pathlib
 import random
+import time
 
 import pytest
 
@@ -25,6 +26,7 @@ from qsta import (
     backconstraints_step,
     check_bounds,
     check_witness,
+    converse,
     decide,
     ftm_search,
     globalcsp,
@@ -48,6 +50,7 @@ from qsta.emptiness import _trim
 
 from gen_random import direct_reading, random_nondet, random_nondet_shaped
 from oracle_classic import classical_nonempty
+from oracle_networks import oracle_consistent
 from rebuild import replace
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -670,6 +673,41 @@ def test_check_witness_decides_the_network_globalcsp_builds():
             )
             expected = [] if consistent else ["global constraint network is inconsistent"]
             assert defects == expected, name
+    assert verdicts == {True, False}
+
+
+def _oracle_form(network):
+    """A Qcsp as oracle_consistent's (variable count, allowed, selfs)."""
+    index = {v: i for i, v in enumerate(sorted(network.variables))}
+    allowed = {
+        (index[u], index[v]): frozenset(rel)
+        for (u, v), rel in network.edges.items()
+        if index[u] < index[v]
+    }
+    selfs = {index[v]: frozenset(rel) for v, rel in network.selfs.items()}
+    return len(index), allowed, selfs
+
+
+def test_network_oracle_decides_the_constraints4_witness_network():
+    network = globalcsp(decide(corpus_automaton("constraints4")).witness.nodes)
+    n_vars, allowed, selfs = _oracle_form(network)
+    assert (n_vars, len(allowed)) == (9, 9)
+    started = time.perf_counter()
+    assert oracle_consistent(n_vars, allowed, selfs) is is_consistent(network) is True
+    assert time.perf_counter() - started < 2.0
+    # the same graph with each relation redrawn as a random atom
+    rng = random.Random(21)
+    verdicts = set()
+    for _ in range(40):
+        redrawn = {}
+        for (u, v) in network.edges:
+            if (v, u) not in redrawn:
+                redrawn[(u, v)] = Relation(1 << rng.randrange(8))
+                redrawn[(v, u)] = converse(redrawn[(u, v)])
+        other = replace(network, edges=redrawn)
+        verdict = is_consistent(other)
+        verdicts.add(verdict)
+        assert oracle_consistent(*_oracle_form(other)) is verdict
     assert verdicts == {True, False}
 
 

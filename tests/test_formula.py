@@ -101,6 +101,14 @@ def test_dnf_cap_raises():
         dnf(Or((lit("a"), lit("b"), lit("c"))), max_disjuncts=2)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_dnf_rejects_a_cap_below_one(cap):
+    # one generator used to pass at cap 0, and a conjunction of two to raise
+    for f in (lit("A"), And((lit("A"), lit("B")))):
+        with pytest.raises(ValueError, match=f"^max_disjuncts must be at least 1, not {cap}$"):
+            dnf(f, max_disjuncts=cap)
+
+
 def test_dnf_of_a_chain_deeper_than_the_recursion_limit():
     f = lit("B0")
     for i in range(1, 2001):
@@ -123,6 +131,70 @@ def test_dnf_output_is_pinned_on_criterion_3_formulas():
         lines.append(repr([sorted_key(d.generators) for d in dnf(formula)]))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == CRITERION_3_DNF_SHA256
+
+
+def mixed_generators():
+    """Two of each generator kind, literals of both signs included."""
+    tpp_g_d1g = SpatialConstraint(
+        rel=parse_relation("{TPP,EQ}"),
+        args=(ChainTerm((), "g"), ChainTerm(("d1",), "g")),
+    )
+    return [
+        lit("A"),
+        NegLiteral("A"),
+        NegLiteral("B"),
+        tpp_g_d1h(),
+        tpp_g_d1g,
+        Move("d1", "q0"),
+        Move("d2", "q1"),
+    ]
+
+
+def test_dnf_truth_table_equivalence_over_mixed_generator_kinds():
+    rng = random.Random(404)
+    pool = mixed_generators()
+    for _ in range(60):
+        gens = rng.sample(pool, rng.randint(1, len(pool)))
+        f = random_monotone_formula(rng, gens, 4)
+        disjuncts = dnf(f)
+        for d in disjuncts:
+            assert all(isinstance(g, (PosLiteral, NegLiteral)) for g in d.literals)
+            assert all(isinstance(g, SpatialConstraint) for g in d.constraints)
+            assert all(isinstance(g, Move) for g in d.moves)
+            assert d.literals | d.constraints | d.moves == d.generators
+        for bits in itertools.product([False, True], repeat=len(gens)):
+            truth = dict(zip(gens, bits))
+            via_dnf = any(all(truth[g] for g in d.generators) for d in disjuncts)
+            assert eval_formula(f, truth) == via_dnf
+
+
+# sha256 over random formulas of mixed generator kinds, one line each:
+# dnf's disjunct count, or "raise" for ResourceLimitError, under the caps
+# 1 to 8; computed before an And's or Or's generator children were
+# joined in one step, so the join cannot move where the cap trips.
+DNF_CAP_OUTCOMES_SHA256 = "21b85de495ec4596586fef1b35a92560912d97626ee38e4afd3589a0421aa6c6"
+
+
+def _dnf_cap_outcomes():
+    rng = random.Random(1984)
+    pool = mixed_generators()
+    lines = []
+    for _ in range(200):
+        gens = rng.sample(pool, rng.randint(1, len(pool)))
+        f = random_monotone_formula(rng, gens, rng.randint(2, 4))
+        row = []
+        for cap in range(1, 9):
+            try:
+                row.append(str(len(dnf(f, max_disjuncts=cap))))
+            except ResourceLimitError:
+                row.append("raise")
+        lines.append(" ".join(row))
+    return lines
+
+
+def test_dnf_cap_outcomes_are_pinned():
+    digest = hashlib.sha256("\n".join(_dnf_cap_outcomes()).encode()).hexdigest()
+    assert digest == DNF_CAP_OUTCOMES_SHA256
 
 
 def test_dnf_idempotent_on_own_output():

@@ -2,12 +2,14 @@
 
 import hashlib
 import itertools
+import pathlib
 import random
 
 import pytest
 
 import qsta.formula as fm
 from gen_random import direct_reading, random_alternating, random_nondet_shaped
+from oracle_alternating import alternating_nonempty
 from qsta import (
     AlternatingAutomaton,
     ChainTerm,
@@ -209,11 +211,75 @@ def test_simulate_state_cap():
         simulate(a, max_states=1)
 
 
+@pytest.mark.parametrize("caps", [{"max_states": 0}, {"max_states": -3}, {"max_disjuncts": 0}])
+def test_simulate_rejects_a_cap_below_one(caps):
+    a = alternating({"q0": fm.Move("d1", "q0")})
+    (name,) = caps
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1, not {caps[name]}$"):
+        simulate(a, **caps)
+
+
 def test_simulate_agrees_with_direct_reading_on_nondet_shaped():
     rng = random.Random(140)
     for _ in range(10):
         a = random_nondet_shaped(rng)
         assert decide(simulate(a)).verdict == decide(direct_reading(a)).verdict
+
+
+def test_simulate_agrees_with_the_alternating_oracle_without_constraints():
+    rng = random.Random(11)
+    verdicts = []
+    for i in range(1000):
+        a = random_alternating(rng, max_states=5, max_k=2)
+        got = decide(simulate(a)).nonempty
+        assert got == alternating_nonempty(a), f"automaton {i}"
+        verdicts.append(got)
+    # both verdicts occur often enough for the agreement to mean something
+    assert 100 < verdicts.count(False) < 900
+
+
+def test_the_alternating_oracle_decides_small_automata():
+    sig = Signature(directions=("d1",), concepts=("A",), features=("g",))
+    loop = {"q0": fm.Move("d1", "q0")}
+    assert alternating_nonempty(alternating(loop, sig=sig))
+    assert not alternating_nonempty(alternating(loop, accepting=(), sig=sig))
+    clash = {"q0": fm.And((fm.PosLiteral("A"), fm.NegLiteral("A")))}
+    assert not alternating_nonempty(alternating(clash, sig=sig))
+    ping = {"q0": fm.Move("d1", "q1"), "q1": fm.Move("d1", "q0")}
+    assert alternating_nonempty(alternating(ping, states=("q0", "q1"), accepting=("q1",), sig=sig))
+    # Every d1 node holds the accepting q1, but q0's own copy stays on the
+    # d1 branch forever without accepting: empty.  Without the owing set
+    # O, a subset construction would accept.
+    delta = {"q0": fm.And((fm.Move("d1", "q0"), fm.Move("d1", "q1"))), "q1": fm.PosLiteral("A")}
+    owing = alternating(delta, states=("q0", "q1"), accepting=("q1",), sig=sig)
+    assert not alternating_nonempty(owing)
+    assert not decide(simulate(owing)).nonempty
+
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+
+
+def test_simulate_agrees_with_the_alternating_oracle_on_the_corpus():
+    files = sorted(CORPUS.glob("alt_*.aut"))
+    assert [f.stem for f in files] == ["alt_choice", "alt_spatial", "alt_univ"]
+    for path in files:
+        a = load_automaton(path.read_text())
+        got = decide(simulate(a)).nonempty
+        if path.stem == "alt_spatial":  # has a constraint: one-sided
+            assert got <= alternating_nonempty(a)
+        else:
+            assert got == alternating_nonempty(a), path.stem
+
+
+def test_alternating_oracle_empty_means_empty_with_constraints():
+    rng = random.Random(12)
+    empty = 0
+    for i in range(300):
+        a = random_alternating(rng, max_states=5, max_k=2, allow_constraints=True)
+        if not alternating_nonempty(a):
+            empty += 1
+            assert not decide(simulate(a)).nonempty, f"automaton {i}"
+    assert empty > 30
 
 
 # sha256 over the printed simulations of 300 seeded random_alternating and

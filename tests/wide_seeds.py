@@ -1,0 +1,155 @@
+"""Release-gate properties on fresh automata, seeded from a commit hash.
+
+    PYTHONPATH=src python tests/wide_seeds.py --commit "$(git rev-parse HEAD)" --seconds 120
+
+Tier-1 checks these properties on fixed seeds only.  This script derives
+one seed per property from the commit hash (or takes ``--seeds``), prints
+them, and draws fresh automata from them in turn until ``--seconds`` of
+work are spent:
+
+- ``alternating``: ``random_alternating`` up to 5 states and k <= 2, half
+  of them with constraints; ``decide(simulate(a))`` must equal
+  ``oracle_alternating`` without constraints, and say empty whenever the
+  oracle does with them;
+- ``criterion5``: ``random_nondet_shaped``; ``simulate`` and the direct
+  reading must give the same verdict;
+- ``criterion6``: ``random_nondet``; ``decide`` must equal
+  ``oracle_classic``.
+
+A disagreement is a program bug: the script prints the property, seed
+and index, and exits 1.  An automaton that takes longer than
+``--instance-seconds`` or hits a resource cap is reported and skipped,
+since neither is a wrong verdict.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import random
+import signal
+import sys
+import time
+from typing import Callable, Dict, Optional
+
+from gen_random import direct_reading, random_alternating, random_nondet, random_nondet_shaped
+from oracle_alternating import alternating_nonempty
+from oracle_classic import classical_nonempty
+from qsta import ResourceLimitError, decide, simulate
+
+# A property draws its automaton from the stream and returns the check,
+# which gives None or the disagreement; only the check is timed.
+Check = Callable[[], Optional[str]]
+
+
+def alternating(rng: random.Random, index: int) -> Check:
+    constrained = index % 2 == 1
+    a = random_alternating(rng, max_states=5, max_k=2, allow_constraints=constrained)
+
+    def check() -> Optional[str]:
+        got = decide(simulate(a)).nonempty
+        want = alternating_nonempty(a)
+        if got == want or (constrained and want):
+            return None
+        return f"decide(simulate(a)) says {got}, the alternating oracle {want}"
+
+    return check
+
+
+def criterion5(rng: random.Random, index: int) -> Check:
+    a = random_nondet_shaped(rng)
+
+    def check() -> Optional[str]:
+        via_simulation = decide(simulate(a)).nonempty
+        via_direct = decide(direct_reading(a)).nonempty
+        if via_simulation == via_direct:
+            return None
+        return f"simulate says {via_simulation}, the direct reading {via_direct}"
+
+    return check
+
+
+def criterion6(rng: random.Random, index: int) -> Check:
+    a = random_nondet(rng)
+
+    def check() -> Optional[str]:
+        got = decide(a).nonempty
+        want = classical_nonempty(a)
+        return None if got == want else f"decide says {got}, the classical oracle {want}"
+
+    return check
+
+
+PROPERTIES: Dict[str, Callable[[random.Random, int], Check]] = {
+    "alternating": alternating,
+    "criterion5": criterion5,
+    "criterion6": criterion6,
+}
+
+
+class _Slow(Exception):
+    pass
+
+
+def _interrupt(signum, frame):
+    raise _Slow()
+
+
+def seeds_from_commit(commit: str) -> Dict[str, int]:
+    return {
+        name: int(hashlib.sha256(f"{commit}:{name}".encode()).hexdigest()[:12], 16)
+        for name in PROPERTIES
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--commit", help="derive the seeds from this commit hash")
+    source.add_argument("--seeds", help="comma-separated seeds, one per property, in order")
+    parser.add_argument("--seconds", type=float, default=120.0)
+    parser.add_argument("--instance-seconds", type=float, default=10.0)
+    args = parser.parse_args(argv)
+
+    if args.commit:
+        seeds = seeds_from_commit(args.commit)
+    else:
+        seeds = dict(zip(PROPERTIES, (int(s) for s in args.seeds.split(","))))
+    print("seeds: " + " ".join(f"{name}={seed}" for name, seed in seeds.items()))
+    print(f"rerun with: --seeds {','.join(str(seed) for seed in seeds.values())}")
+
+    rngs = {name: random.Random(seed) for name, seed in seeds.items()}
+    checked = dict.fromkeys(PROPERTIES, 0)
+    skipped = disagreements = 0
+    signal.signal(signal.SIGALRM, _interrupt)
+    deadline = time.monotonic() + args.seconds
+    index = 0
+    while time.monotonic() < deadline:
+        for name, draw in PROPERTIES.items():
+            check = draw(rngs[name], index)
+            where = f"{name} seed {seeds[name]} index {index}"
+            signal.setitimer(signal.ITIMER_REAL, args.instance_seconds)
+            try:
+                problem = check()
+            except _Slow:
+                print(f"slow: {where} took over {args.instance_seconds} s", flush=True)
+                skipped += 1
+                continue
+            except ResourceLimitError as exc:
+                print(f"capped: {where}: {exc}", flush=True)
+                skipped += 1
+                continue
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            checked[name] += 1
+            if problem is not None:
+                disagreements += 1
+                print(f"DISAGREE: {where}: {problem}", flush=True)
+        index += 1
+    counts = ", ".join(f"{name} {count}" for name, count in checked.items())
+    print(f"checked {counts}; skipped {skipped}; disagreements {disagreements}")
+    return 1 if disagreements else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
