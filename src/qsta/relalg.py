@@ -16,12 +16,14 @@ variable and itself cannot be stored pairwise, so they are kept in a separate
 ``selfs`` map: a self constraint is satisfiable exactly when it admits EQ.
 
 The solver closes a network under path consistency, then branches, one
-re-closure per branch, until every pair of a given list is atomic.  Path
-consistency decides networks over Ĥ8, which holds every atom and the
-universal relation (Renz & Nebel, AIJ 108, 1999), so a yes/no decision
-(``masks_consistent``, ``is_consistent``) branches only on the declared
-pairs, those some constraint narrows.  ``consistent_scenario`` lists every
-pair, to fix an atom for each.
+re-closure per branch, until every pair of a given list is done.
+``consistent_scenario`` lists every pair, done at an atom.  A yes/no
+decision (``masks_consistent``, ``is_consistent``) lists the declared
+pairs, those some constraint narrows, done in T: the closure of the atoms
+and the universal relation under composition, converse and intersection
+(37 relations).  T lies in Ĥ8, where path consistency decides consistency
+(Renz & Nebel, AIJ 108, 1999), so stopping there is exact; ``_scenario``
+gives the argument.
 """
 
 from __future__ import annotations
@@ -144,6 +146,20 @@ def _mask_of(atoms: Iterable[str]) -> int:
     return mask
 
 
+def _atoms_and_names() -> Tuple[List[Tuple[str, ...]], List[str]]:
+    """The atoms of every mask, in ``ATOMS`` order, and its printed name:
+    the atom of an atomic mask, ``{A,B,...}`` otherwise.  The masks below
+    2**(i+1) are those below 2**i, then the same with atom i added."""
+    atoms: List[Tuple[str, ...]] = [()]
+    for atom in ATOMS:
+        atoms += [below + (atom,) for below in atoms]
+    names = ["{" + ",".join(a) + "}" if len(a) != 1 else a[0] for a in atoms]
+    return atoms, names
+
+
+_ATOMS_OF, _NAME = _atoms_and_names()
+
+
 class Relation(Value):
     """A subset of the eight RCC8 atoms, held as an 8-bit mask."""
 
@@ -169,7 +185,7 @@ class Relation(Value):
 
     @property
     def atoms(self) -> Tuple[str, ...]:
-        return tuple(a for a in ATOMS if _ATOM_BIT[a] & self.mask)
+        return _ATOMS_OF[self.mask]
 
     def is_empty(self) -> bool:
         return self.mask == 0
@@ -199,10 +215,7 @@ class Relation(Value):
         return iter(self.atoms)
 
     def __str__(self) -> str:
-        names = self.atoms
-        if len(names) == 1:
-            return names[0]
-        return "{" + ",".join(names) + "}"
+        return _NAME[self.mask]
 
     def __repr__(self) -> str:
         return f"Relation.of({', '.join(map(repr, self.atoms))})"
@@ -232,10 +245,11 @@ def parse_relation(text: str) -> Relation:
 
 
 def _unions(per_atom: List[int]) -> List[int]:
-    """For every mask, the union of per_atom's entries over the mask's atoms."""
-    table = [0] * (_FULL_MASK + 1)
-    for m in range(1, _FULL_MASK + 1):
-        table[m] = table[m & (m - 1)] | per_atom[(m & -m).bit_length() - 1]
+    """For every mask, the union of per_atom's entries over the mask's atoms,
+    built as ``_atoms_and_names`` builds its atoms."""
+    table = [0]
+    for entry in per_atom:
+        table += [union | entry for union in table]
     return table
 
 
@@ -353,7 +367,22 @@ Matrix = List[List[int]]
 Pair = Tuple[int, int]
 
 # The number of atoms in every mask.
-_SIZE = bytes(bin(mask).count("1") for mask in range(_FULL_MASK + 1))
+_SIZE = bytes(map(len, _ATOMS_OF))
+
+# T, the closure of the eight atoms and the universal relation under
+# composition, converse and intersection: 37 non-empty relations, all in
+# Ĥ8.  Kept as a literal so that import composes nothing; the tests derive
+# it again from an independent transcription of the tables.
+_CLOSURE_OF_ATOMS = frozenset((
+    0x01, 0x02, 0x03, 0x04, 0x06, 0x07, 0x08, 0x0C, 0x0E, 0x0F, 0x10, 0x18, 0x1C,
+    0x1E, 0x1F, 0x20, 0x24, 0x26, 0x27, 0x40, 0x60, 0x64, 0x66, 0x67, 0x80, 0xAC,
+    0xAE, 0xAF, 0xBC, 0xBE, 0xBF, 0xEC, 0xEE, 0xEF, 0xFC, 0xFE, 0xFF,
+))
+
+# The "done" tables of ``_scenario``, indexed by mask: atomic masks, for a
+# scenario, and the masks of T, for a yes/no decision.
+_ATOMIC = bytes(size == 1 for size in _SIZE)
+_IN_CLOSURE = bytes(mask in _CLOSURE_OF_ATOMS for mask in range(_FULL_MASK + 1))
 
 
 def _closed_matrix(
@@ -422,33 +451,40 @@ def _close(m: Matrix, queue: Set[Pair]) -> bool:
     return True
 
 
-def _scenario(m: Matrix, pairs: List[Pair]) -> Optional[Matrix]:
-    """A path-consistent refinement of the closed matrix m in which every
-    listed pair is atomic, or None when there is none.
+def _scenario(m: Matrix, pairs: List[Pair], done: bytes) -> Optional[Matrix]:
+    """Search the closed matrix m depth first, branching on listed pairs
+    until each has been found done (``done[mask]`` is 1) in the current
+    matrix or an ancestor: that matrix, or None when every branch empties
+    a relation.  ``done`` holds every atom, so the search ends.
 
-    Such a refinement is consistent whenever the listed pairs include every
-    pair that is neither atomic nor full before closure: the network of
-    those atoms and universal relations lies in Ĥ8, where path consistency
-    decides consistency (Renz & Nebel, AIJ 108, 1999).  So
-    ``masks_consistent`` lists the declared pairs only, and
-    ``consistent_scenario`` every pair i < j, for an atomic matrix.
+    With ``_ATOMIC`` and every pair i < j listed, the result is an atomic
+    scenario: an atom only refines to itself (``consistent_scenario``).
+    With ``_IN_CLOSURE`` and the declared pairs listed, it decides the
+    input (``masks_consistent``).  None proves it inconsistent, since each
+    branch splits a pair into all of its atoms.  A result proves it
+    consistent: the network N of the masks at which the declared pairs
+    were found done, universal elsewhere, lies in T ⊆ Ĥ8, where path
+    consistency is exact (Renz & Nebel, AIJ 108, 1999); the result is a
+    non-empty path-consistent refinement of N, so N has a solution; and
+    each of those masks refines its pair's input relation, so that
+    solution satisfies the input.
 
-    Depth first over the atoms, in ``ATOMS`` order, of the first listed
-    pair with the fewest atoms, with a stack of (closed matrix, its
-    non-atomic listed pairs, pair, atoms left).  A branch copies the closed
-    matrix, fixes the pair and re-closes from that pair only; closure only
-    refines, so the pairs still to fix are filtered from the parent's."""
+    The branch is the first listed pair with the fewest atoms among those
+    not done, its atoms taken in ``ATOMS`` order, with a stack of (closed
+    matrix, its listed pairs not done, pair, atoms left).  A branch copies
+    the closed matrix, fixes the pair and re-closes from that pair only;
+    the pairs still to fix are filtered from the parent's."""
     stack: List[Tuple[Matrix, List[Pair], int, int, int]] = []
     closed = True
     while True:
         if closed:
             open_pairs, fewest = [], len(ATOMS) + 1
             for pair in pairs:
-                size = _SIZE[m[pair[0]][pair[1]]]
-                if size > 1:
+                mask = m[pair[0]][pair[1]]
+                if not done[mask]:
                     open_pairs.append(pair)
-                    if size < fewest:
-                        branch, fewest = pair, size
+                    if _SIZE[mask] < fewest:
+                        branch, fewest = pair, _SIZE[mask]
             if not open_pairs:
                 return m
             i, j = branch
@@ -490,19 +526,22 @@ def path_consistency(network: Qcsp) -> Optional[Qcsp]:
 
 def masks_consistent(n: int, constraints: Iterable[Tuple[int, int, int]]) -> bool:
     """Decide a network given as masks: constraints (i, j, mask) over
-    variables 0..n-1, read as in ``_closed_matrix``.  ``is_consistent``
-    and the emptiness search's root check both decide through here.
+    variables 0..n-1, read as in ``_closed_matrix``.  ``is_consistent``,
+    the emptiness search's root check and ``check_witness`` all decide
+    through here.
 
-    Exact by branching on the declared pairs only: once each is atomic, the
-    network of those atoms and the universal relation elsewhere lies in Ĥ8,
-    where path consistency decides consistency (Renz & Nebel, AIJ 108,
-    1999).  Pairs no constraint names are never branched on."""
+    Branches only on declared pairs, and only until each lies in T, the
+    closure of the atoms and the universal relation: T lies in Ĥ8, where
+    path consistency decides consistency (Renz & Nebel, AIJ 108, 1999).
+    ``_scenario`` gives the argument.  Pairs no constraint names are never
+    branched on."""
     closed = _closed_matrix(n, constraints)
-    return closed is not None and _scenario(*closed) is not None
+    return closed is not None and _scenario(*closed, _IN_CLOSURE) is not None
 
 
 def is_consistent(network: Qcsp) -> bool:
-    """Decide consistency by refinement search with path-consistency pruning."""
+    """Decide consistency: path consistency, then branching on the declared
+    pairs outside T, as ``masks_consistent`` does."""
     return masks_consistent(*_masks(network))
 
 
@@ -521,5 +560,5 @@ def consistent_scenario(network: Qcsp) -> Optional[Qcsp]:
         return None
     m, _ = closed
     every_pair = [(i, j) for i in range(len(m)) for j in range(i + 1, len(m))]
-    scenario = _scenario(m, every_pair)
+    scenario = _scenario(m, every_pair, _ATOMIC)
     return None if scenario is None else _network(network, scenario)

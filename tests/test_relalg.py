@@ -76,9 +76,15 @@ def test_parse_relation_forms():
 
 
 def test_relation_rendering_round_trip():
+    """For all 255 non-empty masks, str gives the atoms in ATOMS order,
+    braced unless there is one, and parse_relation reads it back."""
     for mask in range(1, 256):
-        rel = Relation.of(*(a for i, a in enumerate(ATOMS) if mask >> i & 1))
+        names = [a for i, a in enumerate(ATOMS) if mask >> i & 1]
+        rel = Relation(mask)
+        assert rel == Relation.of(*names) and rel.atoms == tuple(names)
+        assert str(rel) == (names[0] if len(names) == 1 else "{" + ",".join(names) + "}")
         assert parse_relation(str(rel)) == rel
+    assert str(Relation.empty()) == "{}"
 
 
 # -- converse and composition -------------------------------------------------
@@ -138,6 +144,48 @@ def test_compose_distributes_over_union():
 
 def test_compose_dc_full_is_full():
     assert compose(atomic("DC"), Relation.full()) == Relation.full()
+
+
+def _oracle_closure_of_atoms():
+    """The closure of the atoms and the universal relation under converse,
+    intersection and composition, as atom sets, over oracle_networks'
+    tables; the empty relation left out."""
+    def compose(r, s):
+        return frozenset().union(*(on.ORACLE_COMPOSITION[(a, b)] for a in r for b in s))
+
+    members = {frozenset((a,)) for a in on.ATOM_NAMES} | {frozenset(on.ATOM_NAMES)}
+    while True:
+        found = {frozenset(on.ORACLE_CONVERSE[a] for a in r) for r in members}
+        for r, s in itertools.product(members, repeat=2):
+            found |= {r & s, compose(r, s)}
+        found.discard(frozenset())
+        if found <= members:
+            return members
+        members |= found
+
+
+CLOSURE_OF_ATOMS = [frozenset(Relation(mask)) for mask in sorted(relalg._CLOSURE_OF_ATOMS)]
+
+
+def test_closure_of_atoms_is_the_closure():
+    """T, where a yes/no decision stops branching, has 37 members, holds
+    the atoms and the universal relation, is closed under converse,
+    intersection and composition (read from oracle_networks' tables), and
+    equals the closure derived from those tables; the done tables match."""
+    closure = set(CLOSURE_OF_ATOMS)
+    assert len(closure) == len(CLOSURE_OF_ATOMS) == 37
+    assert frozenset(on.ATOM_NAMES) in closure
+    assert all(frozenset((a,)) in closure for a in on.ATOM_NAMES)
+    for r in closure:
+        assert frozenset(on.ORACLE_CONVERSE[a] for a in r) in closure, r
+    for r, s in itertools.product(closure, repeat=2):
+        assert not r & s or r & s in closure, (r, s)
+        composed = frozenset().union(*(on.ORACLE_COMPOSITION[(a, b)] for a in r for b in s))
+        assert composed in closure, (r, s)
+    assert closure == _oracle_closure_of_atoms()
+    for mask in range(256):
+        assert relalg._IN_CLOSURE[mask] == (frozenset(Relation(mask)) in closure)
+        assert relalg._ATOMIC[mask] == Relation(mask).is_atomic()
 
 
 # -- geometric grounding ------------------------------------------------------
@@ -376,8 +424,8 @@ def test_branching_refutes_a_path_consistent_network():
 
 def test_is_consistent_closes_once_per_declared_pair(monkeypatch):
     """{DC,EC} between consecutive variables of a chain of 12: is_consistent
-    fixes the 11 declared pairs and never branches on the 55 others, while
-    consistent_scenario fixes all 66."""
+    never branches on the 55 undeclared pairs (nor, as {DC,EC} lies in T,
+    on the 11 declared ones), while consistent_scenario fixes all 66."""
     builder = QcspBuilder()
     for u in range(11):
         builder.add(u, u + 1, Relation.of("DC", "EC"))
@@ -395,6 +443,49 @@ def test_is_consistent_closes_once_per_declared_pair(monkeypatch):
     calls.clear()
     assert consistent_scenario(network) is not None
     assert len(calls) == 66 + 1
+
+
+def test_is_consistent_agrees_with_oracle_inside_and_outside_the_closure(monkeypatch):
+    """Networks whose declared relations all lie in T are decided by path
+    consistency alone, with no branch; networks over relations of at most
+    three atoms outside T still branch.  Both kinds match the brute-force
+    oracle, with both verdicts."""
+    rng = random.Random(2718)
+    outside = [
+        frozenset(Relation(mask))
+        for mask in range(1, 256)
+        if mask not in relalg._CLOSURE_OF_ATOMS and len(Relation(mask)) <= 3
+    ]
+    close = relalg._close
+    closes = []
+
+    def counted_close(m, queue):
+        closes.append(queue)
+        return close(m, queue)
+
+    monkeypatch.setattr(relalg, "_close", counted_close)
+    verdicts = {"inside": set(), "outside": set()}
+    branched = 0
+    for kind, pool in (("inside", CLOSURE_OF_ATOMS), ("outside", outside)):
+        for _ in range(300):
+            n_vars = rng.randint(3, 7)
+            builder = QcspBuilder(range(n_vars))
+            allowed = {}
+            for pair in itertools.combinations(range(n_vars), 2):
+                if rng.random() < 0.8:
+                    atoms = rng.choice(pool)
+                    builder.add(*pair, Relation.of(*atoms))
+                    allowed[pair] = atoms
+            closes.clear()
+            got = is_consistent(builder.build())
+            assert got == on.oracle_consistent(n_vars, allowed), allowed
+            verdicts[kind].add(got)
+            if kind == "inside":
+                assert len(closes) <= 1, allowed
+            else:
+                branched += len(closes) > 1
+    assert verdicts == {"inside": {True, False}, "outside": {True, False}}
+    assert branched >= 100
 
 
 def _oracle_closure(n_vars, allowed):
@@ -486,8 +577,9 @@ def test_network_naming_unknown_variables_is_rejected(solve, edges, selfs, named
 
 
 def test_search_deeper_than_the_recursion_limit():
-    """{DC,EC} on every pair of 46 variables branches on all 1 035 pairs,
-    one level each, past Python's default recursion limit of 1 000."""
+    """{DC,EC} on every pair of 46 variables: consistent_scenario branches
+    on all 1 035 pairs, one level each, past Python's default recursion
+    limit of 1 000 (is_consistent needs no branch, as {DC,EC} lies in T)."""
     builder = QcspBuilder()
     for u, v in itertools.combinations(range(46), 2):
         builder.add(u, v, Relation.of("DC", "EC"))

@@ -1,4 +1,4 @@
-"""Release-gate properties on fresh automata, seeded from a commit hash.
+"""Release-gate properties on fresh automata and networks, seeded from a commit hash.
 
     PYTHONPATH=src python tests/wide_seeds.py --commit "$(git rev-parse HEAD)" --seconds 120
 
@@ -14,7 +14,12 @@ work are spent:
 - ``criterion5``: ``random_nondet_shaped``; ``simulate`` and the direct
   reading must give the same verdict;
 - ``criterion6``: ``random_nondet``; ``decide`` must equal
-  ``oracle_classic``.
+  ``oracle_classic``;
+- ``networks``: RCC8 networks of 3 to 8 variables, alternately
+  ``random_mixed_network`` and sparse ones (half the pairs declared, one
+  to three atoms each); ``is_consistent``, which stops branching once
+  every declared pair lies in the closure of the atoms, must equal
+  ``oracle_networks.oracle_consistent``.
 
 A disagreement is a program bug: the script prints the property, seed
 and index, and exits 1.  An automaton that takes longer than
@@ -26,18 +31,26 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import random
 import signal
 import sys
 import time
 from typing import Callable, Dict, Optional
 
-from gen_random import direct_reading, random_alternating, random_nondet, random_nondet_shaped
+from gen_random import (
+    direct_reading,
+    random_alternating,
+    random_mixed_network,
+    random_nondet,
+    random_nondet_shaped,
+)
 from oracle_alternating import alternating_nonempty
 from oracle_classic import classical_nonempty
-from qsta import ResourceLimitError, decide, simulate
+from oracle_networks import ATOM_NAMES, oracle_consistent
+from qsta import QcspBuilder, Relation, ResourceLimitError, decide, is_consistent, simulate
 
-# A property draws its automaton from the stream and returns the check,
+# A property draws its input from the stream and returns the check,
 # which gives None or the disagreement; only the check is timed.
 Check = Callable[[], Optional[str]]
 
@@ -80,10 +93,33 @@ def criterion6(rng: random.Random, index: int) -> Check:
     return check
 
 
+def networks(rng: random.Random, index: int) -> Check:
+    n_vars = rng.randint(3, 8)
+    if index % 2 == 0:
+        network, allowed = random_mixed_network(rng, n_vars)
+    else:
+        builder = QcspBuilder(range(n_vars))
+        allowed = {}
+        for pair in itertools.combinations(range(n_vars), 2):
+            if rng.random() < 0.5:
+                atoms = frozenset(rng.sample(ATOM_NAMES, rng.randint(1, 3)))
+                builder.add(*pair, Relation.of(*atoms))
+                allowed[pair] = atoms
+        network = builder.build()
+
+    def check() -> Optional[str]:
+        got = is_consistent(network)
+        want = oracle_consistent(n_vars, allowed)
+        return None if got == want else f"is_consistent says {got}, the network oracle {want}"
+
+    return check
+
+
 PROPERTIES: Dict[str, Callable[[random.Random, int], Check]] = {
     "alternating": alternating,
     "criterion5": criterion5,
     "criterion6": criterion6,
+    "networks": networks,
 }
 
 
