@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import emptiness as emp
 from .automata import AlternatingAutomaton, NondetAutomaton, validate
@@ -50,6 +50,20 @@ def _read(path: str) -> str:
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as file:
         file.write(text)
+
+
+def _write_all(outputs: List[Tuple[str, str]]) -> None:
+    """Write each (path, text); when a write fails, remove the files this
+    call already wrote and raise, so a failed call leaves none of them."""
+    written: List[str] = []
+    try:
+        for path, text in outputs:
+            _write(path, text)
+            written.append(path)
+    except OSError:
+        for path in written:
+            os.remove(path)
+        raise
 
 
 def _load(path: str):
@@ -114,15 +128,16 @@ def _cmd_emptiness(args: argparse.Namespace) -> int:
         print("note: search tree grew past the theoretical witness bound", file=sys.stderr)
     for defect in decision.prefix_defects:
         print(f"warning: {defect}", file=sys.stderr)
-    print(decision.verdict)
+    outputs = []
     if decision.nonempty:
         if args.witness:
             payload = emp.witness_to_json(decision.witness)
-            _write(args.witness, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+            outputs.append((args.witness, json.dumps(payload, indent=2, ensure_ascii=False) + "\n"))
         if args.dot:
-            _write(args.dot, emp.witness_to_dot(decision.witness))
-        return 0
-    return 1
+            outputs.append((args.dot, emp.witness_to_dot(decision.witness)))
+    _write_all(outputs)
+    print(decision.verdict)
+    return 0 if decision.nonempty else 1
 
 
 def _cmd_check_witness(args: argparse.Namespace) -> int:

@@ -7,19 +7,23 @@ back at matching internal nodes.  The search below builds that tree depth
 first, trying transitions in declared order and directions in signature
 order.  When the root completes, so does the tree, and one consistency
 check of the global constraint network over the internal nodes closes the
-construction.  The search links each node to its parent, its children
-and, for a leaf, its backnode, and never looks a node up by its word: a
-chain walk whose next child is not built waits on that (node, slot) pair,
-and a backtrack unlinks the nodes it drops.  It resolves each constraint's
-chains once, as the nodes they reach are registered, and decides that
-check from its log of resolved constraints.  ``check_witness`` and
-``globalcsp`` resolve the same network from a finished model's words, and
-check words, not the search's links.
+construction.  The search links each node to its parent and its
+children, and never looks a node up by its word.  A leaf is a link, not a
+node: the parent's child slot holds the backnode itself.  A chain walk
+whose next child is not built waits on that (node, slot) pair, and a
+backtrack clears the slots it drops.  A node reads its choices, each
+picked transition with its children's signatures, from a table kept per
+signature and filled as the search first picks each transition there.  The
+search resolves each constraint's chains once, as the nodes they reach are
+registered, and decides the root check from its log of resolved
+constraints; the solver refutes a self pair without EQ before it builds a
+matrix.  ``check_witness`` and ``globalcsp`` resolve the same network from
+a finished model's words, and check words, not the search's links.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from . import formula as fm
 from ._value import Value, set_field
@@ -242,35 +246,39 @@ class SearchStats(Value):
 # A search node's signature: its state and pending triples.  The search
 # interns signatures, so equal ones are one object and compare by identity.
 _Signature = Tuple[str, FrozenSet[PtpTriple]]
+# One choice at a node: the picked transition and its children's interned
+# signatures, one per direction slot.
+_Choice = Tuple[Transition, Tuple[_Signature, ...]]
 
 
 class _SearchNode:
-    """A live node of the search, linked to its ``parent`` and the direction
-    ``slot`` it fills there; ``rank`` is its word as direction slots, so
-    ranks compare in the lexicographic word order.  A leaf links its
-    ``back`` node and has no children.  An internal node keeps its
-    ``picked`` transition, the interned signatures of the children it
-    implies, its built ``kids`` and, per slot, the walks ``waiting`` for
-    that child (``None`` where there are none), and ``mark`` holds the
-    lengths of the wait list, log and variable ids and the issued count
-    right after the node was registered and the walks waiting on it woke:
-    the state a retract to this node restores before it tries the node's
-    next transition."""
+    """A live internal node of the search, linked to its ``parent`` and the
+    direction ``slot`` it fills there; ``rank`` is its word as direction
+    slots, so ranks compare in the lexicographic word order.  ``kids``
+    holds, per slot, the child built there, the backnode itself where the
+    child is a fold (a leaf), or ``None``; ``waiting`` holds, per slot, the
+    walks waiting for that child (``None`` where there are none).  The node
+    reads its choices from ``choices``, its signature's row of the search's
+    table, and keeps its ``picked`` transition and the interned signatures
+    of the ``children`` it implies.  ``mark`` holds the lengths of the wait
+    list, log and variable ids and the issued count right after the node
+    was registered and the walks waiting on it woke: the state a retract to
+    this node restores before it tries the node's next transition."""
 
-    __slots__ = ("parent", "slot", "rank", "signature", "state", "ptpge", "back",
-                 "kids", "waiting", "choice", "picked", "children", "mark")
+    __slots__ = ("parent", "slot", "rank", "signature", "state", "ptpge", "kids",
+                 "waiting", "choice", "choices", "picked", "children", "mark")
 
     def __init__(self, parent: Optional[_SearchNode], slot: int, signature: _Signature,
-                 back: Optional[_SearchNode] = None):
+                 choices: List[_Choice], k: int):
         self.parent = parent
         self.slot = slot
         self.rank = () if parent is None else parent.rank + (slot,)
         self.signature = signature
         self.state, self.ptpge = signature
-        self.back = back
-        self.kids: Optional[List[Optional[_SearchNode]]] = None
-        self.waiting: Optional[List[Optional[List[_Walk]]]] = None
+        self.kids: Optional[List[Optional[_SearchNode]]] = [None] * k
+        self.waiting: Optional[List[Optional[List[_Walk]]]] = [None] * k
         self.choice = 0
+        self.choices = choices
         self.picked: Optional[Transition] = None
         self.children: Sequence[_Signature] = ()
         self.mark = (0, 0, 0, 0)
@@ -285,6 +293,9 @@ _Variable = Tuple[_SearchNode, str]
 # A chain walk waiting on a (node, slot) pair: (steps taken, first variable
 # or None, issuing node, constraint), the arguments of ``walk`` after a node.
 _Walk = Tuple[int, Optional[_Variable], _SearchNode, SpatialConstraint]
+# A live node as the search records it: an internal node as itself, a fold
+# as the (parent, slot) pair whose ``kids`` entry holds the backnode.
+_Live = Union[_SearchNode, Tuple[_SearchNode, int]]
 
 
 def _witness_bound(size_q: int, met: Metrics, k: int) -> Tuple[int, int]:
@@ -370,13 +381,18 @@ def ftm_search(
     speeds the search and is no part of what a witness must satisfy, so the
     witness bound and ``check_witness`` read the automaton as given.
 
-    No node is looked up by its word: a live node links to its parent, an
-    internal one to the children built so far and a leaf to its backnode,
-    and chain walks and the fold's cycle search follow those links.  The
-    children's signatures depend only on the parent's pending triples and
-    on the constraints and successor states of the transition picked
-    there, so they are computed once per such triple and interned: a
-    signature match is an identity hit.
+    No node is looked up by its word: a live node links to its parent and
+    to the children built so far.  A fold is a link, not a node: the
+    parent's child slot holds the backnode itself, so chain walks and the
+    fold's cycle search follow the slot straight to it.  The fold still
+    counts as a live node, and the search records it as its (parent, slot)
+    pair, which is all a retract needs to clear it and all ``_freeze``
+    needs to name the leaf.  A node's choices depend only on its signature:
+    the search keeps a table, per interned signature, of each transition
+    picked there with its children's interned signatures, filled one
+    transition at a time as a node with that signature first picks it, so
+    no transition's children are computed twice.  The signatures are
+    interned: a signature match is an identity hit.
 
     Rejections backtrack chronologically: the most recently chosen
     transition anywhere in the tree advances to its next alternative and
@@ -386,8 +402,8 @@ def ftm_search(
     verdict does not depend on the order transitions are declared in.  The
     live nodes are kept in registration order, and the internal ones among
     them are exactly the open decisions, so a retract truncates that list
-    back to the last of them, unlinking each dropped node from its parent,
-    and the resolution state back to that node's mark.  The search's
+    back to the last of them, clearing each dropped node's slot in its
+    parent, and the resolution state back to that node's mark.  The search's
     position is one cursor ``(node, j)``, the node whose child in direction
     slot ``j`` is built next; a complete non-root node hands it to its
     parent's next slot, and a retract to the advanced node's first slot.
@@ -420,27 +436,26 @@ def ftm_search(
     by_signature: Dict[_Signature, _SearchNode] = {}
     # The live nodes in registration order; the internal ones are the open
     # decisions, the most recent last.
-    created: List[_SearchNode] = []
-    # Every signature met so far, each mapped to itself, and the children's
-    # signatures under each (constraints, pending triples, successors).
+    created: List[_Live] = []
+    # Every signature met so far, each mapped to itself, and the choices
+    # picked so far at a node with it: the table's row for it.
     interned: Dict[_Signature, _Signature] = {}
-    child_signatures: Dict[
-        Tuple[FrozenSet, FrozenSet[PtpTriple], Tuple[str, ...]], List[_Signature]
-    ] = {}
+    table: Dict[_Signature, List[_Choice]] = {}
 
     # Each issued constraint is resolved once, by walking its chains as
     # ``resolve_variable`` does, and logged as (variable, variable, mask).
     # A walk whose next child is not built yet waits on that (node, slot)
     # pair in the node's ``waiting`` list, and ``waits`` records the list
-    # of each wait in order.  Registering a child wakes its walks without
-    # removing them: no walk waits on a built child, and once a retract
-    # drops the child its walks wait on it again, as before it was built.
-    # A retract therefore pops one walk off the recorded list for each wait
-    # issued after its mark.  A variable gets its dense id, its position in
-    # ``ids``, when it is first logged, so the log is the root check's
-    # network as it stands; a retract pops the variables logged after its
-    # mark, the last ones ``ids`` holds.  A walk logs once, when it ends,
-    # so every chain is resolved when the log has one entry per ``issued``.
+    # of each wait in order.  Linking a child or a fold into the slot wakes
+    # its walks without removing them: no walk waits on a filled slot, and
+    # once a retract clears the slot its walks wait on it again, as before
+    # it was filled.  A retract therefore pops one walk off the recorded
+    # list for each wait issued after its mark.  A variable gets its dense
+    # id, its position in ``ids``, when it is first logged, so the log is
+    # the root check's network as it stands; a retract pops the variables
+    # logged after its mark, the last ones ``ids`` holds.  A walk logs
+    # once, when it ends, so every chain is resolved when the log has one
+    # entry per ``issued``.
     log: List[Tuple[int, int, int]] = []
     ids: Dict[_Variable, int] = {}
     waits: List[List[_Walk]] = []
@@ -452,9 +467,7 @@ def ftm_search(
         in; once it resolves to ``first``, walk the second from ``origin``."""
         chain = constraint.args[0 if first is None else 1]
         while True:
-            if node.back is not None:
-                node = node.back
-            elif pos < len(chain.path):
+            if pos < len(chain.path):
                 slot = slot_of[chain.path[pos]]
                 pos += 1
                 kid = node.kids[slot]
@@ -478,21 +491,21 @@ def ftm_search(
     def closes_rejecting_cycle(parent: _SearchNode, back: _SearchNode) -> bool:
         """``_closes_rejecting_cycle`` over the live nodes' links."""
         seen = set()
-        stack = [back]
+        stack: List[Optional[_SearchNode]] = [back]
         while stack:
             node = stack.pop()
-            if node in seen or node.state in accepting:
+            if node is None or node in seen or node.state in accepting:
                 continue
             if node is parent:
                 return True
             seen.add(node)
-            if node.back is not None:
-                stack.append(node.back)
-            else:
-                stack.extend(kid for kid in node.kids if kid is not None)
+            stack += node.kids
         return False
 
-    def register(node: _SearchNode) -> None:
+    def link(parent: Optional[_SearchNode], slot: int, target: _SearchNode, entry: _Live) -> None:
+        """Fill ``parent``'s ``slot`` with ``target``, a new internal node
+        or, for a fold, the backnode; record ``entry`` as a live node and
+        wake the walks waiting on the slot."""
         nonlocal nodes_created, peak_nodes, limit, exact_total
         size = len(created)
         if size >= limit:
@@ -507,52 +520,63 @@ def ftm_search(
                     f"search tree exceeded {limit} nodes "
                     f"(witness bound {exact_total}; raise max_nodes to override)"
                 )
-        created.append(node)
-        size += 1
+        created.append(entry)
         nodes_created += 1
-        if size > peak_nodes:
-            peak_nodes = size
-        if node.back is None:
-            node.kids = [None] * k
-            node.waiting = [None] * k
-        parent = node.parent
+        if size >= peak_nodes:
+            peak_nodes = size + 1
         if parent is not None:
-            parent.kids[node.slot] = node
-            for walk_state in parent.waiting[node.slot] or ():
-                walk(node, *walk_state)
-        if node.back is None:
-            node.mark = (len(waits), len(log), len(ids), issued)
+            parent.kids[slot] = target
+            for walk_state in parent.waiting[slot] or ():
+                walk(target, *walk_state)
+
+    def register(parent: Optional[_SearchNode], slot: int, signature: _Signature) -> _SearchNode:
+        """Link a new internal node with ``signature`` and mark it."""
+        node = _SearchNode(parent, slot, signature, table[signature], k)
+        link(parent, slot, node, node)
+        node.mark = (len(waits), len(log), len(ids), issued)
+        by_signature[signature] = node
+        return node
 
     def apply_choice(node: _SearchNode) -> bool:
         nonlocal issued, slot_of
-        choices = delta.get(node.state, ())
-        if node.choice >= len(choices):
-            return False
-        picked = node.picked = choices[node.choice]
-        key = (picked.constraints, node.ptpge, picked.succ)
-        children = child_signatures.get(key)
-        if children is None:
-            children = child_signatures[key] = []
-            for state, direction in zip(picked.succ, directions):
+        choices = node.choices
+        if node.choice < len(choices):
+            node.picked, node.children = choices[node.choice]
+        else:
+            transitions = delta.get(node.state, ())
+            if node.choice >= len(transitions):
+                return False
+            node.picked = transitions[node.choice]
+            children = []
+            for state, direction in zip(node.picked.succ, directions):
                 signature = (state, backconstraints_step(node, direction))
-                children.append(interned.setdefault(signature, signature))
-        node.children = children
-        if picked.constraints:
+                known = interned.get(signature)
+                if known is None:
+                    known = interned[signature] = signature
+                    table[signature] = []
+                children.append(known)
+            node.children = tuple(children)
+            choices.append((node.picked, node.children))
+        constraints = node.picked.constraints
+        if constraints:
             if slot_of is None:
                 slot_of = {d: j for j, d in enumerate(directions)}
-            issued += len(picked.constraints)
-            for constraint in picked.constraints:
+            issued += len(constraints)
+            for constraint in constraints:
                 walk(node, 0, None, node, constraint)
         return True
 
     def retract() -> Optional[_SearchNode]:
-        """Drop the nodes registered after the most recent open decision,
-        restore its mark and advance it; return the advanced node, or None
-        when the whole space is exhausted."""
+        """Drop the live nodes registered after the most recent open
+        decision, restore its mark and advance it; return the advanced node,
+        or None when the whole space is exhausted."""
         nonlocal issued
         while created:
-            node = created[-1]
-            if node.back is None:
+            entry = created[-1]
+            if entry.__class__ is tuple:
+                parent, slot = entry
+            else:
+                node = entry
                 waits_mark, log_mark, ids_mark, issued = node.mark
                 while len(waits) > waits_mark:
                     waits.pop().pop()
@@ -563,18 +587,18 @@ def ftm_search(
                 if apply_choice(node):
                     return node
                 del by_signature[node.signature]
+                parent, slot = node.parent, node.slot
             created.pop()
-            if node.parent is not None:
-                node.parent.kids[node.slot] = None
+            if parent is not None:
+                parent.kids[slot] = None
         return None
 
     root_signature = (automaton.initial, frozenset())
     interned[root_signature] = root_signature
-    root = _SearchNode(None, 0, root_signature)
+    table[root_signature] = []
     model: Optional[FiniteTreeModel] = None
     try:
-        register(root)
-        by_signature[root.signature] = root
+        root = register(None, 0, root_signature)
         node: Optional[_SearchNode] = root if apply_choice(root) else None
         j = 0
         while node is not None:
@@ -582,9 +606,7 @@ def ftm_search(
                 signature = node.children[j]
                 match = by_signature.get(signature)
                 if match is None:
-                    child = _SearchNode(node, j, signature)
-                    register(child)
-                    by_signature[signature] = child
+                    child = register(node, j, signature)
                     if apply_choice(child):
                         node, j = child, 0
                         continue
@@ -593,7 +615,7 @@ def ftm_search(
                     # A cycle through the backnode passes an accepting state
                     # when the backnode's own state is accepting.
                     if match.state in accepting or not closes_rejecting_cycle(node, match):
-                        register(_SearchNode(node, j, signature, match))
+                        link(node, j, match, (node, j))
                         j += 1
                         continue
             elif node.parent is not None:
@@ -608,8 +630,9 @@ def ftm_search(
             # The configuration is rejected.
             node, j = retract(), 0
     finally:
-        for live in created:
-            live.parent = live.back = live.kids = live.waiting = None
+        for entry in created:
+            if entry.__class__ is _SearchNode:
+                entry.parent = entry.kids = entry.waiting = None
     if exact_total is None and peak_nodes > floor_total:
         exact_total = _bound_total(automaton, compute_metrics(automaton))
     exceeded = exact_total is not None and peak_nodes > exact_total
@@ -641,23 +664,29 @@ def _closes_rejecting_cycle(
     return False
 
 
-def _freeze(directions: Tuple[str, ...], created: Sequence[_SearchNode]) -> FiniteTreeModel:
+def _freeze(directions: Tuple[str, ...], created: Sequence[_Live]) -> FiniteTreeModel:
     """The model of a complete tree, whose live nodes ``created`` lists in
-    registration order: a parent and a backnode come before the node."""
+    registration order, an internal node as itself and a fold as its
+    (parent, slot) pair: a parent and a backnode come before the node.  A
+    fold's leaf takes its backnode's signature."""
     words: Dict[_SearchNode, Word] = {}
     nodes: Dict[Word, FtmNode] = {}
     empty: FrozenSet = frozenset()
-    for node in created:
-        parent = node.parent
-        word = words[node] = () if parent is None else words[parent] + (directions[node.slot],)
-        if node.back is None:
-            picked = node.picked
-            children = tuple([word + (d,) for d in directions])
-            nodes[word] = FtmNode(
-                node.state, picked.literals, picked.constraints, children, None, node.ptpge
+    for entry in created:
+        if entry.__class__ is tuple:
+            parent, slot = entry
+            back = parent.kids[slot]
+            nodes[words[parent] + (directions[slot],)] = FtmNode(
+                back.state, empty, empty, (), words[back], back.ptpge
             )
-        else:
-            nodes[word] = FtmNode(node.state, empty, empty, (), words[node.back], node.ptpge)
+            continue
+        parent = entry.parent
+        word = words[entry] = () if parent is None else words[parent] + (directions[entry.slot],)
+        picked = entry.picked
+        children = tuple([word + (d,) for d in directions])
+        nodes[word] = FtmNode(
+            entry.state, picked.literals, picked.constraints, children, None, entry.ptpge
+        )
     return FiniteTreeModel(directions, nodes)
 
 

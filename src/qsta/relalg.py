@@ -23,12 +23,14 @@ pairs, those some constraint narrows, done in T: the closure of the atoms
 and the universal relation under composition, converse and intersection
 (37 relations).  T lies in Ĥ8, where path consistency decides consistency
 (Renz & Nebel, AIJ 108, 1999), so stopping there is exact; ``_scenario``
-gives the argument.
+gives the argument.  ``masks_consistent`` reads the self pairs of its
+constraint list first, so a self pair without EQ refutes the network
+before any matrix is built.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ._value import Value, set_field
 
@@ -524,17 +526,25 @@ def path_consistency(network: Qcsp) -> Optional[Qcsp]:
     return None if closed is None else _network(network, closed[0])
 
 
-def masks_consistent(n: int, constraints: Iterable[Tuple[int, int, int]]) -> bool:
+def masks_consistent(n: int, constraints: Sequence[Tuple[int, int, int]]) -> bool:
     """Decide a network given as masks: constraints (i, j, mask) over
-    variables 0..n-1, read as in ``_closed_matrix``.  ``is_consistent``,
-    the emptiness search's root check and ``check_witness`` all decide
-    through here.
+    variables 0..n-1, read as in ``_closed_matrix``.  The emptiness
+    search's root check and ``check_witness`` decide through here.
+
+    The self pairs are read first, in one pass over the constraints, so a
+    self pair without EQ refutes the network before the n×n matrix is
+    allocated: the search's log holds its self pairs anywhere, and many of
+    the trees it rejects end there.  ``is_consistent`` reads a network's
+    self pairs before its edges already, and skips this pass.
 
     Branches only on declared pairs, and only until each lies in T, the
     closure of the atoms and the universal relation: T lies in Ĥ8, where
     path consistency decides consistency (Renz & Nebel, AIJ 108, 1999).
     ``_scenario`` gives the argument.  Pairs no constraint names are never
     branched on."""
+    for i, j, mask in constraints:
+        if i == j and not mask & _EQ_MASK:
+            return False
     closed = _closed_matrix(n, constraints)
     return closed is not None and _scenario(*closed, _IN_CLOSURE) is not None
 
@@ -542,7 +552,8 @@ def masks_consistent(n: int, constraints: Iterable[Tuple[int, int, int]]) -> boo
 def is_consistent(network: Qcsp) -> bool:
     """Decide consistency: path consistency, then branching on the declared
     pairs outside T, as ``masks_consistent`` does."""
-    return masks_consistent(*_masks(network))
+    closed = _closed_matrix(*_masks(network))
+    return closed is not None and _scenario(*closed, _IN_CLOSURE) is not None
 
 
 def consistent_scenario(network: Qcsp) -> Optional[Qcsp]:

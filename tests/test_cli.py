@@ -209,6 +209,23 @@ def test_emptiness_crash_exits_two(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("unwritable", ["--witness", "--dot"])
+def test_emptiness_prints_no_verdict_when_a_file_cannot_be_written(unwritable, tmp_path, capsys):
+    # the verdict is printed only once both files are written; a failed
+    # write exits 2 with nothing on stdout and leaves neither file behind
+    paths = {"--witness": tmp_path / "w.json", "--dot": tmp_path / "w.dot"}
+    paths[unwritable] = tmp_path / "missing" / "out"
+    argv = ["emptiness", corpus("chain3")]
+    for flag, path in paths.items():
+        argv += [flag, str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not any(path.exists() for path in paths.values())
+
+
 def test_emptiness_writes_no_witness_when_empty(tmp_path, capsys):
     w = tmp_path / "w.json"
     assert main(["emptiness", corpus("no_accept"), "--witness", str(w)]) == 1

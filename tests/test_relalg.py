@@ -265,6 +265,42 @@ def test_network_self_edges_require_eq():
     assert not is_consistent(builder2.build())
 
 
+def test_self_pairs_anywhere_in_the_constraint_list_agree_with_oracle():
+    """Self pairs, with and without EQ, at random positions of a random
+    network's constraint list: a self pair without EQ refutes the network
+    wherever it sits, and one with EQ changes nothing.  masks_consistent
+    and path_consistency agree with the brute-force oracle."""
+    rng = random.Random(5150)
+    eq_free = [mask for mask in range(1, 256) if not mask & EQ_RELATION.mask]
+    eq_admitting = [mask for mask in range(1, 256) if mask & EQ_RELATION.mask]
+    verdicts = {"eq_free": set(), "eq_admitting": set()}
+    for _ in range(300):
+        n_vars = rng.randint(2, 6)
+        network, allowed = random_mixed_network(rng, n_vars)
+        constraints = [(i, j, Relation.of(*atoms).mask) for (i, j), atoms in allowed.items()]
+        kind = rng.choice(("eq_free", "eq_admitting"))
+        selfs = {}
+        for count in range(rng.randint(1, 3)):
+            v = rng.randrange(n_vars)
+            mask = rng.choice(eq_free if kind == "eq_free" and count == 0 else eq_admitting)
+            constraints.insert(rng.randint(0, len(constraints)), (v, v, mask))
+            selfs[v] = selfs.get(v, frozenset(ATOMS)) & frozenset(Relation(mask))
+        want = on.oracle_consistent(n_vars, allowed, selfs=selfs)
+        got = relalg.masks_consistent(n_vars, constraints)
+        assert got == want, (allowed, constraints)
+        verdicts[kind].add(got)
+        builder = QcspBuilder(range(n_vars))
+        for i, j, mask in constraints:
+            builder.add(i, j, Relation(mask))
+        closed = path_consistency(builder.build())
+        if kind == "eq_free":
+            assert closed is None and not want
+        else:
+            assert (closed is None) == (path_consistency(network) is None)
+            assert closed is not None or not want
+    assert verdicts == {"eq_free": {False}, "eq_admitting": {True, False}}
+
+
 def test_path_consistency_empty_edge():
     builder = QcspBuilder()
     builder.add("a", "b", atomic("DC") & atomic("NTPP"))
