@@ -54,15 +54,20 @@ def _write(path: str, text: str) -> None:
 
 def _write_all(outputs: List[Tuple[str, str]]) -> None:
     """Write each (path, text); when a write fails, remove the files this
-    call already wrote and raise, so a failed call leaves none of them."""
-    written: List[str] = []
+    call opened, the one whose write failed too, and raise, so a failed
+    call leaves none of them.  A file it could not open is left alone."""
+    opened: List[str] = []
     try:
         for path, text in outputs:
-            _write(path, text)
-            written.append(path)
+            with open(path, "w", encoding="utf-8") as file:
+                opened.append(path)
+                file.write(text)
     except OSError:
-        for path in written:
-            os.remove(path)
+        for path in opened:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
         raise
 
 

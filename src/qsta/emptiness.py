@@ -437,10 +437,9 @@ def ftm_search(
     # The live nodes in registration order; the internal ones are the open
     # decisions, the most recent last.
     created: List[_Live] = []
-    # Every signature met so far, each mapped to itself, and the choices
-    # picked so far at a node with it: the table's row for it.
-    interned: Dict[_Signature, _Signature] = {}
-    table: Dict[_Signature, List[_Choice]] = {}
+    # Every signature met so far, mapped to its interned self and the
+    # choices picked so far at a node with it: the table's row for it.
+    table: Dict[_Signature, Tuple[_Signature, List[_Choice]]] = {}
 
     # Each issued constraint is resolved once, by walking its chains as
     # ``resolve_variable`` does, and logged as (variable, variable, mask).
@@ -531,7 +530,7 @@ def ftm_search(
 
     def register(parent: Optional[_SearchNode], slot: int, signature: _Signature) -> _SearchNode:
         """Link a new internal node with ``signature`` and mark it."""
-        node = _SearchNode(parent, slot, signature, table[signature], k)
+        node = _SearchNode(parent, slot, signature, table[signature][1], k)
         link(parent, slot, node, node)
         node.mark = (len(waits), len(log), len(ids), issued)
         by_signature[signature] = node
@@ -550,11 +549,10 @@ def ftm_search(
             children = []
             for state, direction in zip(node.picked.succ, directions):
                 signature = (state, backconstraints_step(node, direction))
-                known = interned.get(signature)
-                if known is None:
-                    known = interned[signature] = signature
-                    table[signature] = []
-                children.append(known)
+                row = table.get(signature)
+                if row is None:
+                    row = table[signature] = (signature, [])
+                children.append(row[0])
             node.children = tuple(children)
             choices.append((node.picked, node.children))
         constraints = node.picked.constraints
@@ -594,8 +592,7 @@ def ftm_search(
         return None
 
     root_signature = (automaton.initial, frozenset())
-    interned[root_signature] = root_signature
-    table[root_signature] = []
+    table[root_signature] = (root_signature, [])
     model: Optional[FiniteTreeModel] = None
     try:
         root = register(None, 0, root_signature)

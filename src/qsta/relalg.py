@@ -23,7 +23,7 @@ pairs, those some constraint narrows, done in T: the closure of the atoms
 and the universal relation under composition, converse and intersection
 (37 relations).  T lies in Ĥ8, where path consistency decides consistency
 (Renz & Nebel, AIJ 108, 1999), so stopping there is exact; ``_scenario``
-gives the argument.  ``masks_consistent`` reads the self pairs of its
+gives the argument.  ``_closed_matrix`` reads the self pairs of its
 constraint list first, so a self pair without EQ refutes the network
 before any matrix is built.
 """
@@ -388,18 +388,24 @@ _IN_CLOSURE = bytes(mask in _CLOSURE_OF_ATOMS for mask in range(_FULL_MASK + 1))
 
 
 def _closed_matrix(
-    n: int, constraints: Iterable[Tuple[int, int, int]]
+    n: int, constraints: Sequence[Tuple[int, int, int]]
 ) -> Optional[Tuple[Matrix, List[Pair]]]:
     """Constraints (i, j, mask) over variables 0..n-1 as a path-consistent
     mask matrix, with its declared pairs: the pairs i < j, in row-major
     order, whose mask is not full before closure.  None when a relation
     empties.  Repeated pairs intersect; a pair i == j holds exactly when
-    its mask admits EQ."""
+    its mask admits EQ.
+
+    The self pairs are read first, in one pass over the constraints, so a
+    self pair without EQ refutes the network before the n×n matrix is
+    allocated: the emptiness search's log holds its self pairs anywhere,
+    and many of the trees it rejects end there."""
+    for i, j, mask in constraints:
+        if i == j and not mask & _EQ_MASK:
+            return None
     m = [[_FULL_MASK] * n for _ in range(n)]
     for i, j, mask in constraints:
         if i == j:
-            if not mask & _EQ_MASK:
-                return None
             continue
         mask &= m[i][j]
         if not mask:
@@ -528,23 +534,15 @@ def path_consistency(network: Qcsp) -> Optional[Qcsp]:
 
 def masks_consistent(n: int, constraints: Sequence[Tuple[int, int, int]]) -> bool:
     """Decide a network given as masks: constraints (i, j, mask) over
-    variables 0..n-1, read as in ``_closed_matrix``.  The emptiness
-    search's root check and ``check_witness`` decide through here.
-
-    The self pairs are read first, in one pass over the constraints, so a
-    self pair without EQ refutes the network before the n×n matrix is
-    allocated: the search's log holds its self pairs anywhere, and many of
-    the trees it rejects end there.  ``is_consistent`` reads a network's
-    self pairs before its edges already, and skips this pass.
+    variables 0..n-1, read as in ``_closed_matrix``.  ``is_consistent``,
+    the emptiness search's root check and ``check_witness`` all decide
+    through here.
 
     Branches only on declared pairs, and only until each lies in T, the
     closure of the atoms and the universal relation: T lies in Ĥ8, where
     path consistency decides consistency (Renz & Nebel, AIJ 108, 1999).
     ``_scenario`` gives the argument.  Pairs no constraint names are never
     branched on."""
-    for i, j, mask in constraints:
-        if i == j and not mask & _EQ_MASK:
-            return False
     closed = _closed_matrix(n, constraints)
     return closed is not None and _scenario(*closed, _IN_CLOSURE) is not None
 
@@ -552,8 +550,7 @@ def masks_consistent(n: int, constraints: Sequence[Tuple[int, int, int]]) -> boo
 def is_consistent(network: Qcsp) -> bool:
     """Decide consistency: path consistency, then branching on the declared
     pairs outside T, as ``masks_consistent`` does."""
-    closed = _closed_matrix(*_masks(network))
-    return closed is not None and _scenario(*closed, _IN_CLOSURE) is not None
+    return masks_consistent(*_masks(network))
 
 
 def consistent_scenario(network: Qcsp) -> Optional[Qcsp]:

@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, exit codes, files and env caps."""
 
+import errno
 import hashlib
 import json
 import os
@@ -224,6 +225,57 @@ def test_emptiness_prints_no_verdict_when_a_file_cannot_be_written(unwritable, t
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert not any(path.exists() for path in paths.values())
+
+
+@pytest.mark.parametrize("failing", ["--witness", "--dot"])
+def test_emptiness_removes_a_file_whose_write_fails(failing, tmp_path, capsys, monkeypatch):
+    # the file opens but its write fails part way (a full disk): that file
+    # and the one written before it are both removed
+    paths = {"--witness": tmp_path / "w.json", "--dot": tmp_path / "w.dot"}
+    real_open = open
+
+    class Full:
+        def __init__(self, file):
+            self.file = file
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, text):
+            self.file.write(text[:10])
+            self.file.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def full_open(path, *args, **kwargs):
+        file = real_open(path, *args, **kwargs)
+        return Full(file) if path == str(paths[failing]) else file
+
+    monkeypatch.setattr("qsta.cli.open", full_open, raising=False)
+    argv = ["emptiness", corpus("chain3")]
+    for flag, path in paths.items():
+        argv += [flag, str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+    assert not any(path.exists() for path in paths.values())
+
+
+def test_emptiness_leaves_alone_a_path_it_cannot_open(tmp_path, capsys):
+    # --dot names a directory: the witness written before it is removed,
+    # the directory is not touched
+    w, d = tmp_path / "w.json", tmp_path / "d"
+    d.mkdir()
+    (d / "keep").write_text("kept")
+    assert main(["emptiness", corpus("chain3"), "--witness", str(w), "--dot", str(d)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not w.exists()
+    assert (d / "keep").read_text() == "kept"
 
 
 def test_emptiness_writes_no_witness_when_empty(tmp_path, capsys):
