@@ -47,11 +47,6 @@ def _read(path: str) -> str:
         return file.read()
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as file:
-        file.write(text)
-
-
 def _write_all(outputs: List[Tuple[str, str]]) -> None:
     """Write each (path, text); when a write fails, remove the files this
     call opened, the one whose write failed too, and raise, so a failed
@@ -115,7 +110,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("simulate expects an alternating automaton")
     _check_well_formed(automaton, origin=args.file)
     result = _simulate(automaton)
-    _write(args.output, print_automaton(result))
+    _write_all([(args.output, print_automaton(result))])
     print(f"states: {len(result.states)}")
     print(f"bound: {sim_state_bound(len(automaton.states), len(automaton.accepting))}")
     return 0

@@ -30,7 +30,9 @@ the result of a well-formed automaton back to an equal automaton.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+import string
+from itertools import islice
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from . import formula as fm
 from .automata import (
@@ -52,18 +54,18 @@ __all__ = ["load_automaton", "print_automaton"]
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# One alternative per token kind; the group that matched names the kind.
-# Blanks and comments make no token, and BAD takes any character that starts
-# no other token, so every character of the input starts a match.
-_TOKEN = re.compile(
-    r"(?P<BLANK>[ \t\r\n]+)"
-    r"|(?P<COMMENT>#[^\n]*)"
-    r'|"(?P<QUOTED>[^"\n]*)"'
-    r"|(?P<ARROW>->)"
-    r"|(?P<PUNCT>[{}()<>:;,|&!=])"
-    rf"|(?P<NAME>{_IDENT.pattern})"
-    r"|(?P<BAD>.)"
-)
+# One match per token: blanks and comments before it make no token, and
+# the group is the token itself.  A token is a plain string whose first
+# character gives its kind: '"' a quoted name (quotes included), a letter
+# or '_' a name, "->" the arrow, and any other a punctuation character.
+# The empty string at the end is EOF (trailing blanks give a second one).
+# A character that starts no token takes the rest of the input, so a bad
+# character is always the token before the last.  The group always
+# matches, so the blanks and comments before it are never cut short.
+_GOOD_TOKEN = re.compile(r'"[^"\n]*"|->|[{}()<>:;,|&!=]|' + _IDENT.pattern)
+_TOKEN = re.compile(rf"(?:[ \t\r\n]+|#[^\n]*)*({_GOOD_TOKEN.pattern}|\Z|[\s\S]+)")
+_TRAILING_COMMENT = re.compile(r"#[^\n]*\Z")
+_NAME_START = frozenset(string.ascii_letters + "_")
 
 # The parser (``_Parser.formula_atom``) and the printer (``_formula_text``)
 # follow parenthesised formulas by recursion, so deeper input is a syntax
@@ -71,34 +73,44 @@ _TOKEN = re.compile(
 MAX_FORMULA_NESTING = 100
 
 
-class _Token(NamedTuple):
-    kind: str  # NAME, QUOTED, PUNCT, ARROW, EOF
-    text: str
-    offset: int
-
-
 def _position(text: str, offset: int) -> Tuple[int, int]:
     """Line and column, both from 1, of ``text[offset]``."""
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
+def _offset(text: str, index: int) -> int:
+    """Where token ``index`` of ``text`` starts, by scanning the text again.
+    Input that ends in a comment puts EOF where the comment starts."""
+    match = next(islice(_TOKEN.finditer(text), index, None))
+    if match.group(1):
+        return match.start(1)
+    comment = _TRAILING_COMMENT.search(text, match.start())
+    return comment.start() if comment else len(text)
+
+
+def _is_name(token: str) -> bool:
+    """A name or a quoted name."""
+    return token[:1] in _NAME_START or token[:1] == '"'
+
+
+def _shown(token: str) -> str:
+    """A token as error messages show it: a quoted name without its quotes."""
+    return token[1:-1] if token[:1] == '"' else token
+
+
+def _error(message: str, text: str, index: int) -> DslSyntaxError:
+    return DslSyntaxError(message, *_position(text, _offset(text, index)))
+
+
 _BAD_CHARACTER = {'"': "unterminated quoted name", "-": "stray '-' (expected '->')"}
 
 
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    eof = 0
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        if kind == "BAD":
-            ch = match.group()
-            message = _BAD_CHARACTER.get(ch, f"unexpected character {ch!r}")
-            raise DslSyntaxError(message, *_position(text, match.start()))
-        if kind != "BLANK" and kind != "COMMENT":
-            tokens.append(_Token(kind, match.group(kind), match.start()))
-        # Input that ends in a comment puts EOF where the comment starts.
-        eof = match.start() if kind == "COMMENT" else match.end()
-    tokens.append(_Token("EOF", "", eof))
+def _tokenize(text: str) -> List[str]:
+    tokens = _TOKEN.findall(text)
+    last = tokens[-2] if len(tokens) > 1 else ""
+    if last and not _GOOD_TOKEN.fullmatch(last):
+        message = _BAD_CHARACTER.get(last[0], f"unexpected character {last[0]!r}")
+        raise _error(message, text, len(tokens) - 2)
     return tokens
 
 
@@ -113,45 +125,41 @@ class _Parser:
         self.pos = 0
         self.nesting = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> str:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
 
-    def fail(self, message: str, token: Optional[_Token] = None) -> DslSyntaxError:
-        token = token or self.peek()
-        return DslSyntaxError(message, *_position(self.text, token.offset))
+    def fail(self, message: str, at: Optional[int] = None) -> DslSyntaxError:
+        """An error at token ``at``, by default the next one."""
+        return _error(message, self.text, self.pos if at is None else at)
 
-    def expect_punct(self, text: str) -> _Token:
-        token = self.peek()
-        if token.kind != "PUNCT" or token.text != text:
-            raise self.fail(f"expected '{text}', found {token.text!r}")
-        return self.next()
-
-    def expect_arrow(self) -> None:
-        if self.peek().kind != "ARROW":
-            raise self.fail("expected '->'")
-        self.next()
+    def expect_punct(self, text: str) -> None:
+        if self.tokens[self.pos] != text:
+            raise self.fail(f"expected '{text}', found {_shown(self.peek())!r}")
+        self.pos += 1
 
     def at_punct(self, text: str, ahead: int = 0) -> bool:
-        token = self.tokens[self.pos + ahead]
-        return token.kind == "PUNCT" and token.text == text
+        return self.tokens[self.pos + ahead] == text
 
     def name(self, what: str = "name") -> str:
-        token = self.peek()
-        if token.kind in ("NAME", "QUOTED"):
-            self.next()
-            return token.text
-        raise self.fail(f"expected {what}, found {token.text!r}")
+        token = self.tokens[self.pos]
+        if token[:1] in _NAME_START:
+            self.pos += 1
+            return token
+        if token[:1] == '"':
+            self.pos += 1
+            return token[1:-1]
+        raise self.fail(f"expected {what}, found {_shown(token)!r}")
 
-    def keyword(self, word: str) -> None:
-        token = self.peek()
-        if token.kind != "NAME" or token.text != word:
-            raise self.fail(f"expected '{word}'")
-        self.next()
+    def expect(self, token: str) -> None:
+        """A keyword or the arrow; the error does not show what was found."""
+        if self.tokens[self.pos] != token:
+            raise self.fail(f"expected '{token}'")
+        self.pos += 1
 
     # -- formulas -----------------------------------------------------------
 
@@ -170,7 +178,7 @@ class _Parser:
         return terms[0] if len(terms) == 1 else fm.And(tuple(terms))
 
     def formula_atom(self) -> fm.Formula:
-        named = self.peek().kind in ("NAME", "QUOTED")
+        named = _is_name(self.peek())
         if self.at_punct("("):
             if self.nesting == MAX_FORMULA_NESTING:
                 raise self.fail(f"formula nested deeper than {MAX_FORMULA_NESTING} levels")
@@ -196,7 +204,7 @@ class _Parser:
     # -- constraints --------------------------------------------------------
 
     def relation(self) -> Relation:
-        token = self.peek()
+        start = self.pos
         if self.at_punct("{"):
             self.next()
             atoms = [self.name("relation atom")]
@@ -209,12 +217,12 @@ class _Parser:
         try:
             return Relation.of(*atoms)
         except ValueError as exc:
-            raise self.fail(str(exc), token) from exc
+            raise self.fail(str(exc), start) from exc
 
     def chain(self) -> ChainTerm:
         names = [self.name("feature chain")]
-        while self.peek().kind in ("NAME", "QUOTED"):
-            names.append(self.next().text)
+        while _is_name(self.peek()):
+            names.append(self.name())
         return ChainTerm(path=tuple(names[:-1]), feature=names[-1])
 
     def constraint(self) -> SpatialConstraint:
@@ -234,9 +242,9 @@ class _Parser:
             return fm.NegLiteral(self.name("concept name"))
         return fm.PosLiteral(self.name("concept name"))
 
-    def transition(self) -> Tuple[Transition, _Token]:
+    def transition(self) -> Tuple[Transition, int]:
         self.expect_punct("{")
-        self.keyword("L")
+        self.expect("L")
         self.expect_punct("=")
         self.expect_punct("{")
         literals: List[Union[fm.PosLiteral, fm.NegLiteral]] = []
@@ -244,7 +252,7 @@ class _Parser:
             literals.append(self.literal())
         self.expect_punct("}")
         self.expect_punct(";")
-        self.keyword("X")
+        self.expect("X")
         self.expect_punct("=")
         self.expect_punct("{")
         constraints: List[SpatialConstraint] = []
@@ -252,8 +260,8 @@ class _Parser:
             constraints.append(self.constraint())
         self.expect_punct("}")
         self.expect_punct(";")
-        self.keyword("succ")
-        succ_token = self.peek()
+        self.expect("succ")
+        succ_at = self.pos
         self.expect_punct("=")
         self.expect_punct("(")
         succ = [self.name("state")]
@@ -264,7 +272,7 @@ class _Parser:
         self.expect_punct("}")
         return (
             Transition(frozenset(literals), frozenset(constraints), tuple(succ)),
-            succ_token,
+            succ_at,
         )
 
 
@@ -290,35 +298,35 @@ _MAY_BE_EMPTY = ("concepts", "accepting")
 def load_automaton(text: str) -> Automaton:
     """Parse a document; raises DslSyntaxError with line and column."""
     parser = _Parser(text)
-    kind_token = parser.peek()
-    if kind_token.kind != "NAME" or kind_token.text not in ("alternating", "nondet"):
+    kind = parser.peek()
+    if kind not in ("alternating", "nondet"):
         raise parser.fail("expected 'alternating' or 'nondet'")
-    kind = parser.next().text
+    parser.next()
     parser.expect_punct("{")
 
     sections: Dict[str, Tuple[str, ...]] = {}
     delta: Dict[str, Union[fm.Formula, Tuple[Transition, ...]]] = {}
-    succ_positions: List[Tuple[_Token, int]] = []
+    succ_positions: List[Tuple[int, int]] = []
 
     while not parser.at_punct("}"):
+        at = parser.pos
         token = parser.peek()
-        if token.kind != "NAME":
+        if token[:1] not in _NAME_START:
             raise parser.fail("expected a section")
-        if token.text == "delta":
+        if token == "delta":
             parser.next()
-            state_token = parser.peek()
             state = parser.name("state")
             if state in delta:
-                raise parser.fail(f"duplicate delta for state '{state}'", state_token)
-            parser.expect_arrow()
+                raise parser.fail(f"duplicate delta for state '{state}'", at + 1)
+            parser.expect("->")
             if kind == "alternating":
                 delta[state] = parser.formula()
             else:
                 transitions: List[Transition] = []
                 while True:
-                    transition, succ_token = parser.transition()
+                    transition, succ_at = parser.transition()
                     transitions.append(transition)
-                    succ_positions.append((succ_token, len(transition.succ)))
+                    succ_positions.append((succ_at, len(transition.succ)))
                     if parser.at_punct("|"):
                         parser.next()
                         continue
@@ -326,39 +334,39 @@ def load_automaton(text: str) -> Automaton:
                 delta[state] = tuple(transitions)
             parser.expect_punct(";")
             continue
-        if token.text not in _SECTION_NAMES:
-            raise parser.fail(f"unknown section '{token.text}'")
-        if token.text == "acceptall" and kind == "alternating":
+        if token not in _SECTION_NAMES:
+            raise parser.fail(f"unknown section '{token}'")
+        if token == "acceptall" and kind == "alternating":
             raise parser.fail("section 'acceptall' applies only to nondet automata")
-        section = parser.next().text
+        section = parser.next()
         if section in sections:
-            raise parser.fail(f"duplicate section '{section}'", token)
+            raise parser.fail(f"duplicate section '{section}'", at)
         parser.expect_punct(":")
         names: List[str] = []
         while not parser.at_punct(";"):
             names.append(parser.name())
         parser.expect_punct(";")
         if not names and section not in _MAY_BE_EMPTY:
-            raise parser.fail(f"section '{section}' needs at least one name", token)
+            raise parser.fail(f"section '{section}' needs at least one name", at)
         sections[section] = tuple(names)
     parser.expect_punct("}")
-    if parser.peek().kind != "EOF":
+    if parser.peek():
         raise parser.fail("trailing input after the closing brace")
 
     for section in _REQUIRED_SECTIONS:
         if section not in sections:
-            raise parser.fail(f"missing section '{section}'", kind_token)
+            raise parser.fail(f"missing section '{section}'", 0)
     initial = sections["initial"]
     if len(initial) != 1:
-        raise parser.fail("section 'initial' needs exactly one name", kind_token)
+        raise parser.fail("section 'initial' needs exactly one name", 0)
     acceptall = sections.get("acceptall")
     if acceptall is not None and len(acceptall) != 1:
-        raise parser.fail("section 'acceptall' needs exactly one name", kind_token)
+        raise parser.fail("section 'acceptall' needs exactly one name", 0)
 
     arity = len(sections["directions"])
-    for succ_token, count in succ_positions:
+    for succ_at, count in succ_positions:
         if count != arity:
-            raise parser.fail(f"{count} successors for {arity} directions", succ_token)
+            raise parser.fail(f"{count} successors for {arity} directions", succ_at)
 
     sig = Signature(
         directions=sections["directions"],

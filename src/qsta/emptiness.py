@@ -253,26 +253,24 @@ _Choice = Tuple[Transition, Tuple[_Signature, ...]]
 
 class _SearchNode:
     """A live internal node of the search, linked to its ``parent`` and the
-    direction ``slot`` it fills there; ``rank`` is its word as direction
-    slots, so ranks compare in the lexicographic word order.  ``kids``
-    holds, per slot, the child built there, the backnode itself where the
-    child is a fold (a leaf), or ``None``; ``waiting`` holds, per slot, the
-    walks waiting for that child (``None`` where there are none).  The node
-    reads its choices from ``choices``, its signature's row of the search's
-    table, and keeps its ``picked`` transition and the interned signatures
-    of the ``children`` it implies.  ``mark`` holds the lengths of the wait
+    direction ``slot`` it fills there.  ``kids`` holds, per slot, the child
+    built there, the backnode itself where the child is a fold (a leaf), or
+    ``None``; ``waiting`` holds, per slot, the walks waiting for that child
+    (``None`` where there are none).  The node reads its choices from
+    ``choices``, its signature's row of the search's table, and keeps its
+    ``picked`` transition and the interned signatures of the ``children``
+    it implies.  ``mark`` holds the lengths of the wait
     list, log and variable ids and the issued count right after the node
     was registered and the walks waiting on it woke: the state a retract to
     this node restores before it tries the node's next transition."""
 
-    __slots__ = ("parent", "slot", "rank", "signature", "state", "ptpge", "kids",
+    __slots__ = ("parent", "slot", "signature", "state", "ptpge", "kids",
                  "waiting", "choice", "choices", "picked", "children", "mark")
 
     def __init__(self, parent: Optional[_SearchNode], slot: int, signature: _Signature,
                  choices: List[_Choice], k: int):
         self.parent = parent
         self.slot = slot
-        self.rank = () if parent is None else parent.rank + (slot,)
         self.signature = signature
         self.state, self.ptpge = signature
         self.kids: Optional[List[Optional[_SearchNode]]] = [None] * k
@@ -608,7 +606,8 @@ def ftm_search(
                         node, j = child, 0
                         continue
                 else:
-                    assert match.rank < node.rank + (j,)
+                    # Nodes are registered in preorder, so the match's word
+                    # is lexicographically smaller than the fold's.
                     # A cycle through the backnode passes an accepting state
                     # when the backnode's own state is accepting.
                     if match.state in accepting or not closes_rejecting_cycle(node, match):
@@ -1131,11 +1130,31 @@ def _json_field(raw: Dict, name: str, kind: Any, entries: Optional[type] = None)
     return value
 
 
-def _json_known_fields(raw: Dict, names: Tuple[str, ...], where: str) -> None:
+def _json_known_fields(raw: Dict, names: FrozenSet[str], where: str) -> None:
     """Reject a field of ``raw`` that the schema does not allow there."""
     for name in raw:
         if name not in names:
             raise ValueError(f"unknown field {name!r} in {where}")
+
+
+def _json_scalar(raw: Dict, name: str, kind: type) -> Any:
+    """``_json_field(raw, name, kind)`` with the check inlined; the call is
+    left to name the error."""
+    value = raw.get(name)
+    return value if type(value) is kind else _json_field(raw, name, kind)
+
+
+def _json_array(raw: Dict, name: str, entries: type) -> List:
+    """``_json_field(raw, name, list, entries)`` with the checks inlined; the
+    call is left to name the error."""
+    value = raw.get(name)
+    if type(value) is list:
+        for entry in value:
+            if type(entry) is not entries:
+                break
+        else:
+            return value
+    return _json_field(raw, name, list, entries)
 
 
 def _canonical(field: str, text: str, canonical: str) -> None:
@@ -1144,42 +1163,99 @@ def _canonical(field: str, text: str, canonical: str) -> None:
         raise ValueError(f"{field} {text!r} is not written as {canonical!r}")
 
 
-def _word_from_json(field: str, text: str) -> Word:
-    word = tuple(text.split())
-    _canonical(field, text, _word_key(word))
-    return word
+_NODE_FIELDS = frozenset(("state", "literals", "constraints", "children", "backnode", "ptpge"))
+_TRIPLE_FIELDS = frozenset(("constraint", "argIndex", "remainingChain", "origin"))
 
 
-def _constraint_from_json(field: str, text: str) -> SpatialConstraint:
-    constraint = parse_constraint(text)
-    _canonical(field, text, constraint.encode())
-    return constraint
+class _WitnessReader:
+    """Reads the texts of one witness document.  Each distinct word,
+    literal, constraint and ``ptpge`` entry is parsed and checked once, and
+    equal texts give one shared value.  An error names the field at fault,
+    so only what passed is kept."""
+
+    def __init__(self) -> None:
+        self.words: Dict[str, Word] = {}
+        self.literals: Dict[str, Union[fm.PosLiteral, fm.NegLiteral]] = {}
+        self.constraints: Dict[str, SpatialConstraint] = {}
+        self.triples: Dict[Tuple[str, int, str], PtpTriple] = {}
+
+    def word(self, field: str, text: str) -> Word:
+        word = self.words.get(text)
+        if word is None:
+            word = tuple(text.split())
+            _canonical(field, text, _word_key(word))
+            self.words[text] = word
+        return word
+
+    def literal(self, text: str) -> Union[fm.PosLiteral, fm.NegLiteral]:
+        literal = self.literals.get(text)
+        if literal is None:
+            literal = self.literals[text] = fm.parse_literal(text)
+        return literal
+
+    def constraint(self, field: str, text: str) -> SpatialConstraint:
+        constraint = self.constraints.get(text)
+        if constraint is None:
+            constraint = parse_constraint(text)
+            _canonical(field, text, constraint.encode())
+            self.constraints[text] = constraint
+        return constraint
+
+    def triple(self, raw: Dict) -> PtpTriple:
+        """One ``ptpge`` entry; each error names the field at fault."""
+        if not raw.keys() <= _TRIPLE_FIELDS:
+            _json_known_fields(raw, _TRIPLE_FIELDS, "a 'ptpge' entry")
+        # the origin follows from the tree and is not read, but the schema types it
+        if "origin" in raw:
+            self.word("'origin'", _json_scalar(raw, "origin", str))
+        text = _json_scalar(raw, "constraint", str)
+        arg_index, chain = raw.get("argIndex"), raw.get("remainingChain")
+        # keyed only when well typed: True == 1, and a list is unhashable
+        key = (text, arg_index, chain) if type(arg_index) is int and type(chain) is str else None
+        triple = self.triples.get(key)
+        if triple is not None:
+            return triple
+        constraint = self.constraint("'constraint'", text)
+        arg_index = _json_scalar(raw, "argIndex", int)
+        if arg_index not in (1, 2):
+            raise ValueError("'argIndex' is not 1 or 2")
+        chain = _json_scalar(raw, "remainingChain", str)
+        if not chain.split():
+            raise ValueError("'remainingChain' is empty")
+        remaining = parse_chain(chain)
+        _canonical("'remainingChain'", chain, remaining.encode())
+        try:
+            triple = PtpTriple(constraint, arg_index, remaining)
+        except ValueError:
+            # the argument index is valid, so the chain is what PtpTriple rejects
+            raise ValueError(
+                f"'remainingChain' is not a strict suffix of argument {arg_index}"
+            ) from None
+        self.triples[key] = triple
+        return triple
+
+    def node(self, word: Word, raw: Dict) -> FtmNode:
+        if not raw.keys() <= _NODE_FIELDS:
+            _json_known_fields(raw, _NODE_FIELDS, f"node {_word_key(word)!r}")
+        backnode = raw.get("backnode")
+        if type(backnode) is not str and (backnode is not None or "backnode" not in raw):
+            _json_field(raw, "backnode", (str, type(None)))  # raises, naming the error
+        return FtmNode(
+            state=_json_scalar(raw, "state", str),
+            literals=frozenset(self.literal(t) for t in _json_array(raw, "literals", str)),
+            constraints=frozenset(
+                self.constraint("'constraints' entry", t)
+                for t in _json_array(raw, "constraints", str)
+            ),
+            children=tuple(
+                self.word("'children' entry", c) for c in _json_array(raw, "children", str)
+            ),
+            backnode=None if backnode is None else self.word("'backnode'", backnode),
+            ptpge=frozenset(self.triple(t) for t in _json_array(raw, "ptpge", dict)),
+        )
 
 
-def _triple_from_json(raw: Dict) -> PtpTriple:
-    """One ``ptpge`` entry; each error names the field at fault."""
-    _json_known_fields(
-        raw, ("constraint", "argIndex", "remainingChain", "origin"), "a 'ptpge' entry"
-    )
-    # the origin follows from the tree and is not read, but the schema types it
-    if "origin" in raw:
-        _word_from_json("'origin'", _json_field(raw, "origin", str))
-    constraint = _constraint_from_json("'constraint'", _json_field(raw, "constraint", str))
-    arg_index = _json_field(raw, "argIndex", int)
-    if arg_index not in (1, 2):
-        raise ValueError("'argIndex' is not 1 or 2")
-    chain = _json_field(raw, "remainingChain", str)
-    if not chain.split():
-        raise ValueError("'remainingChain' is empty")
-    remaining = parse_chain(chain)
-    _canonical("'remainingChain'", chain, remaining.encode())
-    try:
-        return PtpTriple(constraint, arg_index, remaining)
-    except ValueError:
-        # the argument index is valid, so the chain is what PtpTriple rejects
-        raise ValueError(
-            f"'remainingChain' is not a strict suffix of argument {arg_index}"
-        ) from None
+_DOCUMENT_FIELDS = frozenset(("format", "version", "directions", "height", "nodes"))
 
 
 def witness_from_json(payload: Dict) -> FiniteTreeModel:
@@ -1188,9 +1264,7 @@ def witness_from_json(payload: Dict) -> FiniteTreeModel:
     if payload.get("format") != "finite-tree-model":
         raise MalformedModelError("not a finite-tree-model document")
     try:
-        _json_known_fields(
-            payload, ("format", "version", "directions", "height", "nodes"), "the document"
-        )
+        _json_known_fields(payload, _DOCUMENT_FIELDS, "the document")
         if _json_field(payload, "version", int) != 1:
             raise ValueError("'version' is not 1")
         height = _json_field(payload, "height", int)
@@ -1202,39 +1276,17 @@ def witness_from_json(payload: Dict) -> FiniteTreeModel:
                 raise ValueError(f"direction {direction!r} is not a non-empty string")
         order = WordOrder(directions)
         raw_nodes = _json_field(payload, "nodes", dict)
+        reader = _WitnessReader()
         entries = []
-        for key in raw_nodes:
-            word = _word_from_json("node key", key)
+        for key, raw in raw_nodes.items():
+            word = reader.word("node key", key)
             if any(d not in directions for d in word):
                 raise ValueError(f"node key {key!r} names a direction not in 'directions'")
-            entries.append((order.key(word), word, _json_field(raw_nodes, key, dict)))
+            if type(raw) is not dict:
+                _json_field(raw_nodes, key, dict)  # raises, naming the error
+            entries.append((order.key(word), word, raw))
         entries.sort(key=lambda e: e[0])
-        nodes: Dict[Word, FtmNode] = {}
-        for _, word, raw in entries:
-            _json_known_fields(
-                raw,
-                ("state", "literals", "constraints", "children", "backnode", "ptpge"),
-                f"node {_word_key(word)!r}",
-            )
-            backnode = _json_field(raw, "backnode", (str, type(None)))
-            nodes[word] = FtmNode(
-                state=_json_field(raw, "state", str),
-                literals=frozenset(
-                    fm.parse_literal(t) for t in _json_field(raw, "literals", list, str)
-                ),
-                constraints=frozenset(
-                    _constraint_from_json("'constraints' entry", t)
-                    for t in _json_field(raw, "constraints", list, str)
-                ),
-                children=tuple(
-                    _word_from_json("'children' entry", c)
-                    for c in _json_field(raw, "children", list, str)
-                ),
-                backnode=None if backnode is None else _word_from_json("'backnode'", backnode),
-                ptpge=frozenset(
-                    _triple_from_json(t) for t in _json_field(raw, "ptpge", list, dict)
-                ),
-            )
+        nodes: Dict[Word, FtmNode] = {word: reader.node(word, raw) for _, word, raw in entries}
         # An empty tree is left to check_witness, which reports no root.
         tree_height = max((len(word) for word in nodes), default=height)
         if height != tree_height:

@@ -70,6 +70,33 @@ def corpus(name):
     return str(CORPUS / f"{name}.aut")
 
 
+def fail_writes_to(path, monkeypatch):
+    """Make ``qsta.cli``'s write to ``path`` fail part way, as on a full
+    disk: the file opens and gets its first ten characters."""
+    real_open = open
+
+    class Full:
+        def __init__(self, file):
+            self.file = file
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, text):
+            self.file.write(text[:10])
+            self.file.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def full_open(name, *args, **kwargs):
+        file = real_open(name, *args, **kwargs)
+        return Full(file) if name == str(path) else file
+
+    monkeypatch.setattr("qsta.cli.open", full_open, raising=False)
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -134,6 +161,16 @@ def test_simulate_reports_an_ill_formed_automaton(tmp_path, capsys):
     assert len(lines) >= 2
     assert lines[0].startswith(f"{bad}: ") and "q9" in lines[0]
     assert lines[-1] == f"error: {bad}: automaton is not well formed"
+    assert not out_file.exists()
+
+
+def test_simulate_removes_its_output_when_the_write_fails(tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "product.aut"
+    fail_writes_to(out_file, monkeypatch)
+    assert main(["simulate", corpus("alt_univ"), "-o", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 28] No space left on device\n"
     assert not out_file.exists()
 
 
@@ -229,31 +266,10 @@ def test_emptiness_prints_no_verdict_when_a_file_cannot_be_written(unwritable, t
 
 @pytest.mark.parametrize("failing", ["--witness", "--dot"])
 def test_emptiness_removes_a_file_whose_write_fails(failing, tmp_path, capsys, monkeypatch):
-    # the file opens but its write fails part way (a full disk): that file
-    # and the one written before it are both removed
+    # the file opens but its write fails part way: that file and the one
+    # written before it are both removed
     paths = {"--witness": tmp_path / "w.json", "--dot": tmp_path / "w.dot"}
-    real_open = open
-
-    class Full:
-        def __init__(self, file):
-            self.file = file
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.file.close()
-
-        def write(self, text):
-            self.file.write(text[:10])
-            self.file.flush()
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-    def full_open(path, *args, **kwargs):
-        file = real_open(path, *args, **kwargs)
-        return Full(file) if path == str(paths[failing]) else file
-
-    monkeypatch.setattr("qsta.cli.open", full_open, raising=False)
+    fail_writes_to(paths[failing], monkeypatch)
     argv = ["emptiness", corpus("chain3")]
     for flag, path in paths.items():
         argv += [flag, str(path)]

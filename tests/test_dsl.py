@@ -3,6 +3,7 @@
 import hashlib
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -203,6 +204,28 @@ def test_input_ending_in_a_comment_puts_eof_at_the_comment():
     # a comment does not advance the column
     e = err("nondet {  # no newline follows")
     assert (e.bare_message, e.line, e.column) == ("expected a section", 1, 11)
+
+
+# The DSL's tokens, found without the loader: blanks and comments, then a
+# quoted name, the arrow, one punctuation character or a name.
+TOKEN = re.compile(r'(?:\s|#[^\n]*)*("[^"\n]*"|->|[{}()<>:;,|&!=]|\w+)')
+
+
+def test_a_bad_character_is_positioned_in_place_of_every_token():
+    # the loader finds a token's position only for an error, by scanning the
+    # text again up to it; this checks that scan at every token of the corpus
+    cases = 0
+    for path in sorted(CORPUS.glob("*.aut")):
+        text = path.read_text()
+        assert "$" not in text
+        for match in TOKEN.finditer(text):
+            mutant = text[: match.start(1)] + "$" + text[match.end(1) :]
+            at = mutant.index("$")
+            line, column = mutant.count("\n", 0, at) + 1, at - mutant.rfind("\n", 0, at)
+            e = err(mutant)
+            assert (e.bare_message, e.line, e.column) == ("unexpected character '$'", line, column)
+            cases += 1
+    assert cases > 800
 
 
 # ---------------------------------------------------------------------------

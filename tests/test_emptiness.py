@@ -1219,6 +1219,34 @@ def test_witness_from_json_rejects_foreign_documents():
     )
 
 
+def test_witness_reader_shares_the_values_of_equal_texts():
+    # each distinct text is parsed once per document, so equal texts give
+    # one value and check_witness's comparisons hit on identity
+    model = witness_from_json(witness_to_json(decide(corpus_automaton("chain3")).witness))
+    seen = {}
+    for node in model.nodes.values():
+        for constraint in [*node.constraints, *(t.constraint for t in node.ptpge)]:
+            assert seen.setdefault(constraint.encode(), constraint) is constraint
+    assert len(seen) < sum(len(node.constraints) + len(node.ptpge) for node in model.nodes.values())
+    words = {word: word for word in model.nodes}
+    for node in model.nodes.values():
+        for word in [*node.children, *([node.backnode] if node.is_leaf else [])]:
+            assert word is words[word]
+    # a repeat of a read ptpge entry is still checked: True == 1 and hashes
+    # alike, and a list is unhashable
+    payload = witness_to_json(decide(corpus_automaton("eq_loop")).witness)
+    for field, value, message in (
+        ("argIndex", True, "'argIndex' is not an integer"),
+        ("remainingChain", ["g"], "'remainingChain' is not a string"),
+    ):
+        document = json.loads(json.dumps(payload))
+        ptpge = document["nodes"]["d1"]["ptpge"]
+        ptpge.append(dict(ptpge[0], **{field: value}))
+        with pytest.raises(MalformedModelError) as info:
+            witness_from_json(document)
+        assert str(info.value) == f"malformed witness document: {message}", field
+
+
 def test_witness_dot_lists_every_node_and_fold():
     model = decide(corpus_automaton("eq_loop")).witness
     dot = witness_to_dot(model)

@@ -53,6 +53,10 @@ WITNESS_CASES = 900
 # mutants: every defect line ``check-witness`` prints, in its order.
 CHECK_WITNESS_OUTPUTS_SHA256 = "db45b82a2e40d4ca4f24aebfa21f2da0bf995e63e0e3c164b2c46c5d1852684d"
 
+# sha256 over the JSON list of (case, stderr) of the same mutants: every
+# error line ``check-witness`` prints, in its order.
+CHECK_WITNESS_ERRORS_SHA256 = "b4879a9e60e2f6dd5382445daa6522947b45fea51548cd4ef7967eb48370c32f"
+
 # Pieces a text mutation inserts: the DSL's punctuation, names and keywords,
 # and characters it does not know.
 SNIPPETS = list("{}()<>:;,|&!=-\"#$ \n\t") + [
@@ -203,6 +207,7 @@ def test_mutated_witnesses_keep_the_check_witness_contract(witnesses, tmp_path, 
     target = tmp_path / "mutant.json"
     codes = {0: 0, 1: 0, 2: 0}
     outputs = []
+    errors = []
     for case in range(WITNESS_CASES):
         name, text = rng.choice(witnesses)
         document = mutate_witness(rng, json.loads(text))
@@ -210,6 +215,7 @@ def test_mutated_witnesses_keep_the_check_witness_contract(witnesses, tmp_path, 
         code, out, err = run(["check-witness", str(CORPUS / f"{name}.aut"), str(target)], capsys)
         codes[code] += 1
         outputs.append((case, code, out))
+        errors.append((case, err))
         if code == 0:
             assert out == "ok\n" and err == "", case
             assert schema.is_valid(document), case
@@ -230,6 +236,8 @@ def test_mutated_witnesses_keep_the_check_witness_contract(witnesses, tmp_path, 
     assert all(codes.values()), codes
     digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
     assert digest == CHECK_WITNESS_OUTPUTS_SHA256
+    digest = hashlib.sha256(json.dumps(errors).encode()).hexdigest()
+    assert digest == CHECK_WITNESS_ERRORS_SHA256
 
 
 def check_mutant(aut_text, document, tmp_path, capsys):

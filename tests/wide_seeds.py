@@ -19,7 +19,12 @@ work are spent:
   ``random_mixed_network`` and sparse ones (half the pairs declared, one
   to three atoms each); ``is_consistent``, which stops branching once
   every declared pair lies in the closure of the atoms, must equal
-  ``oracle_networks.oracle_consistent``.
+  ``oracle_networks.oracle_consistent``;
+- ``dsl``: the corpus texts mutated as ``test_fuzz.py`` mutates them;
+  ``load_automaton`` must load each or raise ``DslSyntaxError``, what
+  loads must print, and what also validates clean must print to a text
+  that loads and prints to itself (the printer's promise covers only
+  well-formed automata; ROADMAP item 12 says which others fail).
 
 A disagreement is a program bug: the script prints the property, seed
 and index, and exits 1.  An automaton that takes longer than
@@ -48,7 +53,21 @@ from gen_random import (
 from oracle_alternating import alternating_nonempty
 from oracle_classic import classical_nonempty
 from oracle_networks import ATOM_NAMES, oracle_consistent
-from qsta import QcspBuilder, Relation, ResourceLimitError, decide, is_consistent, simulate
+from qsta import (
+    DslSyntaxError,
+    QcspBuilder,
+    Relation,
+    ResourceLimitError,
+    decide,
+    is_consistent,
+    load_automaton,
+    print_automaton,
+    simulate,
+    validate,
+)
+from test_fuzz import CORPUS, mutate_text
+
+CORPUS_TEXTS = [path.read_text() for path in sorted(CORPUS.glob("*.aut"))]
 
 # A property draws its input from the stream and returns the check,
 # which gives None or the disagreement; only the check is timed.
@@ -115,11 +134,35 @@ def networks(rng: random.Random, index: int) -> Check:
     return check
 
 
+def dsl(rng: random.Random, index: int) -> Check:
+    text = mutate_text(rng, rng.choice(CORPUS_TEXTS))
+
+    def check() -> Optional[str]:
+        # an exception other than a syntax error is the bug looked for
+        try:
+            automaton = load_automaton(text)
+        except DslSyntaxError:
+            return None
+        except Exception as exc:
+            return f"load_automaton raised {exc!r}"
+        try:
+            printed = print_automaton(automaton)
+            if validate(automaton):
+                return None
+            again = print_automaton(load_automaton(printed))
+        except Exception as exc:
+            return f"printing or reloading raised {exc!r}"
+        return None if again == printed else "the printed text reloads to another text"
+
+    return check
+
+
 PROPERTIES: Dict[str, Callable[[random.Random, int], Check]] = {
     "alternating": alternating,
     "criterion5": criterion5,
     "criterion6": criterion6,
     "networks": networks,
+    "dsl": dsl,
 }
 
 
