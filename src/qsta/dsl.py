@@ -462,7 +462,7 @@ def print_automaton(automaton: Automaton) -> str:
     ]
     if not alternating and automaton.accept_all is not None:
         lines.append(f"  acceptall: {_name_text(automaton.accept_all)};")
-    for state in automaton.states:
+    for state in dict.fromkeys(automaton.states):  # once, if a state is named twice
         head = f"  delta {_name_text(state)} -> "
         if alternating and state in automaton.delta:
             lines.append(head + _formula_text(automaton.delta[state]) + ";")
