@@ -18,7 +18,8 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Tuple
+from json.encoder import encode_basestring as _quote
+from typing import Dict, List, Optional, Tuple
 
 from . import emptiness as emp
 from .automata import AlternatingAutomaton, NondetAutomaton, validate
@@ -64,6 +65,48 @@ def _write_all(outputs: List[Tuple[str, str]]) -> None:
             except OSError:
                 pass
         raise
+
+
+def _strings(items: List[str], newline: str) -> str:
+    """A JSON array of strings as ``json.dumps`` indents it below ``newline``."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(_quote, items)) + newline + "]"
+
+
+def _witness_text(payload: Dict) -> str:
+    """``json.dumps(payload, indent=2, ensure_ascii=False) + "\n"`` for a
+    ``witness_to_json`` payload, written straight from its known layout:
+    json's indenting encoder is pure Python, and this takes about a fifth of
+    its time.  Strings go through json's own escaping function, so the bytes
+    are the same; a test pins them on the corpus and on escaped names."""
+    nodes = []
+    for key, node in payload["nodes"].items():
+        backnode, triples = node["backnode"], node["ptpge"]
+        ptpge = "[" + ",".join([
+            '\n        {\n          "constraint": ' + _quote(t["constraint"])
+            + ',\n          "argIndex": ' + str(t["argIndex"])
+            + ',\n          "remainingChain": ' + _quote(t["remainingChain"])
+            + ',\n          "origin": ' + _quote(t["origin"]) + "\n        }"
+            for t in triples
+        ]) + "\n      ]" if triples else "[]"
+        nodes.append(
+            "\n    " + _quote(key) + ': {\n      "state": ' + _quote(node["state"])
+            + ',\n      "literals": ' + _strings(node["literals"], "\n      ")
+            + ',\n      "constraints": ' + _strings(node["constraints"], "\n      ")
+            + ',\n      "children": ' + _strings(node["children"], "\n      ")
+            + ',\n      "backnode": ' + ("null" if backnode is None else _quote(backnode))
+            + ',\n      "ptpge": ' + ptpge + "\n    }"
+        )
+    return (
+        '{\n  "format": ' + _quote(payload["format"])
+        + ',\n  "version": ' + str(payload["version"])
+        + ',\n  "directions": ' + _strings(payload["directions"], "\n  ")
+        + ',\n  "height": ' + str(payload["height"])
+        + ',\n  "nodes": ' + ("{" + ",".join(nodes) + "\n  }" if nodes else "{}")
+        + "\n}\n"
+    )
 
 
 def _load(path: str):
@@ -131,8 +174,7 @@ def _cmd_emptiness(args: argparse.Namespace) -> int:
     outputs = []
     if decision.nonempty:
         if args.witness:
-            payload = emp.witness_to_json(decision.witness)
-            outputs.append((args.witness, json.dumps(payload, indent=2, ensure_ascii=False) + "\n"))
+            outputs.append((args.witness, _witness_text(emp.witness_to_json(decision.witness))))
         if args.dot:
             outputs.append((args.dot, emp.witness_to_dot(decision.witness)))
     _write_all(outputs)

@@ -23,6 +23,7 @@ a finished model's words, and check words, not the search's links.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from . import formula as fm
@@ -889,6 +890,37 @@ def _label(word: Word) -> str:
     return "node '" + " ".join(word) + "'"
 
 
+# A pending triple as the checker compares it: the id of its constraint
+# object, its argument index, and its remaining chain's path and feature.
+_PendingKey = Tuple[int, int, Word, str]
+
+
+def _pending_keys(triples: FrozenSet[PtpTriple]) -> Set[_PendingKey]:
+    return {(id(t.constraint), t.arg_index, t.remaining.path, t.remaining.feature)
+            for t in triples}
+
+
+def _step_keys(node: FtmNode, directions: Tuple[str, ...]) -> Dict[str, Set[_PendingKey]]:
+    """Per direction, the keys of ``backconstraints_step(node, direction)``,
+    in one pass and with no value built.  Equal keys imply equal triples, so
+    a child whose keys match needs no ``backconstraints_step``; a mismatch
+    may still be equal values held in distinct objects, and is decided by
+    it."""
+    steps: Dict[str, Set[_PendingKey]] = {d: set() for d in directions}
+    for constraint in node.constraints:
+        for arg_index, term in enumerate(constraint.args, start=1):
+            path = term.path
+            if path and path[0] in steps:
+                steps[path[0]].add((id(constraint), arg_index, path[1:], term.feature))
+    for triple in node.ptpge:
+        tail = triple.remaining.path
+        if tail and tail[0] in steps:
+            steps[tail[0]].add(
+                (id(triple.constraint), triple.arg_index, tail[1:], triple.remaining.feature)
+            )
+    return steps
+
+
 def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[str]:
     """Defects of a claimed witness for the given automaton; [] when sound.
 
@@ -928,6 +960,9 @@ def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[st
 
     leaves: List[Word] = []
     constrained: List[Tuple[Word, FtmNode]] = []
+    # per (state, literals, constraints, successor states): whether a
+    # transition matches, and the complementary literal names
+    labels: Dict[Tuple[str, FrozenSet, FrozenSet, Tuple[str, ...]], Tuple[bool, List[str]]] = {}
     for word, node in nodes.items():
         if word:
             parent = nodes.get(word[:-1])
@@ -970,14 +1005,30 @@ def check_witness(automaton: NondetAutomaton, model: FiniteTreeModel) -> List[st
             if child is None:
                 defects.append(f"{_label(word)}: missing child '{' '.join(child_word)}'")
         succ = tuple([child.state for child in children if child is not None])
-        if not automaton.has_transition(node.state, node.literals, node.constraints, succ):
+        label = (node.state, node.literals, node.constraints, succ)
+        found = labels.get(label)
+        if found is None:
+            found = labels[label] = (
+                automaton.has_transition(*label), fm.complementary_names(node.literals)
+            )
+        matched, clashes = found
+        if not matched:
             defects.append(
                 f"{_label(word)}: label does not match any transition of '{node.state}'"
             )
-        for name in fm.complementary_names(node.literals):
+        for name in clashes:
             defects.append(f"{_label(word)}: complementary literal pair on '{name}'")
+        # a node that issues nothing and has nothing pending passes nothing on
+        steps = _step_keys(node, directions) if node.constraints or node.ptpge else None
         for child_word, child, direction in zip(expected, children, directions):
-            if child is not None and child.ptpge != backconstraints_step(node, direction):
+            if child is None:
+                continue
+            if steps is None:
+                if not child.ptpge:
+                    continue
+            elif steps[direction] == _pending_keys(child.ptpge):
+                continue
+            if child.ptpge != backconstraints_step(node, direction):
                 defects.append(
                     f"{_label(child_word)}: stored pending triples disagree with recomputation"
                 )
@@ -1074,27 +1125,40 @@ def _word_key(word: Word) -> str:
     return " ".join(word)
 
 
-def _triple_to_json(triple: PtpTriple, word: Word) -> Dict:
-    return {
-        "constraint": triple.constraint.encode(),
-        "argIndex": triple.arg_index,
-        "remainingChain": triple.remaining.encode(),
-        "origin": _word_key(triple.origin_of(word)),
-    }
-
-
 def witness_to_json(model: FiniteTreeModel) -> Dict:
+    """The witness as a JSON value (schemas/witness.schema.json).  Each
+    distinct literal, constraint or ``ptpge`` set is encoded and sorted once
+    per call."""
+    texts: Dict[FrozenSet, List[str]] = {}
+    rows: Dict[FrozenSet[PtpTriple], List[Tuple[Tuple[str, int, str], PtpTriple]]] = {}
+
+    def encoded(values: FrozenSet) -> List[str]:
+        found = texts.get(values)
+        if found is None:
+            found = texts[values] = sorted(map(fm.encode_generator, values))
+        return list(found)
+
     nodes: Dict[str, Dict] = {}
     for word, node in model.nodes.items():
+        ptpge = rows.get(node.ptpge)
+        if ptpge is None:
+            ptpge = rows[node.ptpge] = sorted(
+                [(t.sort_key(), t) for t in node.ptpge], key=itemgetter(0)
+            )
         nodes[_word_key(word)] = {
             "state": node.state,
-            "literals": sorted(fm.encode_generator(l) for l in node.literals),
-            "constraints": sorted(c.encode() for c in node.constraints),
+            "literals": encoded(node.literals),
+            "constraints": encoded(node.constraints),
             "children": [_word_key(c) for c in node.children],
             "backnode": None if node.backnode is None else _word_key(node.backnode),
             "ptpge": [
-                _triple_to_json(t, word)
-                for t in sorted(node.ptpge, key=PtpTriple.sort_key)
+                {
+                    "constraint": constraint,
+                    "argIndex": arg_index,
+                    "remainingChain": chain,
+                    "origin": _word_key(triple.origin_of(word)),
+                }
+                for (constraint, arg_index, chain), triple in ptpge
             ],
         }
     return {
@@ -1167,17 +1231,25 @@ _NODE_FIELDS = frozenset(("state", "literals", "constraints", "children", "backn
 _TRIPLE_FIELDS = frozenset(("constraint", "argIndex", "remainingChain", "origin"))
 
 
+_EMPTY: FrozenSet = frozenset()
+
+
 class _WitnessReader:
     """Reads the texts of one witness document.  Each distinct word,
     literal, constraint and ``ptpge`` entry is parsed and checked once, and
-    equal texts give one shared value.  An error names the field at fault,
-    so only what passed is kept."""
+    equal texts give one shared value.  So does each distinct list of them
+    in a node: its frozenset is built, and its values hashed, once.  An
+    error names the field at fault, so only what passed is kept."""
 
     def __init__(self) -> None:
         self.words: Dict[str, Word] = {}
         self.literals: Dict[str, Union[fm.PosLiteral, fm.NegLiteral]] = {}
         self.constraints: Dict[str, SpatialConstraint] = {}
         self.triples: Dict[Tuple[str, int, str], PtpTriple] = {}
+        self.literal_sets: Dict[Tuple[str, ...], FrozenSet] = {(): _EMPTY}
+        self.constraint_sets: Dict[Tuple[str, ...], FrozenSet[SpatialConstraint]] = {(): _EMPTY}
+        # keyed by the triples' ids: ``triples`` keeps each alive as long as the reader
+        self.triple_sets: Dict[Tuple[int, ...], FrozenSet[PtpTriple]] = {(): _EMPTY}
 
     def word(self, field: str, text: str) -> Word:
         word = self.words.get(text)
@@ -1200,6 +1272,30 @@ class _WitnessReader:
             _canonical(field, text, constraint.encode())
             self.constraints[text] = constraint
         return constraint
+
+    def literal_set(self, texts: List[str]) -> FrozenSet:
+        key = tuple(texts)
+        values = self.literal_sets.get(key)
+        if values is None:
+            values = self.literal_sets[key] = frozenset([self.literal(t) for t in texts])
+        return values
+
+    def constraint_set(self, texts: List[str]) -> FrozenSet[SpatialConstraint]:
+        key = tuple(texts)
+        values = self.constraint_sets.get(key)
+        if values is None:
+            values = self.constraint_sets[key] = frozenset(
+                [self.constraint("'constraints' entry", t) for t in texts]
+            )
+        return values
+
+    def triple_set(self, entries: List[Dict]) -> FrozenSet[PtpTriple]:
+        triples = [self.triple(raw) for raw in entries]
+        key = tuple(map(id, triples))
+        values = self.triple_sets.get(key)
+        if values is None:
+            values = self.triple_sets[key] = frozenset(triples)
+        return values
 
     def triple(self, raw: Dict) -> PtpTriple:
         """One ``ptpge`` entry; each error names the field at fault."""
@@ -1235,24 +1331,23 @@ class _WitnessReader:
         return triple
 
     def node(self, word: Word, raw: Dict) -> FtmNode:
+        """One node.  The fields are checked in a fixed order, so a document
+        with several faults always reports the same one."""
         if not raw.keys() <= _NODE_FIELDS:
             _json_known_fields(raw, _NODE_FIELDS, f"node {_word_key(word)!r}")
         backnode = raw.get("backnode")
         if type(backnode) is not str and (backnode is not None or "backnode" not in raw):
             _json_field(raw, "backnode", (str, type(None)))  # raises, naming the error
-        return FtmNode(
-            state=_json_scalar(raw, "state", str),
-            literals=frozenset(self.literal(t) for t in _json_array(raw, "literals", str)),
-            constraints=frozenset(
-                self.constraint("'constraints' entry", t)
-                for t in _json_array(raw, "constraints", str)
-            ),
-            children=tuple(
-                self.word("'children' entry", c) for c in _json_array(raw, "children", str)
-            ),
-            backnode=None if backnode is None else self.word("'backnode'", backnode),
-            ptpge=frozenset(self.triple(t) for t in _json_array(raw, "ptpge", dict)),
-        )
+        state = _json_scalar(raw, "state", str)
+        literals = self.literal_set(_json_array(raw, "literals", str))
+        constraints = self.constraint_set(_json_array(raw, "constraints", str))
+        texts = _json_array(raw, "children", str)
+        children = tuple([self.word("'children' entry", c) for c in texts]) if texts else ()
+        if backnode is not None:
+            backnode = self.word("'backnode'", backnode)
+        entries = _json_array(raw, "ptpge", dict)
+        ptpge = self.triple_set(entries) if entries else _EMPTY
+        return FtmNode(state, literals, constraints, children, backnode, ptpge)
 
 
 _DOCUMENT_FIELDS = frozenset(("format", "version", "directions", "height", "nodes"))
@@ -1280,15 +1375,18 @@ def witness_from_json(payload: Dict) -> FiniteTreeModel:
         entries = []
         for key, raw in raw_nodes.items():
             word = reader.word("node key", key)
-            if any(d not in directions for d in word):
-                raise ValueError(f"node key {key!r} names a direction not in 'directions'")
+            try:
+                rank = order.key(word)
+            except ValueError:
+                raise ValueError(f"node key {key!r} names a direction not in 'directions'") from None
             if type(raw) is not dict:
                 _json_field(raw_nodes, key, dict)  # raises, naming the error
-            entries.append((order.key(word), word, raw))
-        entries.sort(key=lambda e: e[0])
-        nodes: Dict[Word, FtmNode] = {word: reader.node(word, raw) for _, word, raw in entries}
+            entries.append((rank, word, raw))
+        entries.sort(key=itemgetter(0))
+        node = reader.node
+        nodes: Dict[Word, FtmNode] = {word: node(word, raw) for _, word, raw in entries}
         # An empty tree is left to check_witness, which reports no root.
-        tree_height = max((len(word) for word in nodes), default=height)
+        tree_height = max(map(len, nodes), default=height)
         if height != tree_height:
             raise ValueError(f"'height' is {height}, the tree's height is {tree_height}")
     except (TypeError, ValueError) as exc:
@@ -1296,24 +1394,35 @@ def witness_from_json(payload: Dict) -> FiniteTreeModel:
     return FiniteTreeModel(directions=directions, nodes=nodes)
 
 
+def _dot_text(name: str) -> str:
+    """``name`` escaped for a quoted DOT string: a backslash or a quote
+    would otherwise escape what follows it, the closing quote included."""
+    if "\\" in name or '"' in name:
+        return name.replace("\\", "\\\\").replace('"', '\\"')
+    return name
+
+
 def _dot_id(word: Word) -> str:
-    return "ε" if not word else _word_key(word)
+    return "ε" if not word else _dot_text(_word_key(word))
 
 
 def witness_to_dot(model: FiniteTreeModel) -> str:
+    # Each node's id is escaped once; a model built in code may name a child
+    # or backnode it does not hold, whose id is made where it is used.
+    ids = {word: _dot_id(word) for word in model.nodes}
     lines = ["digraph finite_tree_model {", "  rankdir=TB;"]
     for word, node in model.nodes.items():
         style = "dashed" if node.is_leaf else "solid"
-        label = f"{_dot_id(word)}\\n{node.state}"
-        lines.append(f'  "{_dot_id(word)}" [label="{label}", shape=box, style={style}];')
+        label = f"{ids[word]}\\n{_dot_text(node.state)}"
+        lines.append(f'  "{ids[word]}" [label="{label}", shape=box, style={style}];')
+    directions = [_dot_text(direction) for direction in model.directions]
     for word, node in model.nodes.items():
-        for child, direction in zip(node.children, model.directions):
-            lines.append(f'  "{_dot_id(word)}" -> "{_dot_id(child)}" [label="{direction}"];')
-    for word in model.leaf_words():
-        node = model.nodes[word]
-        lines.append(
-            f'  "{_dot_id(word)}" -> "{_dot_id(node.backnode)}" '
-            "[style=dotted, constraint=false];"
-        )
+        for child, direction in zip(node.children, directions):
+            child_id = ids.get(child) or _dot_id(child)
+            lines.append(f'  "{ids[word]}" -> "{child_id}" [label="{direction}"];')
+    for word, node in model.nodes.items():
+        if node.backnode is not None:
+            back_id = ids.get(node.backnode) or _dot_id(node.backnode)
+            lines.append(f'  "{ids[word]}" -> "{back_id}" [style=dotted, constraint=false];')
     lines.append("}")
     return "\n".join(lines) + "\n"

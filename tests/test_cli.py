@@ -5,13 +5,17 @@ import hashlib
 import json
 import os
 import pathlib
+import random
+import re
 import subprocess
 import sys
 
 import pytest
 
+from gen_random import direct_reading, random_nondet_shaped
+from qsta import AlternatingAutomaton, decide, load_automaton, simulate
 from qsta import emptiness as emp
-from qsta.cli import main
+from qsta.cli import _witness_text, main
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -561,6 +565,84 @@ def test_witness_files_are_byte_identical_across_runs(tmp_path, capsys):
         assert main(["emptiness", corpus(name), "--witness", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# the witness writer and DOT strings
+
+# A backslash and non-ASCII letters in every kind of name: states, a
+# direction, a concept and a feature, so they reach every string of the
+# witness JSON (ptpge entries included) and of the DOT.
+ESCAPED_NAMES = (
+    "nondet {\n"
+    '  directions: "δ\\" d2;\n'
+    '  concepts: "Ä\\";\n'
+    '  features: "ƒ";\n'
+    '  states: "q\\é" r;\n'
+    '  initial: "q\\é";\n'
+    '  accepting: "q\\é" r;\n'
+    '  delta "q\\é" -> { L={"Ä\\"}; X={TPP("δ\\" "ƒ", "ƒ")}; succ=(r, r) };\n'
+    "  delta r -> { L={}; X={}; succ=(r, r) };\n"
+    "}\n"
+)
+
+
+def _witnesses():
+    """Witnesses of the corpus, of criterion 5's two readings and of the
+    automata above, whose names JSON escapes."""
+    automata = [load_automaton((CORPUS / f"{name}.aut").read_text()) for name in NONEMPTY]
+    automata += [load_automaton(ESCAPED_NAMES), load_automaton(COMMA_COLON_NAMES)]
+    rng = random.Random(31337)
+    for _ in range(50):
+        shaped = random_nondet_shaped(rng)
+        automata += [shaped, direct_reading(shaped)]
+    for automaton in automata:
+        if isinstance(automaton, AlternatingAutomaton):
+            automaton = simulate(automaton)
+        decision = decide(automaton)
+        if decision.nonempty:
+            yield decision.witness
+
+
+def test_witness_writer_writes_what_json_dumps_writes():
+    count = 0
+    for model in _witnesses():
+        payload = emp.witness_to_json(model)
+        assert _witness_text(payload) == json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+        count += 1
+    assert count > len(NONEMPTY) + 2  # criterion 5 gives witnesses too
+
+
+def test_escaped_names_round_trip_through_the_witness(tmp_path, capsys):
+    path, w = tmp_path / "escaped.aut", tmp_path / "w.json"
+    path.write_text(ESCAPED_NAMES, encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    assert main(["emptiness", str(path), "--witness", str(w)]) == 0
+    assert main(["check-witness", str(path), str(w)]) == 0
+    assert capsys.readouterr().out == "not-empty\nok\n"
+    assert '"state": "q\\\\é"' in w.read_text(encoding="utf-8")
+
+
+# Backslashes in state and direction names, nothing else to escape.
+BACKSLASH_NAMES = (
+    'nondet {\n  directions: "d\\" d2;\n  concepts: ;\n  features: g;\n'
+    '  states: "q\\";\n  initial: "q\\";\n  accepting: "q\\";\n'
+    '  delta "q\\" -> { L={}; X={}; succ=("q\\", "q\\") };\n}\n'
+)
+
+
+def test_dot_strings_close_on_their_own_line(tmp_path, capsys):
+    path, d = tmp_path / "backslash.aut", tmp_path / "w.dot"
+    path.write_text(BACKSLASH_NAMES)
+    assert main(["validate", str(path)]) == 0
+    assert main(["emptiness", str(path), "--dot", str(d)]) == 0
+    capsys.readouterr()
+    quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+    lines = d.read_text(encoding="utf-8").splitlines()
+    for line in lines:
+        assert '"' not in quoted.sub("", line), line
+    assert '  "ε" [label="ε\\nq\\\\", shape=box, style=solid];' in lines
+    assert '  "ε" -> "d\\\\" [label="d\\\\"];' in lines
 
 
 # ---------------------------------------------------------------------------

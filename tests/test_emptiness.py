@@ -1,5 +1,6 @@
 """Emptiness search, witness structure, unfolding and serialization."""
 
+import copy
 import gc
 import hashlib
 import importlib.util
@@ -562,6 +563,27 @@ def test_check_witness_flags_backnode_signature_mismatch():
     bad = replace_node(model, ("d1", "d1"), backnode=())
     defects = check_witness(automaton, bad)
     assert any("backnode signature differs" in d for d in defects)
+
+
+def test_check_witness_compares_pending_triples_by_value():
+    # A child's triples are matched to its parent's constraint objects first;
+    # triples that hold equal copies of them are checked by value instead.
+    automaton = corpus_automaton("constraints4")
+    model = decide(automaton).witness
+    copied = {
+        word: replace(
+            node,
+            ptpge=frozenset(replace(t, constraint=copy.copy(t.constraint)) for t in node.ptpge),
+        )
+        for word, node in model.nodes.items()
+    }
+    assert check_witness(automaton, FiniteTreeModel(model.directions, copied)) == []
+    for nodes in (model.nodes, copied):
+        word, node = next((w, n) for w, n in nodes.items() if w and not n.is_leaf and n.ptpge)
+        dropped = replace(node, ptpge=frozenset(list(node.ptpge)[1:]))
+        bad = FiniteTreeModel(model.directions, {**nodes, word: dropped})
+        message = f"node '{' '.join(word)}': stored pending triples disagree with recomputation"
+        assert message in check_witness(automaton, bad)
 
 
 def test_check_witness_flags_a_backnode_that_is_not_smaller():

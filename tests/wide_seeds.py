@@ -23,7 +23,13 @@ work are spent:
 - ``dsl``: the corpus texts mutated as ``test_fuzz.py`` mutates them;
   ``load_automaton`` must load each or raise ``DslSyntaxError``, and what
   loads, well formed or not, must print to a text that loads and prints
-  to itself.
+  to itself;
+- ``witness-text``: ``random_nondet_shaped`` with state names that JSON
+  and the simulation escape (a backslash, a comma, a colon, non-ASCII
+  letters), alternately simulated and read directly; a non-empty
+  verdict's witness text, as ``qsta emptiness --witness`` writes it, must
+  equal ``json.dumps``'s and read back to a model ``check_witness``
+  accepts.
 
 A disagreement is a program bug: the script prints the property, seed
 and index, and exits 1.  An automaton that takes longer than
@@ -36,6 +42,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import itertools
+import json
 import random
 import signal
 import sys
@@ -53,16 +60,22 @@ from oracle_alternating import alternating_nonempty
 from oracle_classic import classical_nonempty
 from oracle_networks import ATOM_NAMES, oracle_consistent
 from qsta import (
+    AlternatingAutomaton,
     DslSyntaxError,
     QcspBuilder,
     Relation,
     ResourceLimitError,
+    check_witness,
     decide,
     is_consistent,
     load_automaton,
     print_automaton,
     simulate,
+    witness_from_json,
+    witness_to_json,
 )
+from qsta.cli import _witness_text
+from qsta.formula import And, Move, Or
 from test_fuzz import CORPUS, mutate_text
 
 CORPUS_TEXTS = [path.read_text() for path in sorted(CORPUS.glob("*.aut"))]
@@ -153,12 +166,59 @@ def dsl(rng: random.Random, index: int) -> Check:
     return check
 
 
+# Suffixes that make a state name need escaping: in JSON (a backslash,
+# non-ASCII letters) and in a simulated state's name (a backslash, a
+# comma, a colon).
+NAME_SUFFIXES = ["\\", ",", ":", "é", "δ"]
+
+
+def _renamed(automaton: AlternatingAutomaton, rng: random.Random) -> AlternatingAutomaton:
+    names = {
+        q: q + "".join(rng.choice(NAME_SUFFIXES) for _ in range(rng.randint(0, 2)))
+        for q in automaton.states
+    }
+
+    def rename(formula):
+        if isinstance(formula, Move):
+            return Move(formula.direction, names[formula.state])
+        if isinstance(formula, (And, Or)):
+            return type(formula)(tuple(map(rename, formula.children)))
+        return formula
+
+    return AlternatingAutomaton(
+        sig=automaton.sig,
+        states=tuple(names[q] for q in automaton.states),
+        initial=names[automaton.initial],
+        accepting=frozenset(names[q] for q in automaton.accepting),
+        delta={names[q]: rename(f) for q, f in automaton.delta.items()},
+    )
+
+
+def witness_text(rng: random.Random, index: int) -> Check:
+    shaped = _renamed(random_nondet_shaped(rng), rng)
+
+    def check() -> Optional[str]:
+        automaton = simulate(shaped) if index % 2 else direct_reading(shaped)
+        decision = decide(automaton)
+        if not decision.nonempty:
+            return None
+        payload = witness_to_json(decision.witness)
+        text = _witness_text(payload)
+        if text != json.dumps(payload, indent=2, ensure_ascii=False) + "\n":
+            return "the witness writer's text differs from json.dumps's"
+        defects = check_witness(automaton, witness_from_json(json.loads(text)))
+        return f"check_witness rejects the witness read back: {defects[0]}" if defects else None
+
+    return check
+
+
 PROPERTIES: Dict[str, Callable[[random.Random, int], Check]] = {
     "alternating": alternating,
     "criterion5": criterion5,
     "criterion6": criterion6,
     "networks": networks,
     "dsl": dsl,
+    "witness-text": witness_text,
 }
 
 
