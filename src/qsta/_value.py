@@ -9,7 +9,7 @@ copy and pickle rebuild it through its constructor, and assignment and
 deletion raise ``AttributeError``.  Every value is frozen.  No class
 writes its own ``__hash__``, and only ``Qcsp`` its own ``__eq__``: the
 search compares interned signatures by identity, so one pass of each
-benchmark workload (seed 1) calls these methods about 760 (corpus), 2 900
+benchmark workload (seed 1) calls these methods about 420 (corpus), 2 400
 (generated) and 0 (networks) times, and 20 fallback decisions about
 14 000 times, none on ``FtmNode``.  A hand-written method saves about
 140 ns a call (Python 3.11, 2-vCPU VM), a few percent of fallback's and
