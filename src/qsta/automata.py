@@ -10,7 +10,7 @@ only finite run prefixes are.
 
 from __future__ import annotations
 
-from typing import ClassVar, Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import ClassVar, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
 from . import formula as fm
 from ._value import Value, set_field
@@ -185,12 +185,16 @@ _NOT_IN_WITNESS = {"direction": ',"', "feature": ",", "state": '"'}
 
 
 def _witness_can_carry(kind: str, name: str) -> bool:
-    """Whether a witness (``schemas/witness.schema.json``) can carry a name:
-    a concept must not be empty or start with ``!``, the negation mark;
-    another name must be one word, as a word key joins names by spaces, and
-    hold none of its kind's ``_NOT_IN_WITNESS`` characters."""
+    """Whether a witness (``schemas/witness.schema.json``, and its DOT
+    rendering) can carry a name: a concept must not be empty or start with
+    ``!``, the negation mark; another name must be one word, as a word key
+    joins names by spaces, and hold none of its kind's ``_NOT_IN_WITNESS``
+    characters; a direction must not be ``ε``, the root's DOT id, which a
+    word of that one direction would take too."""
     if kind == "concept":
         return name[:1] not in ("", "!")
+    if kind == "direction" and name == "ε":
+        return False
     return name.split() == [name] and not any(c in name for c in _NOT_IN_WITNESS[kind])
 
 
@@ -306,13 +310,13 @@ class Metrics(Value):
 
 
 def metrics(automaton: NondetAutomaton) -> Metrics:
-    """The metrics of the constraints on the declared states' transitions."""
-    constraints = {
-        constraint
-        for state in automaton.states
-        for transition in automaton.transitions(state)
-        for constraint in transition.constraints
-    }
+    """The metrics of the constraints on the declared states' transitions.
+    The set is merged from each transition's frozenset, which reuses the
+    hashes stored there instead of hashing each constraint again."""
+    constraints: Set[SpatialConstraint] = set()
+    for state in automaton.states:
+        for transition in automaton.transitions(state):
+            constraints |= transition.constraints
     chain_length = max((term.length for c in constraints for term in c.args), default=1)
     return Metrics(constraint_count=len(constraints), chain_length=chain_length)
 

@@ -309,19 +309,21 @@ def _bound_total(automaton: NondetAutomaton, met: Metrics) -> int:
     return sum(_witness_bound(len(automaton.states), met, automaton.sig.k))
 
 
-def _trim(automaton: NondetAutomaton) -> Tuple[Set[str], Mapping[str, Tuple[Transition, ...]]]:
-    """The states with a classical Büchi run, literals and constraints
-    ignored, and the transitions whose successors all have one, per state in
-    declared order; that table is the automaton's own when no state is dead.
-    The live states are the greatest fixed point νZ.μY of the states with a
+def _live_states(
+    delta: Mapping[str, Sequence[Transition]], accepting: FrozenSet[str], goal: Optional[str] = None
+) -> Set[str]:
+    """The states with a classical Büchi run over ``delta``, literals and
+    constraints ignored: the greatest fixed point νZ.μY of the states with a
     transition whose successors all lie in Y or are accepting states of Z
     (Grädel, Thomas & Wilke, eds., LNCS 2500, chapters 6 and 8); the inner
-    least fixed point is swept in place, Gauss-Seidel style."""
-    delta = automaton.delta
+    least fixed point is swept in place, Gauss-Seidel style.  The outer
+    iterations only shrink, so a state that leaves them never comes back:
+    once ``goal`` is not among them, the set reached so far, which lacks
+    it, is returned."""
     live = {state for state, transitions in delta.items() if transitions}
-    while True:
+    while goal is None or goal in live:
         reach: Set[str] = set()
-        target = live & automaton.accepting
+        target = live & accepting
         grew = True
         while grew:
             grew = False
@@ -335,11 +337,28 @@ def _trim(automaton: NondetAutomaton) -> Tuple[Set[str], Mapping[str, Tuple[Tran
         if len(reach) == len(live):
             break
         live = reach
+    return live
+
+
+def _trim(automaton: NondetAutomaton) -> Optional[Mapping[str, Tuple[Transition, ...]]]:
+    """None when the initial state has no classical Büchi run, literals
+    and constraints ignored (``_live_states``, which stops as soon as the
+    initial state is dead); otherwise the transitions whose successors all
+    have one, per live state in declared order, which is the automaton's
+    own table when no state is dead."""
+    delta = automaton.delta
+    live = _live_states(delta, automaton.accepting, automaton.initial)
+    if automaton.initial not in live:
+        return None
     if live.issuperset(automaton.states):
-        return live, delta
-    return live, {
+        return delta
+    return {
         state: tuple([t for t in delta[state] if live.issuperset(t.succ)]) for state in live
     }
+
+
+# The statistics of a search refuted before any node is built.
+_REFUTED = SearchStats()
 
 
 # Metrics whose factors all sit at the clamp: the bound over them is the
@@ -371,14 +390,31 @@ def ftm_search(
     Before the search, ``_trim`` finds the states with a classical Büchi
     run, literals and constraints ignored, and the search picks only the
     transitions whose successors all have one, in declared order; an
-    initial state without one is empty before any node is built.  Literals
-    and constraints only remove runs, so every configuration a dropped
-    transition leads to would have been rejected, and chronological
-    backtracking would have exhausted those subspaces and then advanced the
-    same choice: the first witness found is the same.  Only a search that
-    ran into ``max_nodes`` inside such a subspace now finishes.  The trim
-    speeds the search and is no part of what a witness must satisfy, so the
-    witness bound and ``check_witness`` read the automaton as given.
+    initial state without one is empty before any node is built, and the
+    fixed point stops as soon as it finds that.  Literals and constraints
+    only remove runs, so every configuration a dropped transition leads to
+    would have been rejected, and chronological backtracking would have
+    exhausted those subspaces and then advanced the same choice: the first
+    witness found is the same.  Only a search that ran into ``max_nodes``
+    inside such a subspace now finishes.  The trim speeds the search and is
+    no part of what a witness must satisfy, so the witness bound and
+    ``check_witness`` read the automaton as given.
+
+    When no kept transition has constraints, a signature is a state, so a
+    model holds each state on one internal node at most and is a positional
+    strategy of the classical Büchi game, which suffices for it (Grädel,
+    Thomas & Wilke, LNCS 2500, chapters 2 and 6).  So before a node whose
+    state has two or more kept transitions commits to one, the search
+    solves the same fixed point with the state of every live internal node
+    held to its picked transition, this one included, and skips the
+    transition when the initial state loses its run: no model extends that
+    configuration.  This lookahead prunes only subspaces without a model,
+    so the first witness found is the same as well.  It is also exact: a
+    transition it keeps extends to a model, so the search never backtracks
+    and creates exactly the witness's nodes, where chronological
+    backtracking used to rebuild doomed subtrees for minutes.  It is
+    recomputed from scratch at each such choice, and a search with
+    constraints never runs it.
 
     No node is looked up by its word: a live node links to its parent and
     to the children built so far.  A fold is a link, not a node: the
@@ -418,15 +454,20 @@ def ftm_search(
     check without the solver, as the empty network is consistent; the
     check still counts in ``csp_checks``.
     """
-    live, delta = _trim(automaton)
-    if automaton.initial not in live:
-        return None, SearchStats()
+    delta = _trim(automaton)
+    if delta is None:
+        return None, _REFUTED
     sig = automaton.sig
     k = sig.k
     directions = sig.directions
+    initial = automaton.initial
     # Direction slots by name, for the chain walks: built at the first one.
     slot_of: Optional[Dict[str, int]] = None
     accepting = automaton.accepting
+    # Whether no kept transition has constraints, so that a signature is a
+    # state and the Büchi lookahead applies: found at the first choice it
+    # could prune.
+    constraint_free: Optional[bool] = None
     floor_total = _bound_total(automaton, _FLOOR_METRICS)
     exact_total: Optional[int] = None
     limit = max_nodes if max_nodes is not None else 2 * floor_total
@@ -535,25 +576,44 @@ def ftm_search(
         by_signature[signature] = node
         return node
 
+    def keeps_a_run() -> bool:
+        """Whether the initial state keeps a classical Büchi run with the
+        state of every live internal node held to its picked transition."""
+        held = dict(delta)
+        for node in by_signature.values():
+            held[node.state] = (node.picked,)
+        return initial in _live_states(held, accepting, initial)
+
     def apply_choice(node: _SearchNode) -> bool:
-        nonlocal issued, slot_of
+        nonlocal issued, slot_of, constraint_free
         choices = node.choices
-        if node.choice < len(choices):
-            node.picked, node.children = choices[node.choice]
-        else:
-            transitions = delta.get(node.state, ())
-            if node.choice >= len(transitions):
-                return False
-            node.picked = transitions[node.choice]
-            children = []
-            for state, direction in zip(node.picked.succ, directions):
-                signature = (state, backconstraints_step(node, direction))
-                row = table.get(signature)
-                if row is None:
-                    row = table[signature] = (signature, [])
-                children.append(row[0])
-            node.children = tuple(children)
-            choices.append((node.picked, node.children))
+        while True:
+            if node.choice < len(choices):
+                node.picked, node.children = choices[node.choice]
+            else:
+                transitions = delta.get(node.state, ())
+                if node.choice >= len(transitions):
+                    return False
+                node.picked = transitions[node.choice]
+                children = []
+                for state, direction in zip(node.picked.succ, directions):
+                    signature = (state, backconstraints_step(node, direction))
+                    row = table.get(signature)
+                    if row is None:
+                        row = table[signature] = (signature, [])
+                    children.append(row[0])
+                node.children = tuple(children)
+                choices.append((node.picked, node.children))
+            # Holding a state to its only transition changes no table.
+            if constraint_free is not False and len(delta.get(node.state, ())) > 1:
+                if constraint_free is None:
+                    constraint_free = not any(
+                        t.constraints for transitions in delta.values() for t in transitions
+                    )
+                if constraint_free and not keeps_a_run():
+                    node.choice += 1
+                    continue
+            break
         constraints = node.picked.constraints
         if constraints:
             if slot_of is None:

@@ -1,6 +1,10 @@
 """Automaton structures, validation, metrics, and run-prefix checking."""
 
+import pathlib
+import random
+
 import qsta.formula as fm
+from gen_random import direct_reading, random_nondet, random_nondet_shaped
 from qsta import (
     AlternatingAutomaton,
     ChainTerm,
@@ -14,8 +18,10 @@ from qsta import (
     Signature,
     SpatialConstraint,
     Transition,
+    load_automaton,
     metrics,
     parse_relation,
+    simulate,
     validate,
     validate_run_prefix,
 )
@@ -247,6 +253,39 @@ def test_metrics_counts_distinct_constraints_across_states():
 def test_metrics_constraint_free():
     a = nondet({"q0": (loop_transition("q0", "q0"),)})
     assert metrics(a) == Metrics(constraint_count=0, chain_length=1)
+
+
+def _corpus_and_generated_automata():
+    """The corpus, simulated where it is alternating, and the automata of
+    the benchmark's ``generated`` set: criterion 5's 50 automata at seed
+    31337 through both readings, and 400 ``random_nondet`` at seed 7."""
+    corpus = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+    for path in sorted(corpus.glob("*.aut")):
+        automaton = load_automaton(path.read_text())
+        yield simulate(automaton) if isinstance(automaton, AlternatingAutomaton) else automaton
+    rng = random.Random(31337)
+    for _ in range(50):
+        shaped = random_nondet_shaped(rng)
+        yield simulate(shaped)
+        yield direct_reading(shaped)
+    rng = random.Random(7)
+    for _ in range(400):
+        yield random_nondet(rng, max_states=6, max_k=3)
+
+
+def test_metrics_equals_the_set_of_every_transitions_constraints():
+    constrained = 0
+    for a in _corpus_and_generated_automata():
+        constraints = {
+            constraint
+            for state in a.states
+            for transition in a.transitions(state)
+            for constraint in transition.constraints
+        }
+        chain_length = max((term.length for c in constraints for term in c.args), default=1)
+        assert metrics(a) == Metrics(len(constraints), chain_length)
+        constrained += bool(constraints)
+    assert constrained > 50
 
 
 # -- run prefixes ---------------------------------------------------------

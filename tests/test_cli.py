@@ -395,12 +395,15 @@ def test_emptiness_tells_apart_states_named_with_commas_and_colons(tmp_path, cap
 
 # Names that the witness format cannot carry: (directions, concepts, L, X,
 # succ) of a one-state automaton, and the defect validate reports.  Each
-# would decide not-empty and write a witness its own check-witness rejects.
+# would decide not-empty and write a witness its own check-witness rejects,
+# or, for a direction named as the root's DOT id, a DOT that declares that
+# id twice and draws an edge from it to itself.
 UNWRITABLE_NAMES = {
     "comma": ('"d,1"', "", "", 'EQ("d,1" g, g)', "q", "direction 'd,1'"),
     "space": ('"d 1"', "", "", "", "q", "direction 'd 1'"),
     "empty": ('"" d2', "", "", "", "q, q", "direction ''"),
     "negation": ("d1", '"!A"', '"!A"', "", "q", "concept '!A'"),
+    "root-id": ('"ε" d2', "", "", "", "q, q", "direction 'ε'"),
 }
 
 
@@ -416,12 +419,14 @@ def test_names_a_witness_cannot_carry_are_defects(case, tmp_path, capsys):
     defect = f"signature: {name} cannot be written in a witness"
     assert main(["validate", str(path)]) == 1
     assert capsys.readouterr().out == defect + "\n"
-    assert main(["emptiness", str(path)]) == 2
+    dot = tmp_path / f"{case}.dot"
+    assert main(["emptiness", str(path), "--dot", str(dot)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         f"{path}: {defect}\nerror: {path}: automaton is not well formed\n"
     )
+    assert not dot.exists()
 
 
 def _self_loop_witness(tmp_path, capsys):

@@ -47,7 +47,7 @@ from qsta import (
     witness_to_json,
 )
 import qsta
-from qsta.emptiness import _trim
+from qsta.emptiness import _live_states, _trim
 
 from gen_random import direct_reading, random_nondet, random_nondet_shaped
 from oracle_classic import classical_nonempty
@@ -911,14 +911,37 @@ def test_search_verdicts_and_witnesses_are_pinned(search_outcomes):
 
 
 def test_trim_keeps_the_classically_live_states_and_their_transitions():
+    refuted = 0
     for name, automaton in _pinned_automata():
-        live, delta = _trim(automaton)
+        live = _live_states(automaton.delta, automaton.accepting)
         assert live == {
             q for q in automaton.states if classical_nonempty(replace(automaton, initial=q))
         }, name
+        # with the initial state as goal, the fixed point stops once it is
+        # dead, and the trim refutes the automaton exactly then
+        initial = automaton.initial
+        dead = initial not in _live_states(automaton.delta, automaton.accepting, initial)
+        assert dead == (not classical_nonempty(automaton)), name
+        delta = _trim(automaton)
+        assert (delta is None) == dead, name
+        if dead:
+            refuted += 1
+            continue
         for q in automaton.states:
             kept = tuple(t for t in automaton.transitions(q) if live.issuperset(t.succ))
             assert tuple(delta.get(q, ())) == kept, (name, q)
+    assert refuted > 0
+
+
+def test_search_never_backtracks_on_constraint_free_input():
+    # the Büchi lookahead keeps only transitions that extend to a model, so
+    # every node created is a node of the witness, and an empty verdict
+    # comes from the trim before any node
+    rng = random.Random(7)
+    for i in range(400):
+        automaton = random_nondet(rng, max_states=6, max_k=3)
+        model, stats = ftm_search(automaton)
+        assert stats.nodes_created == (0 if model is None else len(model.nodes)), f"nd-{i}"
 
 
 def test_search_leaves_no_cyclic_garbage():

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import pathlib
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from qsta import (
     ResourceLimitError,
     Signature,
     SpatialConstraint,
+    check_witness,
     decide,
     load_automaton,
     parse_relation,
@@ -236,6 +238,27 @@ def test_simulate_agrees_with_the_alternating_oracle_without_constraints():
         verdicts.append(got)
     # both verdicts occur often enough for the agreement to mean something
     assert 100 < verdicts.count(False) < 900
+
+
+# (seed, index) of constraint-free automata on which the search, before its
+# Büchi lookahead, backtracked for minutes without end: each one is the
+# index-th draw of random_alternating(Random(seed), max_states=5, max_k=2).
+THRASHED = [(144, 9), (554, 3), (796, 8), (828, 4), (864, 1), (910, 0)]
+
+
+@pytest.mark.parametrize("seed, index", THRASHED)
+def test_search_decides_automata_it_used_to_thrash_on(seed, index):
+    rng = random.Random(seed)
+    for _ in range(index + 1):
+        a = random_alternating(rng, max_states=5, max_k=2)
+    automaton = simulate(a)
+    started = time.perf_counter()
+    decision = decide(automaton)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0
+    assert decision.nonempty == alternating_nonempty(a)
+    if decision.nonempty:
+        assert check_witness(automaton, decision.witness) == []
 
 
 def test_the_alternating_oracle_decides_small_automata():
