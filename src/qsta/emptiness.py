@@ -464,10 +464,6 @@ def ftm_search(
     # Direction slots by name, for the chain walks: built at the first one.
     slot_of: Optional[Dict[str, int]] = None
     accepting = automaton.accepting
-    # Whether no kept transition has constraints, so that a signature is a
-    # state and the Büchi lookahead applies: found at the first choice it
-    # could prune.
-    constraint_free: Optional[bool] = None
     floor_total = _bound_total(automaton, _FLOOR_METRICS)
     exact_total: Optional[int] = None
     limit = max_nodes if max_nodes is not None else 2 * floor_total
@@ -576,44 +572,25 @@ def ftm_search(
         by_signature[signature] = node
         return node
 
-    def keeps_a_run() -> bool:
-        """Whether the initial state keeps a classical Büchi run with the
-        state of every live internal node held to its picked transition."""
-        held = dict(delta)
-        for node in by_signature.values():
-            held[node.state] = (node.picked,)
-        return initial in _live_states(held, accepting, initial)
-
     def apply_choice(node: _SearchNode) -> bool:
-        nonlocal issued, slot_of, constraint_free
+        nonlocal issued, slot_of
         choices = node.choices
-        while True:
-            if node.choice < len(choices):
-                node.picked, node.children = choices[node.choice]
-            else:
-                transitions = delta.get(node.state, ())
-                if node.choice >= len(transitions):
-                    return False
-                node.picked = transitions[node.choice]
-                children = []
-                for state, direction in zip(node.picked.succ, directions):
-                    signature = (state, backconstraints_step(node, direction))
-                    row = table.get(signature)
-                    if row is None:
-                        row = table[signature] = (signature, [])
-                    children.append(row[0])
-                node.children = tuple(children)
-                choices.append((node.picked, node.children))
-            # Holding a state to its only transition changes no table.
-            if constraint_free is not False and len(delta.get(node.state, ())) > 1:
-                if constraint_free is None:
-                    constraint_free = not any(
-                        t.constraints for transitions in delta.values() for t in transitions
-                    )
-                if constraint_free and not keeps_a_run():
-                    node.choice += 1
-                    continue
-            break
+        if node.choice < len(choices):
+            node.picked, node.children = choices[node.choice]
+        else:
+            transitions = delta.get(node.state, ())
+            if node.choice >= len(transitions):
+                return False
+            node.picked = transitions[node.choice]
+            children = []
+            for state, direction in zip(node.picked.succ, directions):
+                signature = (state, backconstraints_step(node, direction))
+                row = table.get(signature)
+                if row is None:
+                    row = table[signature] = (signature, [])
+                children.append(row[0])
+            node.children = tuple(children)
+            choices.append((node.picked, node.children))
         constraints = node.picked.constraints
         if constraints:
             if slot_of is None:
@@ -622,6 +599,31 @@ def ftm_search(
             for constraint in constraints:
                 walk(node, 0, None, node, constraint)
         return True
+
+    def apply_choice_with_lookahead(node: _SearchNode) -> bool:
+        """``apply_choice`` with the Büchi lookahead: skip each transition
+        after which the initial state has no classical Büchi run with the
+        state of every live internal node held to its picked transition."""
+        while apply_choice(node):
+            # Holding a state to its only transition changes no table.
+            if len(delta[node.state]) == 1:
+                return True
+            held = dict(delta)
+            for live in by_signature.values():
+                held[live.state] = (live.picked,)
+            if initial in _live_states(held, accepting, initial):
+                return True
+            node.choice += 1
+        return False
+
+    # The lookahead holds one node per state, which holds when no kept
+    # transition has constraints, and can prune only where a state has a
+    # choice; otherwise the search runs without it.
+    choose = apply_choice
+    if not any(t.constraints for transitions in delta.values() for t in transitions) and any(
+        len(transitions) > 1 for transitions in delta.values()
+    ):
+        choose = apply_choice_with_lookahead
 
     def retract() -> Optional[_SearchNode]:
         """Drop the live nodes registered after the most recent open
@@ -641,7 +643,7 @@ def ftm_search(
                 while len(ids) > ids_mark:
                     ids.popitem()
                 node.choice += 1
-                if apply_choice(node):
+                if choose(node):
                     return node
                 del by_signature[node.signature]
                 parent, slot = node.parent, node.slot
@@ -655,7 +657,7 @@ def ftm_search(
     model: Optional[FiniteTreeModel] = None
     try:
         root = register(None, 0, root_signature)
-        node: Optional[_SearchNode] = root if apply_choice(root) else None
+        node: Optional[_SearchNode] = root if choose(root) else None
         j = 0
         while node is not None:
             if j < k:
@@ -663,7 +665,7 @@ def ftm_search(
                 match = by_signature.get(signature)
                 if match is None:
                     child = register(node, j, signature)
-                    if apply_choice(child):
+                    if choose(child):
                         node, j = child, 0
                         continue
                 else:
