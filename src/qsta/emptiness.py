@@ -616,9 +616,9 @@ def ftm_search(
             node.choice += 1
         return False
 
-    # The lookahead holds one node per state, which holds when no kept
-    # transition has constraints, and can prune only where a state has a
-    # choice; otherwise the search runs without it.
+    # The lookahead needs one node per state, so that a node's pick is its
+    # state's: a signature is its state when no kept transition has
+    # constraints.  It can prune only where a state has a choice.
     choose = apply_choice
     if not any(t.constraints for transitions in delta.values() for t in transitions) and any(
         len(transitions) > 1 for transitions in delta.values()
