@@ -11,9 +11,11 @@ construction.  The search links each node to its parent and its
 children, and never looks a node up by its word.  A leaf is a link, not a
 node: the parent's child slot holds the backnode itself.  A chain walk
 whose next child is not built waits on that (node, slot) pair, and a
-backtrack clears the slots it drops.  A node reads its choices, each
-picked transition with its children's signatures, from a table kept per
-signature and filled as the search first picks each transition there.  The
+backtrack clears the slots it drops.  A witness holds each signature on
+one internal node at most, so the search keeps one node per signature, in
+one table, and reuses it after a backtrack: the node keeps its choices,
+each picked transition with its children's nodes, filled as the search
+first picks each transition there, and a live child is a fold.  The
 search resolves each constraint's chains once, as the nodes they reach are
 registered, and decides the root check from its log of resolved
 constraints; the solver refutes a self pair without EQ before it builds a
@@ -244,43 +246,42 @@ class SearchStats(Value):
         self.__class__ = SearchStats
 
 
-# A search node's signature: its state and pending triples.  The search
-# interns signatures, so equal ones are one object and compare by identity.
-_Signature = Tuple[str, FrozenSet[PtpTriple]]
-# One choice at a node: the picked transition and its children's interned
-# signatures, one per direction slot.
-_Choice = Tuple[Transition, Tuple[_Signature, ...]]
-
-
 class _SearchNode:
-    """A live internal node of the search, linked to its ``parent`` and the
-    direction ``slot`` it fills there.  ``kids`` holds, per slot, the child
-    built there, the backnode itself where the child is a fold (a leaf), or
-    ``None``; ``waiting`` holds, per slot, the walks waiting for that child
-    (``None`` where there are none).  The node reads its choices from
-    ``choices``, its signature's row of the search's table, and keeps its
-    ``picked`` transition and the interned signatures of the ``children``
-    it implies.  ``mark`` holds the lengths of the wait
-    list, log and variable ids and the issued count right after the node
-    was registered and the walks waiting on it woke: the state a retract to
-    this node restores before it tries the node's next transition."""
+    """The search's one node for a (state, pending triples) signature: a
+    model holds each signature on one internal node at most.  The node is
+    made the first time a choice meets its signature, and keeps, across
+    activations, its ``state``, ``ptpge``, its ``choices`` (each transition
+    picked there with its children's nodes, one per direction slot, so no
+    transition's children are computed twice) and whether it is ``live``,
+    an internal node of the tree now.
 
-    __slots__ = ("parent", "slot", "signature", "state", "ptpge", "kids",
-                 "waiting", "choice", "choices", "picked", "children", "mark")
+    An activation links it to its ``parent`` and the direction ``slot`` it
+    fills there.  ``kids`` holds, per slot, the child built there, the
+    backnode itself where the child is a fold (a leaf), or ``None``;
+    ``waiting`` holds, per slot, the walks waiting for that child (``None``
+    where there are none).  The node keeps its ``choice`` index, its
+    ``picked`` transition and the ``children`` it implies.  ``mark`` holds
+    the lengths of the wait list, log and variable ids and the issued count
+    right after the node was registered and the walks waiting on it woke:
+    the state a retract to this node restores before it tries the node's
+    next transition."""
 
-    def __init__(self, parent: Optional[_SearchNode], slot: int, signature: _Signature,
-                 choices: List[_Choice], k: int):
-        self.parent = parent
-        self.slot = slot
-        self.signature = signature
-        self.state, self.ptpge = signature
-        self.kids: Optional[List[Optional[_SearchNode]]] = [None] * k
-        self.waiting: Optional[List[Optional[List[_Walk]]]] = [None] * k
-        self.choice = 0
-        self.choices = choices
-        self.picked: Optional[Transition] = None
-        self.children: Sequence[_Signature] = ()
-        self.mark = (0, 0, 0, 0)
+    __slots__ = ("state", "ptpge", "choices", "live", "parent", "slot", "kids",
+                 "waiting", "choice", "picked", "children", "mark")
+    parent: Optional[_SearchNode]
+    slot: int
+    kids: Optional[List[Optional[_SearchNode]]]
+    waiting: Optional[List[Optional[List[_Walk]]]]
+    choice: int
+    picked: Optional[Transition]
+    children: Sequence[_SearchNode]
+    mark: Tuple[int, int, int, int]
+
+    def __init__(self, state: str, ptpge: FrozenSet[PtpTriple]) -> None:
+        self.state = state
+        self.ptpge = ptpge
+        self.choices: List[Tuple[Transition, Tuple[_SearchNode, ...]]] = []
+        self.live = False
 
     @property
     def constraints(self) -> FrozenSet[SpatialConstraint]:
@@ -422,12 +423,14 @@ def ftm_search(
     fold's cycle search follow the slot straight to it.  The fold still
     counts as a live node, and the search records it as its (parent, slot)
     pair, which is all a retract needs to clear it and all ``_freeze``
-    needs to name the leaf.  A node's choices depend only on its signature:
-    the search keeps a table, per interned signature, of each transition
-    picked there with its children's interned signatures, filled one
-    transition at a time as a node with that signature first picks it, so
-    no transition's children are computed twice.  The signatures are
-    interned: a signature match is an identity hit.
+    needs to name the leaf.  A model holds each signature on one internal
+    node at most, so the search keeps one ``_SearchNode`` per signature in
+    one table, made the first time a choice meets the signature and reused
+    by every later activation.  A node's choices depend only on its
+    signature, so it keeps them: each transition picked there with its
+    children's nodes, filled one transition at a time as the node first
+    picks it, so no transition's children are computed twice.  A child
+    that is live already is a fold onto it; any other is registered.
 
     Rejections backtrack chronologically: the most recently chosen
     transition anywhere in the tree advances to its next alternative and
@@ -442,8 +445,8 @@ def ftm_search(
     position is one cursor ``(node, j)``, the node whose child in direction
     slot ``j`` is built next; a complete non-root node hands it to its
     parent's next slot, and a retract to the advanced node's first slot.
-    The search unlinks its live nodes before it returns, so reference
-    counting frees them.
+    The search unlinks every node of its table before it returns or
+    raises, so reference counting frees them.
 
     ``max_nodes`` caps the number of live nodes, not the number created
     over the whole search; the default is twice the theoretical witness
@@ -469,13 +472,11 @@ def ftm_search(
     limit = max_nodes if max_nodes is not None else 2 * floor_total
 
     nodes_created = peak_nodes = csp_checks = 0
-    by_signature: Dict[_Signature, _SearchNode] = {}
     # The live nodes in registration order; the internal ones are the open
     # decisions, the most recent last.
     created: List[_Live] = []
-    # Every signature met so far, mapped to its interned self and the
-    # choices picked so far at a node with it: the table's row for it.
-    table: Dict[_Signature, Tuple[_Signature, List[_Choice]]] = {}
+    # Every signature met so far, mapped to its node.
+    table: Dict[Tuple[str, FrozenSet[PtpTriple]], _SearchNode] = {}
 
     # Each issued constraint is resolved once, by walking its chains as
     # ``resolve_variable`` does, and logged as (variable, variable, mask).
@@ -564,13 +565,19 @@ def ftm_search(
             for walk_state in parent.waiting[slot] or ():
                 walk(target, *walk_state)
 
-    def register(parent: Optional[_SearchNode], slot: int, signature: _Signature) -> _SearchNode:
-        """Link a new internal node with ``signature`` and mark it."""
-        node = _SearchNode(parent, slot, signature, table[signature][1], k)
+    def register(parent: Optional[_SearchNode], slot: int, node: _SearchNode) -> None:
+        """Link ``node`` as a new internal node, reset for this activation,
+        mark it and make it live."""
+        node.parent = parent
+        node.slot = slot
+        node.kids = [None] * k
+        node.waiting = [None] * k
+        node.choice = 0
+        node.picked = None
+        node.children = ()
         link(parent, slot, node, node)
         node.mark = (len(waits), len(log), len(ids), issued)
-        by_signature[signature] = node
-        return node
+        node.live = True
 
     def apply_choice(node: _SearchNode) -> bool:
         nonlocal issued, slot_of
@@ -585,10 +592,10 @@ def ftm_search(
             children = []
             for state, direction in zip(node.picked.succ, directions):
                 signature = (state, backconstraints_step(node, direction))
-                row = table.get(signature)
-                if row is None:
-                    row = table[signature] = (signature, [])
-                children.append(row[0])
+                child = table.get(signature)
+                if child is None:
+                    child = table[signature] = _SearchNode(state, signature[1])
+                children.append(child)
             node.children = tuple(children)
             choices.append((node.picked, node.children))
         constraints = node.picked.constraints
@@ -609,8 +616,9 @@ def ftm_search(
             if len(delta[node.state]) == 1:
                 return True
             held = dict(delta)
-            for live in by_signature.values():
-                held[live.state] = (live.picked,)
+            for other in table.values():
+                if other.live:
+                    held[other.state] = (other.picked,)
             if initial in _live_states(held, accepting, initial):
                 return True
             node.choice += 1
@@ -645,36 +653,35 @@ def ftm_search(
                 node.choice += 1
                 if choose(node):
                     return node
-                del by_signature[node.signature]
+                node.live = False
                 parent, slot = node.parent, node.slot
             created.pop()
             if parent is not None:
                 parent.kids[slot] = None
         return None
 
-    root_signature = (automaton.initial, frozenset())
-    table[root_signature] = (root_signature, [])
+    root = table[initial, frozenset()] = _SearchNode(initial, frozenset())
     model: Optional[FiniteTreeModel] = None
     try:
-        root = register(None, 0, root_signature)
+        register(None, 0, root)
         node: Optional[_SearchNode] = root if choose(root) else None
         j = 0
         while node is not None:
             if j < k:
-                signature = node.children[j]
-                match = by_signature.get(signature)
-                if match is None:
-                    child = register(node, j, signature)
+                child = node.children[j]
+                if not child.live:
+                    register(node, j, child)
                     if choose(child):
                         node, j = child, 0
                         continue
                 else:
-                    # Nodes are registered in preorder, so the match's word
-                    # is lexicographically smaller than the fold's.
-                    # A cycle through the backnode passes an accepting state
-                    # when the backnode's own state is accepting.
-                    if match.state in accepting or not closes_rejecting_cycle(node, match):
-                        link(node, j, match, (node, j))
+                    # A live child is a fold onto it.  Nodes are registered
+                    # in preorder, so its word is lexicographically smaller
+                    # than the fold's.  A cycle through the backnode passes
+                    # an accepting state when the backnode's own state is
+                    # accepting.
+                    if child.state in accepting or not closes_rejecting_cycle(node, child):
+                        link(node, j, child, (node, j))
                         j += 1
                         continue
             elif node.parent is not None:
@@ -689,9 +696,9 @@ def ftm_search(
             # The configuration is rejected.
             node, j = retract(), 0
     finally:
-        for entry in created:
-            if entry.__class__ is _SearchNode:
-                entry.parent = entry.kids = entry.waiting = None
+        # Nodes link each other through their activations and choices.
+        for entry in table.values():
+            entry.parent = entry.kids = entry.waiting = entry.choices = entry.children = None
     if exact_total is None and peak_nodes > floor_total:
         exact_total = _bound_total(automaton, compute_metrics(automaton))
     exceeded = exact_total is not None and peak_nodes > exact_total
@@ -930,7 +937,7 @@ def check_bounds(model: FiniteTreeModel, met: Metrics, size_q: int) -> BoundsRep
     """Compare node counts against the witness bounds and list any internal
     nodes that wrongly share a (state, pending triples) signature."""
     internal_bound, leaf_bound = _witness_bound(size_q, met, len(model.directions))
-    seen: Dict[_Signature, Word] = {}
+    seen: Dict[Tuple[str, FrozenSet[PtpTriple]], Word] = {}
     duplicates: List[Tuple[str, str]] = []
     for word, node in model.nodes.items():
         if node.backnode is None:
@@ -1244,15 +1251,20 @@ _JSON_KINDS = {
 def _json_field(raw: Dict, name: str, kind: Any, entries: Optional[type] = None) -> Any:
     """``raw[name]``, which the schema requires to be of type ``kind`` (one
     type or a tuple of them), and an array's entries of type ``entries``.
-    A JSON ``true`` is not an integer, although Python's ``True == 1``."""
-    if name not in raw:
-        raise ValueError(f"missing {name!r}")
-    value = raw[name]
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    if type(value) not in kinds:
-        raise TypeError(f"{name!r} is not " + " or ".join(_JSON_KINDS[k] for k in kinds))
-    if entries is not None and any(type(entry) is not entries for entry in value):
-        raise TypeError(f"an entry of {name!r} is not {_JSON_KINDS[entries]}")
+    A well-typed value is returned at once; only an error builds its
+    message.  A JSON ``true`` is not an integer, although Python's
+    ``True == 1``."""
+    value = raw.get(name)
+    if type(value) is not kind:
+        if name not in raw:
+            raise ValueError(f"missing {name!r}")
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        if type(value) not in kinds:
+            raise TypeError(f"{name!r} is not " + " or ".join(_JSON_KINDS[k] for k in kinds))
+    elif entries is not None:
+        for entry in value:
+            if type(entry) is not entries:
+                raise TypeError(f"an entry of {name!r} is not {_JSON_KINDS[entries]}")
     return value
 
 
@@ -1261,26 +1273,6 @@ def _json_known_fields(raw: Dict, names: FrozenSet[str], where: str) -> None:
     for name in raw:
         if name not in names:
             raise ValueError(f"unknown field {name!r} in {where}")
-
-
-def _json_scalar(raw: Dict, name: str, kind: type) -> Any:
-    """``_json_field(raw, name, kind)`` with the check inlined; the call is
-    left to name the error."""
-    value = raw.get(name)
-    return value if type(value) is kind else _json_field(raw, name, kind)
-
-
-def _json_array(raw: Dict, name: str, entries: type) -> List:
-    """``_json_field(raw, name, list, entries)`` with the checks inlined; the
-    call is left to name the error."""
-    value = raw.get(name)
-    if type(value) is list:
-        for entry in value:
-            if type(entry) is not entries:
-                break
-        else:
-            return value
-    return _json_field(raw, name, list, entries)
 
 
 def _canonical(field: str, text: str, canonical: str) -> None:
@@ -1365,8 +1357,8 @@ class _WitnessReader:
             _json_known_fields(raw, _TRIPLE_FIELDS, "a 'ptpge' entry")
         # the origin follows from the tree and is not read, but the schema types it
         if "origin" in raw:
-            self.word("'origin'", _json_scalar(raw, "origin", str))
-        text = _json_scalar(raw, "constraint", str)
+            self.word("'origin'", _json_field(raw, "origin", str))
+        text = _json_field(raw, "constraint", str)
         arg_index, chain = raw.get("argIndex"), raw.get("remainingChain")
         # keyed only when well typed: True == 1, and a list is unhashable
         key = (text, arg_index, chain) if type(arg_index) is int and type(chain) is str else None
@@ -1374,10 +1366,10 @@ class _WitnessReader:
         if triple is not None:
             return triple
         constraint = self.constraint("'constraint'", text)
-        arg_index = _json_scalar(raw, "argIndex", int)
+        arg_index = _json_field(raw, "argIndex", int)
         if arg_index not in (1, 2):
             raise ValueError("'argIndex' is not 1 or 2")
-        chain = _json_scalar(raw, "remainingChain", str)
+        chain = _json_field(raw, "remainingChain", str)
         if not chain.split():
             raise ValueError("'remainingChain' is empty")
         remaining = parse_chain(chain)
@@ -1400,14 +1392,14 @@ class _WitnessReader:
         backnode = raw.get("backnode")
         if type(backnode) is not str and (backnode is not None or "backnode" not in raw):
             _json_field(raw, "backnode", (str, type(None)))  # raises, naming the error
-        state = _json_scalar(raw, "state", str)
-        literals = self.literal_set(_json_array(raw, "literals", str))
-        constraints = self.constraint_set(_json_array(raw, "constraints", str))
-        texts = _json_array(raw, "children", str)
+        state = _json_field(raw, "state", str)
+        literals = self.literal_set(_json_field(raw, "literals", list, str))
+        constraints = self.constraint_set(_json_field(raw, "constraints", list, str))
+        texts = _json_field(raw, "children", list, str)
         children = tuple([self.word("'children' entry", c) for c in texts]) if texts else ()
         if backnode is not None:
             backnode = self.word("'backnode'", backnode)
-        entries = _json_array(raw, "ptpge", dict)
+        entries = _json_field(raw, "ptpge", list, dict)
         ptpge = self.triple_set(entries) if entries else _EMPTY
         return FtmNode(state, literals, constraints, children, backnode, ptpge)
 

@@ -947,13 +947,19 @@ def test_search_never_backtracks_on_constraint_free_input():
 
 def test_search_leaves_no_cyclic_garbage():
     # the search links its nodes both ways and must unlink them before it
-    # returns, so reference counting alone frees every decision's garbage
-    automata = [automaton for _, automaton in _pinned_automata()]
+    # returns or raises, so reference counting alone frees every decision's
+    # garbage; capped fallback searches take the raise path
+    pinned = _pinned_automata()
+    automata = [automaton for _, automaton in pinned]
+    capped = [automaton for name, automaton in pinned if name.startswith("fb-")][:3]
     gc.collect()
     gc.disable()
     try:
         for automaton in automata:
             decide(automaton)
+        for automaton in capped:
+            with pytest.raises(ResourceLimitError):
+                ftm_search(automaton, max_nodes=3)
         assert gc.collect() == 0
     finally:
         gc.enable()

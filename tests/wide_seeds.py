@@ -225,8 +225,9 @@ PROPERTIES: Dict[str, Callable[[random.Random, int], Check]] = {
 }
 
 
-class _Slow(Exception):
-    pass
+class _Slow(BaseException):
+    """The per-draw alarm.  It is no ``Exception``, so a property's own
+    ``except Exception`` lets it through to the ``slow:`` report."""
 
 
 def _interrupt(signum, frame):
