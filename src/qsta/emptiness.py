@@ -17,10 +17,11 @@ one table, and reuses it after a backtrack: the node keeps its choices,
 each picked transition with its children's nodes, filled as the search
 first picks each transition there, and a live child is a fold.  The
 search resolves each constraint's chains once, as the nodes they reach are
-registered, and decides the root check from its log of resolved
-constraints; the solver refutes a self pair without EQ before it builds a
-matrix.  ``check_witness`` and ``globalcsp`` resolve the same network from
-a finished model's words, and check words, not the search's links.
+registered, and keeps the network of the resolved constraints closed under
+path consistency as they arrive, undone on backtracking, so the root
+check starts from a closed matrix.  ``check_witness`` and ``globalcsp``
+resolve the same network from a finished model's words, and check words,
+not the search's links.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .automata import (
 from .errors import MalformedModelError, ResourceLimitError
 from .relalg import (
     EQ_RELATION,
+    MaskMatrix,
     Qcsp,
     QcspBuilder,
     Relation,
@@ -261,10 +263,10 @@ class _SearchNode:
     ``waiting`` holds, per slot, the walks waiting for that child (``None``
     where there are none).  The node keeps its ``choice`` index, its
     ``picked`` transition and the ``children`` it implies.  ``mark`` holds
-    the lengths of the wait list, log and variable ids and the issued count
-    right after the node was registered and the walks waiting on it woke:
-    the state a retract to this node restores before it tries the node's
-    next transition."""
+    the lengths of the wait list, log and variable ids, the issued count
+    and the length of the network's trail right after the node was
+    registered and the walks waiting on it woke: the state a retract to
+    this node restores before it tries the node's next transition."""
 
     __slots__ = ("state", "ptpge", "choices", "live", "parent", "slot", "kids",
                  "waiting", "choice", "picked", "children", "mark")
@@ -275,7 +277,7 @@ class _SearchNode:
     choice: int
     picked: Optional[Transition]
     children: Sequence[_SearchNode]
-    mark: Tuple[int, int, int, int]
+    mark: Tuple[int, int, int, int, int]
 
     def __init__(self, state: str, ptpge: FrozenSet[PtpTriple]) -> None:
         self.state = state
@@ -386,7 +388,13 @@ def ftm_search(
     inconsistency also rejects the configuration.  That network is not
     rebuilt per tree: each constraint is resolved to its (internal node,
     feature) variables when the last node its chains reach is registered,
-    and the check decides the log of resolved constraints.
+    and added to a ``MaskMatrix`` that stays path consistent as
+    constraints arrive (incremental path consistency, Gerevini, AIJ 166,
+    2005).  A backtrack undoes the matrix through its trail, so the trees
+    that share a prefix share its closure.  The first resolution that
+    empties a relation refutes the search until a backtrack cuts it off;
+    later resolutions skip the matrix, and the root check rejects at once.
+    Otherwise the check branches once on a copy of the closed matrix.
 
     Before the search, ``_trim`` finds the states with a classical Büchi
     run, literals and constraints ignored, and the search picks only the
@@ -453,10 +461,13 @@ def ftm_search(
     bound.  The bound is computed, from the automaton's metrics, only once
     the live tree outgrows its floor (the bound with every metric factor at
     one): a smaller search can neither reach the default cap nor exceed
-    the bound.  A complete tree whose log holds no constraint passes its
-    check without the solver, as the empty network is consistent; the
-    check still counts in ``csp_checks``.
+    the bound; a ``max_nodes`` below 1 raises ValueError.  A complete tree
+    that resolved no constraint passes its check without the solver, as
+    the empty network is consistent, and a refuted one fails it without
+    branching; either check still counts in ``csp_checks``.
     """
+    if max_nodes is not None and max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, not {max_nodes}")
     delta = _trim(automaton)
     if delta is None:
         return None, _REFUTED
@@ -491,16 +502,22 @@ def ftm_search(
     # the root check's network as it stands; a retract pops the variables
     # logged after its mark, the last ones ``ids`` holds.  A walk logs
     # once, when it ends, so every chain is resolved when the log has one
-    # entry per ``issued``.
+    # entry per ``issued``.  Each logged constraint is also added to
+    # ``network``, whose variables are the ids, until one empties a
+    # relation: ``refuted_at`` is then that entry's position in the log, and
+    # the network stays as that add left it until a retract cuts the entry.
     log: List[Tuple[int, int, int]] = []
     ids: Dict[_Variable, int] = {}
     waits: List[List[_Walk]] = []
     issued = 0
+    network = MaskMatrix()
+    refuted_at: Optional[int] = None
 
     def walk(node: _SearchNode, pos: int, first: Optional[_Variable], origin: _SearchNode,
              constraint: SpatialConstraint) -> None:
         """Walk the constraint's first chain from ``node``, ``pos`` steps
         in; once it resolves to ``first``, walk the second from ``origin``."""
+        nonlocal refuted_at
         chain = constraint.args[0 if first is None else 1]
         while True:
             if pos < len(chain.path):
@@ -521,7 +538,10 @@ def ftm_search(
             else:
                 first_id = ids.setdefault(first, len(ids))
                 second_id = ids.setdefault((node, chain.feature), len(ids))
-                log.append((first_id, second_id, constraint.rel.mask))
+                mask = constraint.rel.mask
+                log.append((first_id, second_id, mask))
+                if refuted_at is None and not network.add(first_id, second_id, mask):
+                    refuted_at = len(log) - 1
                 return
 
     def closes_rejecting_cycle(parent: _SearchNode, back: _SearchNode) -> bool:
@@ -576,7 +596,7 @@ def ftm_search(
         node.picked = None
         node.children = ()
         link(parent, slot, node, node)
-        node.mark = (len(waits), len(log), len(ids), issued)
+        node.mark = (len(waits), len(log), len(ids), issued, len(network.trail))
         node.live = True
 
     def apply_choice(node: _SearchNode) -> bool:
@@ -637,19 +657,22 @@ def ftm_search(
         """Drop the live nodes registered after the most recent open
         decision, restore its mark and advance it; return the advanced node,
         or None when the whole space is exhausted."""
-        nonlocal issued
+        nonlocal issued, refuted_at
         while created:
             entry = created[-1]
             if entry.__class__ is tuple:
                 parent, slot = entry
             else:
                 node = entry
-                waits_mark, log_mark, ids_mark, issued = node.mark
+                waits_mark, log_mark, ids_mark, issued, trail_mark = node.mark
                 while len(waits) > waits_mark:
                     waits.pop().pop()
                 del log[log_mark:]
                 while len(ids) > ids_mark:
                     ids.popitem()
+                network.undo(trail_mark)
+                if refuted_at is not None and refuted_at >= log_mark:
+                    refuted_at = None
                 node.choice += 1
                 if choose(node):
                     return node
@@ -690,7 +713,7 @@ def ftm_search(
             else:
                 assert len(log) == issued, "a complete tree resolves every chain"
                 csp_checks += 1
-                if not log or masks_consistent(len(ids), log):
+                if not log or (refuted_at is None and network.consistent(log)):
                     model = _freeze(directions, created)
                     break
             # The configuration is rejected.

@@ -23,9 +23,11 @@ pairs, those some constraint narrows, done in T: the closure of the atoms
 and the universal relation under composition, converse and intersection
 (37 relations).  T lies in Ĥ8, where path consistency decides consistency
 (Renz & Nebel, AIJ 108, 1999), so stopping there is exact; ``_scenario``
-gives the argument.  ``_closed_matrix`` reads the self pairs of its
-constraint list first, so a self pair without EQ refutes the network
-before any matrix is built.
+gives the argument.  A ``MaskMatrix`` is the one place a constraint is
+intersected into a matrix.  ``_closed_matrix`` adds a whole list and
+closes once; the emptiness search adds its constraints one at a time,
+closing from each pair as it arrives, and takes them back through an
+undo trail (incremental path consistency, Gerevini, AIJ 166, 2005).
 """
 
 from __future__ import annotations
@@ -387,33 +389,101 @@ _ATOMIC = bytes(size == 1 for size in _SIZE)
 _IN_CLOSURE = bytes(mask in _CLOSURE_OF_ATOMS for mask in range(_FULL_MASK + 1))
 
 
-def _closed_matrix(
-    n: int, constraints: Sequence[Tuple[int, int, int]]
-) -> Optional[Tuple[Matrix, List[Pair]]]:
-    """Constraints (i, j, mask) over variables 0..n-1 as a path-consistent
-    mask matrix, with its declared pairs: the pairs i < j, in row-major
-    order, whose mask is not full before closure.  None when a relation
-    empties.  Repeated pairs intersect; a pair i == j holds exactly when
-    its mask admits EQ.
+class MaskMatrix:
+    """A converse-closed mask matrix over variables 0..n-1, the diagonal
+    unused, that constraints are intersected into one pair at a time.
 
-    The self pairs are read first, in one pass over the constraints, so a
-    self pair without EQ refutes the network before the n×n matrix is
-    allocated: the emptiness search's log holds its self pairs anywhere,
-    and many of the trees it rejects end there."""
-    for i, j, mask in constraints:
-        if i == j and not mask & _EQ_MASK:
-            return None
-    m = [[_FULL_MASK] * n for _ in range(n)]
-    for i, j, mask in constraints:
+    ``add`` keeps the matrix path consistent as constraints arrive: it
+    intersects one pair, growing the matrix one variable at a time to hold
+    it, and closes from that pair.  Every change it makes goes on
+    ``trail``: (i, j, old mask) for a pair, None for a variable.
+    ``undo(mark)``, with ``mark`` a length of ``trail`` taken earlier,
+    pops the trail back to it and restores the matrix of that moment bit
+    for bit, also after an ``add`` that emptied a relation part way
+    through its closure: the revisions made before the empty one are on
+    the trail, and the empty one is never written.  Until that undo, such
+    a matrix is not closed and takes no further ``add``."""
+
+    __slots__ = ("m", "trail")
+
+    def __init__(self, n: int = 0) -> None:
+        self.m: Matrix = [[_FULL_MASK] * n for _ in range(n)]
+        self.trail: List[Optional[Tuple[int, int, int]]] = []
+
+    def intersect(self, i: int, j: int, mask: int, trail: Optional[list] = None) -> bool:
+        """Intersect mask into pair (i, j), recording the old mask on
+        ``trail`` when one is given and the pair changes; False when the
+        relation empties, which is not written.  A pair i == j holds
+        exactly when its mask admits EQ, and changes nothing."""
         if i == j:
-            continue
-        mask &= m[i][j]
-        if not mask:
+            return bool(mask & _EQ_MASK)
+        row = self.m[i]
+        old = row[j]
+        new = old & mask
+        if new != old:
+            if not new:
+                return False
+            if trail is not None:
+                trail.append((i, j, old))
+            row[j], self.m[j][i] = new, _CONVERSE[new]
+        return True
+
+    def add(self, i: int, j: int, mask: int) -> bool:
+        """``intersect`` on the trail, then close from the pair if it
+        changed; False when a relation empties."""
+        m, trail = self.m, self.trail
+        while len(m) <= i or len(m) <= j:
+            for row in m:
+                row.append(_FULL_MASK)
+            m.append([_FULL_MASK] * (len(m) + 1))
+            trail.append(None)
+        length = len(trail)
+        if not self.intersect(i, j, mask, trail):
+            return False
+        return len(trail) == length or _close(m, {(i, j) if i < j else (j, i)}, trail)
+
+    def undo(self, mark: int) -> None:
+        """Take back every change recorded after ``mark``, latest first."""
+        m, trail = self.m, self.trail
+        while len(trail) > mark:
+            entry = trail.pop()
+            if entry is None:
+                m.pop()
+                for row in m:
+                    row.pop()
+            else:
+                i, j, old = entry
+                m[i][j], m[j][i] = old, _CONVERSE[old]
+
+    def consistent(self, constraints: Sequence[Tuple[int, int, int]]) -> bool:
+        """Decide the network of ``constraints``, all of them added
+        without a relation emptying, as ``masks_consistent`` does:
+        ``_scenario`` on a copy of the closed matrix, over their declared
+        pairs."""
+        m = [row[:] for row in self.m]
+        return _scenario(m, sorted(_declared(constraints)), _IN_CLOSURE) is not None
+
+
+def _declared(constraints: Iterable[Tuple[int, int, int]]) -> Set[Pair]:
+    """The declared pairs of a constraint list: the pairs i < j whose
+    intersected mask is not full.  A full pair cannot tighten a triangle:
+    it composes to the full relation.  Sorted, they are in row-major
+    order, the order ``_scenario`` breaks its ties in."""
+    return {
+        (i, j) if i < j else (j, i) for i, j, mask in constraints if i != j and mask != _FULL_MASK
+    }
+
+
+def _closed_matrix(n: int, constraints: Sequence[Tuple[int, int, int]]) -> Optional[MaskMatrix]:
+    """Constraints (i, j, mask) over variables 0..n-1 as a path-consistent
+    mask matrix; None when a relation empties.  Repeated pairs intersect;
+    a pair i == j holds exactly when its mask admits EQ.  Every constraint
+    is intersected first, then one closure runs over the declared pairs."""
+    matrix = MaskMatrix(n)
+    for i, j, mask in constraints:
+        if not matrix.intersect(i, j, mask):
             return None
-        m[i][j], m[j][i] = mask, _CONVERSE[mask]
-    # A full pair cannot tighten a triangle: it composes to the full relation.
-    declared = [(i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] != _FULL_MASK]
-    return (m, declared) if _close(m, set(declared)) else None
+    return matrix if _close(matrix.m, _declared(constraints)) else None
 
 
 def _masks(network: Qcsp) -> Tuple[int, List[Tuple[int, int, int]]]:
@@ -433,14 +503,15 @@ def _masks(network: Qcsp) -> Tuple[int, List[Tuple[int, int, int]]]:
     return len(index), constraints
 
 
-def _close(m: Matrix, queue: Set[Pair]) -> bool:
+def _close(m: Matrix, queue: Set[Pair], trail: Optional[list] = None) -> bool:
     """Path consistency in place: C(x,k) &= C(x,y) o C(y,k) for every queued
     pair (x, y), both ways round, until nothing changes; False when a
-    relation empties.  The result is the greatest path-consistent
-    refinement of m, whatever the queue order.  C(x,y) stays fixed while
-    its triangles are revised (k differs from x and y), so its composition
-    row is fetched once per pair and direction, and each triangle costs
-    one index into it."""
+    relation empties, which is not written.  The result is the greatest
+    path-consistent refinement of m, whatever the queue order.  C(x,y)
+    stays fixed while its triangles are revised (k differs from x and y),
+    so its composition row is fetched once per pair and direction, and
+    each triangle costs one index into it.  Given a ``trail``, each
+    revision appends (x, k, old mask) to it before it is written."""
     n = len(m)
     while queue:
         pair = queue.pop()
@@ -454,6 +525,8 @@ def _close(m: Matrix, queue: Set[Pair]) -> bool:
                 if new != row_x[k]:
                     if not new:
                         return False
+                    if trail is not None:
+                        trail.append((x, k, row_x[k]))
                     row_x[k], m[k][x] = new, _CONVERSE[new]
                     queue.add((x, k) if x < k else (k, x))
     return True
@@ -529,14 +602,15 @@ def path_consistency(network: Qcsp) -> Optional[Qcsp]:
     answer, not an error.
     """
     closed = _closed_matrix(*_masks(network))
-    return None if closed is None else _network(network, closed[0])
+    return None if closed is None else _network(network, closed.m)
 
 
 def masks_consistent(n: int, constraints: Sequence[Tuple[int, int, int]]) -> bool:
     """Decide a network given as masks: constraints (i, j, mask) over
-    variables 0..n-1, read as in ``_closed_matrix``.  ``is_consistent``,
-    the emptiness search's root check and ``check_witness`` all decide
-    through here.
+    variables 0..n-1, read as in ``_closed_matrix``.  ``is_consistent`` and
+    ``check_witness`` decide through here; the emptiness search keeps its
+    own ``MaskMatrix`` closed as it goes and decides through
+    ``MaskMatrix.consistent``, which branches the same way.
 
     Branches only on declared pairs, and only until each lies in T, the
     closure of the atoms and the universal relation: T lies in Ĥ8, where
@@ -544,7 +618,7 @@ def masks_consistent(n: int, constraints: Sequence[Tuple[int, int, int]]) -> boo
     ``_scenario`` gives the argument.  Pairs no constraint names are never
     branched on."""
     closed = _closed_matrix(n, constraints)
-    return closed is not None and _scenario(*closed, _IN_CLOSURE) is not None
+    return closed is not None and closed.consistent(constraints)
 
 
 def is_consistent(network: Qcsp) -> bool:
@@ -560,13 +634,14 @@ def consistent_scenario(network: Qcsp) -> Optional[Qcsp]:
     input (missing pairs of the input count as full), or None when the
     network is inconsistent.  It branches on every pair i < j, not only
     the declared ones, so it does more work than ``is_consistent``.  No
-    verdict path calls it: the search and ``check_witness`` decide through
-    ``masks_consistent``, and only ``scene_from_witness`` builds a scenario.
+    verdict path calls it: ``check_witness`` decides through
+    ``masks_consistent``, the search through its ``MaskMatrix``, and only
+    ``scene_from_witness`` builds a scenario.
     """
     closed = _closed_matrix(*_masks(network))
     if closed is None:
         return None
-    m, _ = closed
+    m = closed.m
     every_pair = [(i, j) for i in range(len(m)) for j in range(i + 1, len(m))]
     scenario = _scenario(m, every_pair, _ATOMIC)
     return None if scenario is None else _network(network, scenario)
