@@ -458,32 +458,32 @@ class MaskMatrix:
     def consistent(self, constraints: Sequence[Tuple[int, int, int]]) -> bool:
         """Decide the network of ``constraints``, all of them added
         without a relation emptying, as ``masks_consistent`` does:
-        ``_scenario`` on a copy of the closed matrix, over their declared
-        pairs."""
-        m = [row[:] for row in self.m]
-        return _scenario(m, sorted(_declared(constraints)), _IN_CLOSURE) is not None
+        ``_scenario`` on a copy of the closed matrix, over the declared
+        pairs ``_closed_matrix`` would list for them.  The matrix is
+        closed, so those are read from the constraints, not from it."""
+        declared = sorted({
+            (i, j) if i < j else (j, i) for i, j, mask in constraints if i != j and mask != _FULL_MASK
+        })
+        return _scenario([row[:] for row in self.m], declared, _IN_CLOSURE) is not None
 
 
-def _declared(constraints: Iterable[Tuple[int, int, int]]) -> Set[Pair]:
-    """The declared pairs of a constraint list: the pairs i < j whose
-    intersected mask is not full.  A full pair cannot tighten a triangle:
-    it composes to the full relation.  Sorted, they are in row-major
-    order, the order ``_scenario`` breaks its ties in."""
-    return {
-        (i, j) if i < j else (j, i) for i, j, mask in constraints if i != j and mask != _FULL_MASK
-    }
-
-
-def _closed_matrix(n: int, constraints: Sequence[Tuple[int, int, int]]) -> Optional[MaskMatrix]:
+def _closed_matrix(
+    n: int, constraints: Sequence[Tuple[int, int, int]]
+) -> Optional[Tuple[Matrix, List[Pair]]]:
     """Constraints (i, j, mask) over variables 0..n-1 as a path-consistent
-    mask matrix; None when a relation empties.  Repeated pairs intersect;
-    a pair i == j holds exactly when its mask admits EQ.  Every constraint
-    is intersected first, then one closure runs over the declared pairs."""
+    mask matrix, with its declared pairs: the pairs i < j, in row-major
+    order, whose mask is not full before closure.  None when a relation
+    empties.  Repeated pairs intersect; a pair i == j holds exactly when
+    its mask admits EQ.  Every constraint is intersected into a
+    ``MaskMatrix`` first, then one closure runs over the declared pairs."""
     matrix = MaskMatrix(n)
     for i, j, mask in constraints:
         if not matrix.intersect(i, j, mask):
             return None
-    return matrix if _close(matrix.m, _declared(constraints)) else None
+    m = matrix.m
+    # A full pair cannot tighten a triangle: it composes to the full relation.
+    declared = [(i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] != _FULL_MASK]
+    return (m, declared) if _close(m, set(declared)) else None
 
 
 def _masks(network: Qcsp) -> Tuple[int, List[Tuple[int, int, int]]]:
@@ -602,7 +602,7 @@ def path_consistency(network: Qcsp) -> Optional[Qcsp]:
     answer, not an error.
     """
     closed = _closed_matrix(*_masks(network))
-    return None if closed is None else _network(network, closed.m)
+    return None if closed is None else _network(network, closed[0])
 
 
 def masks_consistent(n: int, constraints: Sequence[Tuple[int, int, int]]) -> bool:
@@ -618,7 +618,7 @@ def masks_consistent(n: int, constraints: Sequence[Tuple[int, int, int]]) -> boo
     ``_scenario`` gives the argument.  Pairs no constraint names are never
     branched on."""
     closed = _closed_matrix(n, constraints)
-    return closed is not None and closed.consistent(constraints)
+    return closed is not None and _scenario(*closed, _IN_CLOSURE) is not None
 
 
 def is_consistent(network: Qcsp) -> bool:
@@ -641,7 +641,7 @@ def consistent_scenario(network: Qcsp) -> Optional[Qcsp]:
     closed = _closed_matrix(*_masks(network))
     if closed is None:
         return None
-    m = closed.m
+    m = closed[0]
     every_pair = [(i, j) for i in range(len(m)) for j in range(i + 1, len(m))]
     scenario = _scenario(m, every_pair, _ATOMIC)
     return None if scenario is None else _network(network, scenario)

@@ -1061,6 +1061,17 @@ def test_search_node_limit_caps_the_live_tree():
     )
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+@pytest.mark.parametrize("name", ["eq_loop", "no_accept"])
+def test_search_rejects_a_node_limit_below_one(cap, name):
+    # no_accept's initial state has no classical run: the cap is checked
+    # before the trim answers empty
+    automaton = corpus_automaton(name)
+    for search in (ftm_search, decide):
+        with pytest.raises(ValueError, match=f"^max_nodes must be at least 1, not {cap}$"):
+            search(automaton, max_nodes=cap)
+
+
 def test_a_dead_first_branch_no_longer_exhausts_the_node_limit():
     # the first root transition leads into a subtree with no classical run
     # that needs more live nodes than the limit; the search skips it

@@ -265,11 +265,38 @@ def test_network_self_edges_require_eq():
     assert not is_consistent(builder2.build())
 
 
+def _added_one_at_a_time(constraints):
+    """A MaskMatrix's verdict on the constraints, added in order and closed
+    after each, and whether the add that refuted them, if one did, revised
+    the matrix before a relation emptied.  Undoing the matrix to each
+    earlier mark in turn must restore the matrix of that mark bit for
+    bit."""
+    incremental = relalg.MaskMatrix()
+    marks = []
+    verdict = emptied_mid_closure = False
+    for i, j, mask in constraints:
+        marks.append((len(incremental.trail), [row[:] for row in incremental.m]))
+        if not incremental.add(i, j, mask):
+            revised = [entry for entry in incremental.trail[marks[-1][0]:] if entry is not None]
+            emptied_mid_closure = len(revised) > 1
+            break
+    else:
+        verdict = incremental.consistent(constraints)
+    for mark, matrix in reversed(marks):
+        incremental.undo(mark)
+        assert incremental.m == matrix
+    return verdict, emptied_mid_closure
+
+
 def test_self_pairs_anywhere_in_the_constraint_list_agree_with_oracle():
     """Self pairs, with and without EQ, at random positions of a random
     network's constraint list: a self pair without EQ refutes the network
     wherever it sits, and one with EQ changes nothing.  masks_consistent
-    and path_consistency agree with the brute-force oracle."""
+    and path_consistency agree with the brute-force oracle, and so does a
+    MaskMatrix that adds the constraints in list order, closing after
+    each.  Undoing it to each earlier mark in turn restores the matrix of
+    that mark bit for bit, also after an add that emptied a relation part
+    way through its closure."""
     rng = random.Random(5150)
     eq_free = [mask for mask in range(1, 256) if not mask & EQ_RELATION.mask]
     eq_admitting = [mask for mask in range(1, 256) if mask & EQ_RELATION.mask]
@@ -289,6 +316,7 @@ def test_self_pairs_anywhere_in_the_constraint_list_agree_with_oracle():
         got = relalg.masks_consistent(n_vars, constraints)
         assert got == want, (allowed, constraints)
         verdicts[kind].add(got)
+        assert _added_one_at_a_time(constraints)[0] == want, (allowed, constraints)
         builder = QcspBuilder(range(n_vars))
         for i, j, mask in constraints:
             builder.add(i, j, Relation(mask))
@@ -299,6 +327,17 @@ def test_self_pairs_anywhere_in_the_constraint_list_agree_with_oracle():
             assert (closed is None) == (path_consistency(network) is None)
             assert closed is not None or not want
     assert verdicts == {"eq_free": {False}, "eq_admitting": {True, False}}
+    # Closing a closed matrix from one narrowed pair never empties a
+    # relation at the first revision, so the networks above refute at a
+    # self pair or as a pair is intersected.  Here the last add revises
+    # the matrix and then empties a relation.
+    allowed = {
+        (1, 4): "{EC,TPPI}", (2, 4): "{EC,TPP}", (0, 2): "{NTPP,NTPPI}",
+        (0, 1): "{DC,EC,NTPP,EQ}", (0, 4): "{PO,TPP,NTPP,NTPPI,EQ}", (1, 2): "{NTPP,EQ}",
+    }
+    constraints = [(i, j, parse_relation(text).mask) for (i, j), text in allowed.items()]
+    assert _added_one_at_a_time(constraints) == (False, True)
+    assert not on.oracle_consistent(5, {pair: frozenset(parse_relation(text)) for pair, text in allowed.items()})
 
 
 def test_path_consistency_empty_edge():

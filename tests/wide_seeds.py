@@ -19,7 +19,11 @@ work are spent:
   ``random_mixed_network`` and sparse ones (half the pairs declared, one
   to three atoms each); ``is_consistent``, which stops branching once
   every declared pair lies in the closure of the atoms, must equal
-  ``oracle_networks.oracle_consistent``;
+  ``oracle_networks.oracle_consistent``, and so must the verdict of a
+  ``MaskMatrix`` that adds the network's constraints one at a time, in a
+  seeded order, each pair either way round, and at random steps adds
+  random constraints and undoes them, as the emptiness search undoes a
+  rejected choice;
 - ``dsl``: the corpus texts mutated as ``test_fuzz.py`` mutates them;
   ``load_automaton`` must load each or raise ``DslSyntaxError``, and what
   loads, well formed or not, must print to a text that loads and prints
@@ -79,6 +83,7 @@ from qsta import (
 )
 from qsta.cli import _witness_text
 from qsta.formula import And, Move, Or
+from qsta.relalg import MaskMatrix, converse
 from test_fuzz import CORPUS, mutate_text
 
 CORPUS_TEXTS = [path.read_text() for path in sorted(CORPUS.glob("*.aut"))]
@@ -126,6 +131,25 @@ def criterion6(rng: random.Random, index: int) -> Check:
     return check
 
 
+def _added_with_undos(constraints, n_vars: int, rng: random.Random) -> bool:
+    """A ``MaskMatrix``'s verdict on the constraints, added in order.  Before
+    some of them, chosen at random, a mark is taken, one to three random
+    constraints over the network's variables are added, and the matrix is
+    undone to the mark, as the search undoes a rejected choice; an undo
+    that left anything behind would change the verdict."""
+    matrix = MaskMatrix()
+    for constraint in constraints:
+        if rng.random() < 0.3:
+            mark = len(matrix.trail)
+            for _ in range(rng.randint(1, 3)):
+                if not matrix.add(rng.randrange(n_vars), rng.randrange(n_vars), rng.randrange(1, 256)):
+                    break
+            matrix.undo(mark)
+        if not matrix.add(*constraint):
+            return False
+    return matrix.consistent(constraints)
+
+
 def networks(rng: random.Random, index: int) -> Check:
     n_vars = rng.randint(3, 8)
     if index % 2 == 0:
@@ -140,10 +164,20 @@ def networks(rng: random.Random, index: int) -> Check:
                 allowed[pair] = atoms
         network = builder.build()
 
+    replay = random.Random(rng.getrandbits(64))
+    constraints = []
+    for (i, j), atoms in allowed.items():
+        rel = Relation.of(*atoms)
+        constraints.append((i, j, rel.mask) if replay.random() < 0.5 else (j, i, converse(rel).mask))
+    replay.shuffle(constraints)
+
     def check() -> Optional[str]:
         got = is_consistent(network)
         want = oracle_consistent(n_vars, allowed)
-        return None if got == want else f"is_consistent says {got}, the network oracle {want}"
+        if got != want:
+            return f"is_consistent says {got}, the network oracle {want}"
+        added = _added_with_undos(constraints, n_vars, replay)
+        return None if added == want else f"the MaskMatrix says {added}, the network oracle {want}"
 
     return check
 
