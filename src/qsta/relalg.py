@@ -641,7 +641,7 @@ def consistent_scenario(network: Qcsp) -> Optional[Qcsp]:
     closed = _closed_matrix(*_masks(network))
     if closed is None:
         return None
-    m = closed[0]
+    m, _ = closed
     every_pair = [(i, j) for i in range(len(m)) for j in range(i + 1, len(m))]
     scenario = _scenario(m, every_pair, _ATOMIC)
     return None if scenario is None else _network(network, scenario)
