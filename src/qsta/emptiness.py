@@ -394,7 +394,8 @@ def ftm_search(
     that share a prefix share its closure.  The first resolution that
     empties a relation refutes the search until a backtrack cuts it off;
     later resolutions skip the matrix, and the root check rejects at once.
-    Otherwise the check branches once on a copy of the closed matrix.
+    Otherwise the check branches once, in place on the closed matrix, and
+    undoes its branches through the same trail.
 
     Before the search, ``_trim`` finds the states with a classical Büchi
     run, literals and constraints ignored, and the search picks only the

@@ -15,19 +15,23 @@ closed, with missing pairs meaning the full relation.  Constraints between a
 variable and itself cannot be stored pairwise, so they are kept in a separate
 ``selfs`` map: a self constraint is satisfiable exactly when it admits EQ.
 
-The solver closes a network under path consistency, then branches, one
-re-closure per branch, until every pair of a given list is done.
-``consistent_scenario`` lists every pair, done at an atom.  A yes/no
-decision (``masks_consistent``, ``is_consistent``) lists the declared
-pairs, those some constraint narrows, done in T: the closure of the atoms
-and the universal relation under composition, converse and intersection
-(37 relations).  T lies in Ĥ8, where path consistency decides consistency
-(Renz & Nebel, AIJ 108, 1999), so stopping there is exact; ``_scenario``
-gives the argument.  A ``MaskMatrix`` is the one place a constraint is
-intersected into a matrix.  ``_closed_matrix`` adds a whole list and
-closes once; the emptiness search adds its constraints one at a time,
-closing from each pair as it arrives, and takes them back through an
-undo trail (incremental path consistency, Gerevini, AIJ 166, 2005).
+The solver works on a ``MaskMatrix``, which holds EQ on its diagonal: the
+relation of a variable to itself, so a self constraint is intersected there
+like any other.  It closes the matrix under path consistency, then branches
+in place, one re-closure per branch, until every pair of a given list is
+done; a failed branch is taken back through the matrix's undo trail, so no
+branch copies the matrix.  ``consistent_scenario`` lists every pair, done
+at an atom.  A yes/no decision (``masks_consistent``, ``is_consistent``)
+lists the declared pairs, those some constraint narrows, done in T: the
+closure of the atoms and the universal relation under composition,
+converse and intersection (37 relations).  T lies in Ĥ8, where path
+consistency decides consistency (Renz & Nebel, AIJ 108, 1999), so stopping
+there is exact; ``_scenario`` gives the argument.  A ``MaskMatrix`` is the
+one place a constraint is intersected into a matrix.  ``_closed_matrix``
+adds a whole list and closes once; the emptiness search adds its
+constraints one at a time, closing from each pair as it arrives, and takes
+them back through the same undo trail (incremental path consistency,
+Gerevini, AIJ 166, 2005).
 """
 
 from __future__ import annotations
@@ -365,8 +369,9 @@ class QcspBuilder:
 
 
 # The solver works on a dense, converse-closed matrix of masks over the
-# network's variables; the diagonal is unused.  A queue is a set of pairs
-# i < j: closing the triangles through (i, j) closes those through (j, i).
+# network's variables, with EQ, the relation of a variable to itself, on
+# its diagonal.  A queue is a set of pairs i < j: closing the triangles
+# through (i, j) closes those through (j, i).
 Matrix = List[List[int]]
 Pair = Tuple[int, int]
 
@@ -390,8 +395,8 @@ _IN_CLOSURE = bytes(mask in _CLOSURE_OF_ATOMS for mask in range(_FULL_MASK + 1))
 
 
 class MaskMatrix:
-    """A converse-closed mask matrix over variables 0..n-1, the diagonal
-    unused, that constraints are intersected into one pair at a time.
+    """A converse-closed mask matrix over variables 0..n-1, with EQ on its
+    diagonal, that constraints are intersected into one pair at a time.
 
     ``add`` keeps the matrix path consistent as constraints arrive: it
     intersects one pair, growing the matrix one variable at a time to hold
@@ -402,21 +407,21 @@ class MaskMatrix:
     for bit, also after an ``add`` that emptied a relation part way
     through its closure: the revisions made before the empty one are on
     the trail, and the empty one is never written.  Until that undo, such
-    a matrix is not closed and takes no further ``add``."""
+    a matrix is not closed and takes no further ``add``.  The emptiness
+    search undoes a rejected choice this way, and ``_scenario`` a failed
+    branch."""
 
     __slots__ = ("m", "trail")
 
     def __init__(self, n: int = 0) -> None:
-        self.m: Matrix = [[_FULL_MASK] * n for _ in range(n)]
+        self.m: Matrix = [[_EQ_MASK if i == j else _FULL_MASK for j in range(n)] for i in range(n)]
         self.trail: List[Optional[Tuple[int, int, int]]] = []
 
     def intersect(self, i: int, j: int, mask: int, trail: Optional[list] = None) -> bool:
         """Intersect mask into pair (i, j), recording the old mask on
         ``trail`` when one is given and the pair changes; False when the
-        relation empties, which is not written.  A pair i == j holds
-        exactly when its mask admits EQ, and changes nothing."""
-        if i == j:
-            return bool(mask & _EQ_MASK)
+        relation empties, which is not written.  A pair i == j holds EQ,
+        so it holds exactly when its mask admits EQ, and changes nothing."""
         row = self.m[i]
         old = row[j]
         new = old & mask
@@ -435,7 +440,7 @@ class MaskMatrix:
         while len(m) <= i or len(m) <= j:
             for row in m:
                 row.append(_FULL_MASK)
-            m.append([_FULL_MASK] * (len(m) + 1))
+            m.append([_FULL_MASK] * len(m) + [_EQ_MASK])
             trail.append(None)
         length = len(trail)
         if not self.intersect(i, j, mask, trail):
@@ -458,24 +463,28 @@ class MaskMatrix:
     def consistent(self, constraints: Sequence[Tuple[int, int, int]]) -> bool:
         """Decide the network of ``constraints``, all of them added
         without a relation emptying, as ``masks_consistent`` does:
-        ``_scenario`` on a copy of the closed matrix, over the declared
-        pairs ``_closed_matrix`` would list for them.  The matrix is
-        closed, so those are read from the constraints, not from it."""
+        ``_scenario`` in place, over the declared pairs ``_closed_matrix``
+        would list for them, then ``undo`` to the mark it started from, so
+        the matrix is left as it was found.  The matrix is closed, so those
+        pairs are read from the constraints, not from it."""
         declared = sorted({
             (i, j) if i < j else (j, i) for i, j, mask in constraints if i != j and mask != _FULL_MASK
         })
-        return _scenario([row[:] for row in self.m], declared, _IN_CLOSURE) is not None
+        mark = len(self.trail)
+        found = _scenario(self, declared, _IN_CLOSURE)
+        self.undo(mark)
+        return found
 
 
 def _closed_matrix(
     n: int, constraints: Sequence[Tuple[int, int, int]]
-) -> Optional[Tuple[Matrix, List[Pair]]]:
+) -> Optional[Tuple[MaskMatrix, List[Pair]]]:
     """Constraints (i, j, mask) over variables 0..n-1 as a path-consistent
-    mask matrix, with its declared pairs: the pairs i < j, in row-major
+    ``MaskMatrix``, with its declared pairs: the pairs i < j, in row-major
     order, whose mask is not full before closure.  None when a relation
     empties.  Repeated pairs intersect; a pair i == j holds exactly when
-    its mask admits EQ.  Every constraint is intersected into a
-    ``MaskMatrix`` first, then one closure runs over the declared pairs."""
+    its mask admits EQ.  Every constraint is intersected into the matrix
+    first, off the trail, then one closure runs over the declared pairs."""
     matrix = MaskMatrix(n)
     for i, j, mask in constraints:
         if not matrix.intersect(i, j, mask):
@@ -483,7 +492,7 @@ def _closed_matrix(
     m = matrix.m
     # A full pair cannot tighten a triangle: it composes to the full relation.
     declared = [(i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] != _FULL_MASK]
-    return (m, declared) if _close(m, set(declared)) else None
+    return (matrix, declared) if _close(m, set(declared)) else None
 
 
 def _masks(network: Qcsp) -> Tuple[int, List[Tuple[int, int, int]]]:
@@ -507,42 +516,52 @@ def _close(m: Matrix, queue: Set[Pair], trail: Optional[list] = None) -> bool:
     """Path consistency in place: C(x,k) &= C(x,y) o C(y,k) for every queued
     pair (x, y), both ways round, until nothing changes; False when a
     relation empties, which is not written.  The result is the greatest
-    path-consistent refinement of m, whatever the queue order.  C(x,y)
-    stays fixed while its triangles are revised (k differs from x and y),
-    so its composition row is fetched once per pair and direction, and
-    each triangle costs one index into it.  Given a ``trail``, each
-    revision appends (x, k, old mask) to it before it is written."""
-    n = len(m)
+    path-consistent refinement of m, whatever the queue order.  The
+    diagonal holds EQ, and for every non-empty r, r o EQ = r and r o r⁻¹
+    holds EQ, so the triangles with k = x or k = y change nothing and are
+    revised like the others.  C(x,y) stays fixed while its triangles are
+    revised, so its composition row is fetched once per pair and
+    direction, and each triangle costs one index into it.  Given a
+    ``trail``, each revision appends (x, k, old mask) to it before it is
+    written."""
+    rows, conv, full = _ROWS, _CONVERSE, _FULL_MASK
+    span = range(len(m))
     while queue:
         pair = queue.pop()
         for x, y in (pair, pair[::-1]):
             row_x, row_y = m[x], m[y]
-            comp = _ROWS[row_x[y]] or _row(row_x[y])
-            for k in range(n):
-                if k == x or k == y or row_y[k] == _FULL_MASK:
+            r = row_x[y]
+            comp = rows[r] or _row(r)
+            for k in span:
+                yk = row_y[k]
+                if yk == full:
                     continue
-                new = row_x[k] & comp[row_y[k]]
-                if new != row_x[k]:
+                old = row_x[k]
+                new = old & comp[yk]
+                if new != old:
                     if not new:
                         return False
                     if trail is not None:
-                        trail.append((x, k, row_x[k]))
-                    row_x[k], m[k][x] = new, _CONVERSE[new]
+                        trail.append((x, k, old))
+                    row_x[k], m[k][x] = new, conv[new]
                     queue.add((x, k) if x < k else (k, x))
     return True
 
 
-def _scenario(m: Matrix, pairs: List[Pair], done: bytes) -> Optional[Matrix]:
-    """Search the closed matrix m depth first, branching on listed pairs
-    until each has been found done (``done[mask]`` is 1) in the current
-    matrix or an ancestor: that matrix, or None when every branch empties
-    a relation.  ``done`` holds every atom, so the search ends.
+def _scenario(matrix: MaskMatrix, pairs: List[Pair], done: bytes) -> bool:
+    """Search the closed matrix depth first, in place, branching on listed
+    pairs until each has been found done (``done[mask]`` is 1) in the
+    current matrix or an ancestor: True with the matrix left at that
+    point, or False when every branch empties a relation, with the matrix
+    left part way through the last one.  ``done`` holds every atom, so the
+    search ends.  Callers that keep the matrix undo it to a mark taken
+    before the call.
 
     With ``_ATOMIC`` and every pair i < j listed, the result is an atomic
     scenario: an atom only refines to itself (``consistent_scenario``).
     With ``_IN_CLOSURE`` and the declared pairs listed, it decides the
-    input (``masks_consistent``).  None proves it inconsistent, since each
-    branch splits a pair into all of its atoms.  A result proves it
+    input (``masks_consistent``).  False proves it inconsistent, since each
+    branch splits a pair into all of its atoms.  True proves it
     consistent: the network N of the masks at which the declared pairs
     were found done, universal elsewhere, lies in T ⊆ Ĥ8, where path
     consistency is exact (Renz & Nebel, AIJ 108, 1999); the result is a
@@ -551,11 +570,13 @@ def _scenario(m: Matrix, pairs: List[Pair], done: bytes) -> Optional[Matrix]:
     solution satisfies the input.
 
     The branch is the first listed pair with the fewest atoms among those
-    not done, its atoms taken in ``ATOMS`` order, with a stack of (closed
-    matrix, its listed pairs not done, pair, atoms left).  A branch copies
-    the closed matrix, fixes the pair and re-closes from that pair only;
-    the pairs still to fix are filtered from the parent's."""
-    stack: List[Tuple[Matrix, List[Pair], int, int, int]] = []
+    not done, its atoms taken in ``ATOMS`` order, with a stack of (trail
+    mark of the closed matrix, its listed pairs not done, pair, atoms
+    left).  A branch undoes the matrix to its mark, intersects its atom
+    and re-closes from that pair only, all on the trail; the pairs still
+    to fix are filtered from the parent's."""
+    m, trail = matrix.m, matrix.trail
+    stack: List[Tuple[int, List[Pair], int, int, int]] = []
     closed = True
     while True:
         if closed:
@@ -567,22 +588,24 @@ def _scenario(m: Matrix, pairs: List[Pair], done: bytes) -> Optional[Matrix]:
                     if _SIZE[mask] < fewest:
                         branch, fewest = pair, _SIZE[mask]
             if not open_pairs:
-                return m
+                return True
             i, j = branch
-            stack.append((m, open_pairs, i, j, m[i][j]))
+            stack.append((len(trail), open_pairs, i, j, m[i][j]))
         if not stack:
-            return None
-        m, pairs, i, j, left = stack.pop()
+            return False
+        mark, pairs, i, j, left = stack.pop()
+        matrix.undo(mark)
         atom = left & -left
         if left != atom:
-            stack.append((m, pairs, i, j, left ^ atom))
-            m = [row[:] for row in m]
-        m[i][j], m[j][i] = atom, _CONVERSE[atom]
-        closed = _close(m, {(i, j)})
+            stack.append((mark, pairs, i, j, left ^ atom))
+        # An atom of a pair not done narrows it, so the intersection holds.
+        matrix.intersect(i, j, atom, trail)
+        closed = _close(m, {(i, j)}, trail)
 
 
 def _network(network: Qcsp, m: Matrix) -> Qcsp:
-    """The matrix as a network like the input, without its full pairs."""
+    """The matrix as a network like the input, without its full pairs; a
+    declared self constraint reads as the diagonal's EQ."""
     variables = network.variables
     edges = {
         (u, v): Relation(m[i][j])
@@ -590,19 +613,21 @@ def _network(network: Qcsp, m: Matrix) -> Qcsp:
         for j, v in enumerate(variables)
         if i != j and m[i][j] != _FULL_MASK
     }
-    return Qcsp(variables, edges, dict(network.selfs))
+    selfs = {v: Relation(m[i][i]) for i, v in enumerate(variables) if v in network.selfs}
+    return Qcsp(variables, edges, selfs)
 
 
 def path_consistency(network: Qcsp) -> Optional[Qcsp]:
     """Close the network under the triangle rule.
 
     Repeatedly replaces C(i,j) with C(i,j) & compose(C(i,k), C(k,j)) until a
-    fixed point.  Returns the refined network, or None when some edge (or an
-    EQ-free self constraint) empties; None is the ordinary "inconsistent"
-    answer, not an error.
+    fixed point.  Returns the refined network, each declared self
+    constraint refined to EQ, or None when some edge (or an EQ-free self
+    constraint) empties; None is the ordinary "inconsistent" answer, not
+    an error.
     """
     closed = _closed_matrix(*_masks(network))
-    return None if closed is None else _network(network, closed[0])
+    return None if closed is None else _network(network, closed[0].m)
 
 
 def masks_consistent(n: int, constraints: Sequence[Tuple[int, int, int]]) -> bool:
@@ -618,7 +643,7 @@ def masks_consistent(n: int, constraints: Sequence[Tuple[int, int, int]]) -> boo
     ``_scenario`` gives the argument.  Pairs no constraint names are never
     branched on."""
     closed = _closed_matrix(n, constraints)
-    return closed is not None and _scenario(*closed, _IN_CLOSURE) is not None
+    return closed is not None and _scenario(*closed, _IN_CLOSURE)
 
 
 def is_consistent(network: Qcsp) -> bool:
@@ -631,8 +656,8 @@ def consistent_scenario(network: Qcsp) -> Optional[Qcsp]:
     """Return a consistent atomic refinement, complete over all pairs.
 
     The result fixes one atom for every ordered pair of variables of the
-    input (missing pairs of the input count as full), or None when the
-    network is inconsistent.  It branches on every pair i < j, not only
+    input (missing pairs of the input count as full), and EQ for each
+    declared self constraint, or None when the network is inconsistent.  It branches on every pair i < j, not only
     the declared ones, so it does more work than ``is_consistent``.  No
     verdict path calls it: ``check_witness`` decides through
     ``masks_consistent``, the search through its ``MaskMatrix``, and only
@@ -641,7 +666,7 @@ def consistent_scenario(network: Qcsp) -> Optional[Qcsp]:
     closed = _closed_matrix(*_masks(network))
     if closed is None:
         return None
-    m, _ = closed
-    every_pair = [(i, j) for i in range(len(m)) for j in range(i + 1, len(m))]
-    scenario = _scenario(m, every_pair, _ATOMIC)
-    return None if scenario is None else _network(network, scenario)
+    matrix, _ = closed
+    n = len(matrix.m)
+    every_pair = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return _network(network, matrix.m) if _scenario(matrix, every_pair, _ATOMIC) else None

@@ -109,6 +109,19 @@ def test_composition_identity_laws():
         assert compose(atomic(a), EQ_RELATION) == atomic(a)
 
 
+def test_eq_is_a_right_identity_and_lies_in_every_relation_times_its_converse():
+    """For every non-empty r, r o EQ = r and r o r⁻¹ holds EQ, by the
+    package's tables and by oracle_networks' transcription: a triangle
+    through the solver's EQ diagonal never changes a relation."""
+    for mask in range(1, 256):
+        r = Relation(mask)
+        assert compose(r, EQ_RELATION) == r, r
+        assert "EQ" in compose(r, converse(r)), r
+        right = frozenset().union(*(on.ORACLE_COMPOSITION[(a, "EQ")] for a in r))
+        back = frozenset().union(*(on.ORACLE_COMPOSITION[(a, on.ORACLE_CONVERSE[b])] for a in r for b in r))
+        assert right == frozenset(r) and "EQ" in back, r
+
+
 def test_peircean_law_all_atom_pairs():
     for a, b in itertools.product(ATOMS, repeat=2):
         left = converse(compose(atomic(a), atomic(b)))
@@ -265,26 +278,35 @@ def test_network_self_edges_require_eq():
     assert not is_consistent(builder2.build())
 
 
+def _eq_diagonal(matrix):
+    return all(row[i] == EQ_RELATION.mask for i, row in enumerate(matrix.m))
+
+
 def _added_one_at_a_time(constraints):
     """A MaskMatrix's verdict on the constraints, added in order and closed
     after each, and whether the add that refuted them, if one did, revised
     the matrix before a relation emptied.  Undoing the matrix to each
     earlier mark in turn must restore the matrix of that mark bit for
-    bit."""
+    bit.  Every diagonal entry is EQ after every add and every undo, and
+    consistent() leaves the matrix and its trail as it found them."""
     incremental = relalg.MaskMatrix()
     marks = []
     verdict = emptied_mid_closure = False
     for i, j, mask in constraints:
         marks.append((len(incremental.trail), [row[:] for row in incremental.m]))
-        if not incremental.add(i, j, mask):
+        added = incremental.add(i, j, mask)
+        assert _eq_diagonal(incremental)
+        if not added:
             revised = [entry for entry in incremental.trail[marks[-1][0]:] if entry is not None]
             emptied_mid_closure = len(revised) > 1
             break
     else:
+        before = [row[:] for row in incremental.m], incremental.trail[:]
         verdict = incremental.consistent(constraints)
+        assert (incremental.m, incremental.trail) == before
     for mark, matrix in reversed(marks):
         incremental.undo(mark)
-        assert incremental.m == matrix
+        assert incremental.m == matrix and _eq_diagonal(incremental)
     return verdict, emptied_mid_closure
 
 
@@ -338,6 +360,19 @@ def test_self_pairs_anywhere_in_the_constraint_list_agree_with_oracle():
     constraints = [(i, j, parse_relation(text).mask) for (i, j), text in allowed.items()]
     assert _added_one_at_a_time(constraints) == (False, True)
     assert not on.oracle_consistent(5, {pair: frozenset(parse_relation(text)) for pair, text in allowed.items()})
+
+
+@pytest.mark.parametrize("solve", [consistent_scenario, path_consistency])
+def test_scenario_and_closure_read_self_constraints_as_eq(solve):
+    """A self constraint that admits EQ holds only as EQ, so the scenario,
+    whose relations are all atomic, and the closure report it as EQ, not
+    as the declared relation; one without EQ refutes the network."""
+    network = _network(("a", "a", "{DC,EQ}"), ("a", "b", "{TPP,EQ}"), ("b", "b", "{PO,EQ,NTPP}"))
+    solved = solve(network)
+    assert solved is not None
+    assert dict(solved.selfs) == {"a": EQ_RELATION, "b": EQ_RELATION}
+    assert solved.relation("a", "b").issubset(Relation.of("TPP", "EQ"))
+    assert solve(_network(("a", "a", "{DC,PO}"), ("a", "b", "TPP"))) is None
 
 
 def test_path_consistency_empty_edge():
@@ -508,9 +543,9 @@ def test_is_consistent_closes_once_per_declared_pair(monkeypatch):
     calls = []
     close = relalg._close
 
-    def counted_close(m, queue):
+    def counted_close(m, queue, trail=None):
         calls.append(queue)
-        return close(m, queue)
+        return close(m, queue, trail)
 
     monkeypatch.setattr(relalg, "_close", counted_close)
     assert is_consistent(network)
@@ -534,9 +569,9 @@ def test_is_consistent_agrees_with_oracle_inside_and_outside_the_closure(monkeyp
     close = relalg._close
     closes = []
 
-    def counted_close(m, queue):
+    def counted_close(m, queue, trail=None):
         closes.append(queue)
-        return close(m, queue)
+        return close(m, queue, trail)
 
     monkeypatch.setattr(relalg, "_close", counted_close)
     verdicts = {"inside": set(), "outside": set()}

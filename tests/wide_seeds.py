@@ -23,7 +23,10 @@ work are spent:
   ``MaskMatrix`` that adds the network's constraints one at a time, in a
   seeded order, each pair either way round, and at random steps adds
   random constraints and undoes them, as the emptiness search undoes a
-  rejected choice;
+  rejected choice; that matrix's ``consistent`` must leave the matrix and
+  its trail as it found them; and ``consistent_scenario`` must find a
+  scenario exactly when the oracle says consistent, atomic on every pair,
+  within the allowed atoms, and passing ``oracle_consistent_atoms``;
 - ``dsl``: the corpus texts mutated as ``test_fuzz.py`` mutates them;
   ``load_automaton`` must load each or raise ``DslSyntaxError``, and what
   loads, well formed or not, must print to a text that loads and prints
@@ -54,7 +57,7 @@ import random
 import signal
 import sys
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from gen_random import (
     direct_reading,
@@ -65,7 +68,7 @@ from gen_random import (
 )
 from oracle_alternating import alternating_nonempty
 from oracle_classic import classical_nonempty
-from oracle_networks import ATOM_NAMES, oracle_consistent
+from oracle_networks import ATOM_NAMES, oracle_consistent, oracle_consistent_atoms
 from qsta import (
     AlternatingAutomaton,
     DslSyntaxError,
@@ -73,6 +76,7 @@ from qsta import (
     Relation,
     ResourceLimitError,
     check_witness,
+    consistent_scenario,
     decide,
     is_consistent,
     load_automaton,
@@ -131,12 +135,14 @@ def criterion6(rng: random.Random, index: int) -> Check:
     return check
 
 
-def _added_with_undos(constraints, n_vars: int, rng: random.Random) -> bool:
-    """A ``MaskMatrix``'s verdict on the constraints, added in order.  Before
-    some of them, chosen at random, a mark is taken, one to three random
-    constraints over the network's variables are added, and the matrix is
-    undone to the mark, as the search undoes a rejected choice; an undo
-    that left anything behind would change the verdict."""
+def _added_with_undos(constraints, n_vars: int, rng: random.Random) -> Tuple[bool, bool]:
+    """A ``MaskMatrix``'s verdict on the constraints, added in order, and
+    whether its ``consistent`` left the matrix and the trail as it found
+    them.  Before some of the constraints, chosen at random, a mark is
+    taken, one to three random constraints over the network's variables
+    are added, and the matrix is undone to the mark, as the search undoes
+    a rejected choice; an undo that left anything behind would change the
+    verdict."""
     matrix = MaskMatrix()
     for constraint in constraints:
         if rng.random() < 0.3:
@@ -146,8 +152,26 @@ def _added_with_undos(constraints, n_vars: int, rng: random.Random) -> bool:
                     break
             matrix.undo(mark)
         if not matrix.add(*constraint):
-            return False
-    return matrix.consistent(constraints)
+            return False, True
+    before = [row[:] for row in matrix.m], matrix.trail[:]
+    verdict = matrix.consistent(constraints)
+    return verdict, (matrix.m, matrix.trail) == before
+
+
+def _scenario_problem(network, n_vars: int, allowed, want: bool) -> Optional[str]:
+    """What is wrong with ``consistent_scenario``'s answer, if anything."""
+    scenario = consistent_scenario(network)
+    if (scenario is not None) != want:
+        return f"consistent_scenario {'finds' if scenario else 'finds no'} scenario, the network oracle says {want}"
+    if scenario is None:
+        return None
+    atoms = {}
+    for pair in itertools.combinations(range(n_vars), 2):
+        rel = scenario.relation(*pair)
+        if not rel.is_atomic() or not set(rel) <= allowed.get(pair, set(ATOM_NAMES)):
+            return f"consistent_scenario gives {rel} on {pair}, not an allowed atom"
+        atoms[pair] = str(rel)
+    return None if oracle_consistent_atoms(n_vars, atoms) else "the scenario fails the network oracle"
 
 
 def networks(rng: random.Random, index: int) -> Check:
@@ -176,8 +200,12 @@ def networks(rng: random.Random, index: int) -> Check:
         want = oracle_consistent(n_vars, allowed)
         if got != want:
             return f"is_consistent says {got}, the network oracle {want}"
-        added = _added_with_undos(constraints, n_vars, replay)
-        return None if added == want else f"the MaskMatrix says {added}, the network oracle {want}"
+        added, kept = _added_with_undos(constraints, n_vars, replay)
+        if added != want:
+            return f"the MaskMatrix says {added}, the network oracle {want}"
+        if not kept:
+            return "MaskMatrix.consistent changed the matrix or its trail"
+        return _scenario_problem(network, n_vars, allowed, want)
 
     return check
 
