@@ -524,26 +524,22 @@ def _close(m: Matrix, queue: Set[Pair], trail: Optional[list] = None) -> bool:
     direction, and each triangle costs one index into it.  Given a
     ``trail``, each revision appends (x, k, old mask) to it before it is
     written."""
-    rows, conv, full = _ROWS, _CONVERSE, _FULL_MASK
-    span = range(len(m))
+    n = len(m)
     while queue:
         pair = queue.pop()
         for x, y in (pair, pair[::-1]):
             row_x, row_y = m[x], m[y]
-            r = row_x[y]
-            comp = rows[r] or _row(r)
-            for k in span:
-                yk = row_y[k]
-                if yk == full:
+            comp = _ROWS[row_x[y]] or _row(row_x[y])
+            for k in range(n):
+                if row_y[k] == _FULL_MASK:
                     continue
-                old = row_x[k]
-                new = old & comp[yk]
-                if new != old:
+                new = row_x[k] & comp[row_y[k]]
+                if new != row_x[k]:
                     if not new:
                         return False
                     if trail is not None:
-                        trail.append((x, k, old))
-                    row_x[k], m[k][x] = new, conv[new]
+                        trail.append((x, k, row_x[k]))
+                    row_x[k], m[k][x] = new, _CONVERSE[new]
                     queue.add((x, k) if x < k else (k, x))
     return True
 

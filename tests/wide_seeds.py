@@ -162,7 +162,7 @@ def _scenario_problem(network, n_vars: int, allowed, want: bool) -> Optional[str
     """What is wrong with ``consistent_scenario``'s answer, if anything."""
     scenario = consistent_scenario(network)
     if (scenario is not None) != want:
-        return f"consistent_scenario {'finds' if scenario else 'finds no'} scenario, the network oracle says {want}"
+        return f"consistent_scenario finds a scenario: {scenario is not None}, the network oracle {want}"
     if scenario is None:
         return None
     atoms = {}
