@@ -414,7 +414,9 @@ class MaskMatrix:
     __slots__ = ("m", "trail")
 
     def __init__(self, n: int = 0) -> None:
-        self.m: Matrix = [[_EQ_MASK if i == j else _FULL_MASK for j in range(n)] for i in range(n)]
+        self.m: Matrix = [[_FULL_MASK] * n for _ in range(n)]
+        for i, row in enumerate(self.m):
+            row[i] = _EQ_MASK
         self.trail: List[Optional[Tuple[int, int, int]]] = []
 
     def intersect(self, i: int, j: int, mask: int, trail: Optional[list] = None) -> bool:
@@ -653,11 +655,12 @@ def consistent_scenario(network: Qcsp) -> Optional[Qcsp]:
 
     The result fixes one atom for every ordered pair of variables of the
     input (missing pairs of the input count as full), and EQ for each
-    declared self constraint, or None when the network is inconsistent.  It branches on every pair i < j, not only
-    the declared ones, so it does more work than ``is_consistent``.  No
-    verdict path calls it: ``check_witness`` decides through
-    ``masks_consistent``, the search through its ``MaskMatrix``, and only
-    ``scene_from_witness`` builds a scenario.
+    declared self constraint, or None when the network is inconsistent.
+    It branches on every pair i < j, not only the declared ones, so it
+    does more work than ``is_consistent``.  No verdict path calls it:
+    ``check_witness`` decides through ``masks_consistent``, the search
+    through its ``MaskMatrix``, and only ``scene_from_witness`` builds a
+    scenario.
     """
     closed = _closed_matrix(*_masks(network))
     if closed is None:
