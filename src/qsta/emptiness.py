@@ -263,10 +263,11 @@ class _SearchNode:
     ``waiting`` holds, per slot, the walks waiting for that child (``None``
     where there are none).  The node keeps its ``choice`` index, its
     ``picked`` transition and the ``children`` it implies.  ``mark`` holds
-    the lengths of the wait list, log and variable ids, the issued count
-    and the length of the network's trail right after the node was
-    registered and the walks waiting on it woke: the state a retract to
-    this node restores before it tries the node's next transition."""
+    the length of the wait list, the resolved count, the length of the
+    variable ids, the issued count and the length of the network's trail
+    right after the node was registered and the walks waiting on it woke:
+    the state a retract to this node restores before it tries the node's
+    next transition."""
 
     __slots__ = ("state", "ptpge", "choices", "live", "parent", "slot", "kids",
                  "waiting", "choice", "picked", "children", "mark")
@@ -390,12 +391,14 @@ def ftm_search(
     feature) variables when the last node its chains reach is registered,
     and added to a ``MaskMatrix`` that stays path consistent as
     constraints arrive (incremental path consistency, Gerevini, AIJ 166,
-    2005).  A backtrack undoes the matrix through its trail, so the trees
-    that share a prefix share its closure.  The first resolution that
-    empties a relation refutes the search until a backtrack cuts it off;
-    later resolutions skip the matrix, and the root check rejects at once.
-    Otherwise the check branches once, in place on the closed matrix, and
-    undoes its branches through the same trail.
+    2005).  That matrix is the search's only record of the network; the
+    search counts the constraints resolved, but lists none.  A backtrack
+    undoes the matrix through its trail, so the trees that share a prefix
+    share its closure.  The first resolution that empties a relation
+    refutes the search until a backtrack cuts it off; later resolutions
+    skip the matrix, and the root check rejects at once.  Otherwise the
+    check branches once, in place on the closed matrix, and undoes its
+    branches through the same trail.
 
     Before the search, ``_trim`` finds the states with a classical Büchi
     run, literals and constraints ignored, and the search picks only the
@@ -491,7 +494,7 @@ def ftm_search(
     table: Dict[Tuple[str, FrozenSet[PtpTriple]], _SearchNode] = {}
 
     # Each issued constraint is resolved once, by walking its chains as
-    # ``resolve_variable`` does, and logged as (variable, variable, mask).
+    # ``resolve_variable`` does, to a pair of variables.
     # A walk whose next child is not built yet waits on that (node, slot)
     # pair in the node's ``waiting`` list, and ``waits`` records the list
     # of each wait in order.  Linking a child or a fold into the slot wakes
@@ -499,15 +502,16 @@ def ftm_search(
     # once a retract clears the slot its walks wait on it again, as before
     # it was filled.  A retract therefore pops one walk off the recorded
     # list for each wait issued after its mark.  A variable gets its dense
-    # id, its position in ``ids``, when it is first logged, so the log is
-    # the root check's network as it stands; a retract pops the variables
-    # logged after its mark, the last ones ``ids`` holds.  A walk logs
-    # once, when it ends, so every chain is resolved when the log has one
-    # entry per ``issued``.  Each logged constraint is also added to
-    # ``network``, whose variables are the ids, until one empties a
-    # relation: ``refuted_at`` is then that entry's position in the log, and
-    # the network stays as that add left it until a retract cuts the entry.
-    log: List[Tuple[int, int, int]] = []
+    # id, its position in ``ids``, when a constraint is first resolved on
+    # it; a retract pops the variables resolved after its mark, the last
+    # ones ``ids`` holds.  A walk resolves once, when it ends, and counts
+    # itself in ``resolved``, so every chain is resolved when ``resolved``
+    # equals ``issued``.  Each resolved constraint is added to ``network``,
+    # whose variables are the ids and which is the root check's network as
+    # it stands, until one empties a relation: ``refuted_at`` is then the
+    # count of constraints resolved before it, and the network stays as
+    # that add left it until a retract restores a count no greater.
+    resolved = 0
     ids: Dict[_Variable, int] = {}
     waits: List[List[_Walk]] = []
     issued = 0
@@ -518,7 +522,7 @@ def ftm_search(
              constraint: SpatialConstraint) -> None:
         """Walk the constraint's first chain from ``node``, ``pos`` steps
         in; once it resolves to ``first``, walk the second from ``origin``."""
-        nonlocal refuted_at
+        nonlocal resolved, refuted_at
         chain = constraint.args[0 if first is None else 1]
         while True:
             if pos < len(chain.path):
@@ -539,10 +543,9 @@ def ftm_search(
             else:
                 first_id = ids.setdefault(first, len(ids))
                 second_id = ids.setdefault((node, chain.feature), len(ids))
-                mask = constraint.rel.mask
-                log.append((first_id, second_id, mask))
-                if refuted_at is None and not network.add(first_id, second_id, mask):
-                    refuted_at = len(log) - 1
+                if refuted_at is None and not network.add(first_id, second_id, constraint.rel.mask):
+                    refuted_at = resolved
+                resolved += 1
                 return
 
     def closes_rejecting_cycle(parent: _SearchNode, back: _SearchNode) -> bool:
@@ -597,7 +600,7 @@ def ftm_search(
         node.picked = None
         node.children = ()
         link(parent, slot, node, node)
-        node.mark = (len(waits), len(log), len(ids), issued, len(network.trail))
+        node.mark = (len(waits), resolved, len(ids), issued, len(network.trail))
         node.live = True
 
     def apply_choice(node: _SearchNode) -> bool:
@@ -658,21 +661,20 @@ def ftm_search(
         """Drop the live nodes registered after the most recent open
         decision, restore its mark and advance it; return the advanced node,
         or None when the whole space is exhausted."""
-        nonlocal issued, refuted_at
+        nonlocal resolved, issued, refuted_at
         while created:
             entry = created[-1]
             if entry.__class__ is tuple:
                 parent, slot = entry
             else:
                 node = entry
-                waits_mark, log_mark, ids_mark, issued, trail_mark = node.mark
+                waits_mark, resolved, ids_mark, issued, trail_mark = node.mark
                 while len(waits) > waits_mark:
                     waits.pop().pop()
-                del log[log_mark:]
                 while len(ids) > ids_mark:
                     ids.popitem()
                 network.undo(trail_mark)
-                if refuted_at is not None and refuted_at >= log_mark:
+                if refuted_at is not None and refuted_at >= resolved:
                     refuted_at = None
                 node.choice += 1
                 if choose(node):
@@ -712,9 +714,9 @@ def ftm_search(
                 node, j = node.parent, node.slot + 1
                 continue
             else:
-                assert len(log) == issued, "a complete tree resolves every chain"
+                assert resolved == issued, "a complete tree resolves every chain"
                 csp_checks += 1
-                if not log or (refuted_at is None and network.consistent(log)):
+                if not resolved or (refuted_at is None and network.consistent()):
                     model = _freeze(directions, created)
                     break
             # The configuration is rejected.

@@ -18,11 +18,10 @@ variable and itself cannot be stored pairwise, so they are kept in a separate
 The solver works on a ``MaskMatrix``, which holds EQ on its diagonal: the
 relation of a variable to itself, so a self constraint is intersected there
 like any other.  It closes the matrix under path consistency, then branches
-in place, one re-closure per branch, until every pair of a given list is
-done; a failed branch is taken back through the matrix's undo trail, so no
-branch copies the matrix.  ``consistent_scenario`` lists every pair, done
-at an atom.  A yes/no decision (``masks_consistent``, ``is_consistent``)
-lists the declared pairs, those some constraint narrows, done in T: the
+in place, one re-closure per branch, until every pair i < j is done; a
+failed branch is taken back through the matrix's undo trail, so no branch
+copies the matrix.  ``consistent_scenario`` is done at an atom.  A yes/no
+decision (``masks_consistent``, ``is_consistent``) is done in T: the
 closure of the atoms and the universal relation under composition,
 converse and intersection (37 relations).  T lies in Ĥ8, where path
 consistency decides consistency (Renz & Nebel, AIJ 108, 1999), so stopping
@@ -462,39 +461,31 @@ class MaskMatrix:
                 i, j, old = entry
                 m[i][j], m[j][i] = old, _CONVERSE[old]
 
-    def consistent(self, constraints: Sequence[Tuple[int, int, int]]) -> bool:
-        """Decide the network of ``constraints``, all of them added
-        without a relation emptying, as ``masks_consistent`` does:
-        ``_scenario`` in place, over the declared pairs ``_closed_matrix``
-        would list for them, then ``undo`` to the mark it started from, so
-        the matrix is left as it was found.  The matrix is closed, so those
-        pairs are read from the constraints, not from it."""
-        declared = sorted({
-            (i, j) if i < j else (j, i) for i, j, mask in constraints if i != j and mask != _FULL_MASK
-        })
+    def consistent(self) -> bool:
+        """Decide the network of the constraints added so far, none of
+        them having emptied a relation, as ``masks_consistent`` does:
+        ``_scenario`` in place, then ``undo`` to the mark it started from,
+        so the matrix is left as it was found."""
         mark = len(self.trail)
-        found = _scenario(self, declared, _IN_CLOSURE)
+        found = _scenario(self, _IN_CLOSURE)
         self.undo(mark)
         return found
 
 
-def _closed_matrix(
-    n: int, constraints: Sequence[Tuple[int, int, int]]
-) -> Optional[Tuple[MaskMatrix, List[Pair]]]:
+def _closed_matrix(n: int, constraints: Sequence[Tuple[int, int, int]]) -> Optional[MaskMatrix]:
     """Constraints (i, j, mask) over variables 0..n-1 as a path-consistent
-    ``MaskMatrix``, with its declared pairs: the pairs i < j, in row-major
-    order, whose mask is not full before closure.  None when a relation
-    empties.  Repeated pairs intersect; a pair i == j holds exactly when
-    its mask admits EQ.  Every constraint is intersected into the matrix
-    first, off the trail, then one closure runs over the declared pairs."""
+    ``MaskMatrix``, or None when a relation empties.  Repeated pairs
+    intersect; a pair i == j holds exactly when its mask admits EQ.  Every
+    constraint is intersected into the matrix first, off the trail, then
+    one closure runs from the pairs i < j whose mask is not full."""
     matrix = MaskMatrix(n)
     for i, j, mask in constraints:
         if not matrix.intersect(i, j, mask):
             return None
     m = matrix.m
     # A full pair cannot tighten a triangle: it composes to the full relation.
-    declared = [(i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] != _FULL_MASK]
-    return (matrix, declared) if _close(m, set(declared)) else None
+    queue = {(i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] != _FULL_MASK}
+    return matrix if _close(m, queue) else None
 
 
 def _masks(network: Qcsp) -> Tuple[int, List[Tuple[int, int, int]]]:
@@ -546,34 +537,35 @@ def _close(m: Matrix, queue: Set[Pair], trail: Optional[list] = None) -> bool:
     return True
 
 
-def _scenario(matrix: MaskMatrix, pairs: List[Pair], done: bytes) -> bool:
-    """Search the closed matrix depth first, in place, branching on listed
-    pairs until each has been found done (``done[mask]`` is 1) in the
+def _scenario(matrix: MaskMatrix, done: bytes) -> bool:
+    """Search the closed matrix depth first, in place, branching on pairs
+    i < j until each has been found done (``done[mask]`` is 1) in the
     current matrix or an ancestor: True with the matrix left at that
     point, or False when every branch empties a relation, with the matrix
     left part way through the last one.  ``done`` holds every atom, so the
     search ends.  Callers that keep the matrix undo it to a mark taken
     before the call.
 
-    With ``_ATOMIC`` and every pair i < j listed, the result is an atomic
-    scenario: an atom only refines to itself (``consistent_scenario``).
-    With ``_IN_CLOSURE`` and the declared pairs listed, it decides the
-    input (``masks_consistent``).  False proves it inconsistent, since each
-    branch splits a pair into all of its atoms.  True proves it
-    consistent: the network N of the masks at which the declared pairs
-    were found done, universal elsewhere, lies in T ⊆ Ĥ8, where path
-    consistency is exact (Renz & Nebel, AIJ 108, 1999); the result is a
-    non-empty path-consistent refinement of N, so N has a solution; and
-    each of those masks refines its pair's input relation, so that
-    solution satisfies the input.
+    With ``_ATOMIC``, the result is an atomic scenario: an atom only
+    refines to itself (``consistent_scenario``).  With ``_IN_CLOSURE``, it
+    decides the input (``masks_consistent``).  False proves it
+    inconsistent, since each branch splits a pair into all of its atoms.
+    True proves it consistent: the network N of the masks at which the
+    pairs were found done lies in T ⊆ Ĥ8, where path consistency is exact
+    (Renz & Nebel, AIJ 108, 1999); the result is a non-empty
+    path-consistent refinement of N, so N has a solution; and each of
+    those masks refines its pair's input relation, so that solution
+    satisfies the input.
 
-    The branch is the first listed pair with the fewest atoms among those
-    not done, its atoms taken in ``ATOMS`` order, with a stack of (trail
-    mark of the closed matrix, its listed pairs not done, pair, atoms
-    left).  A branch undoes the matrix to its mark, intersects its atom
-    and re-closes from that pair only, all on the trail; the pairs still
-    to fix are filtered from the parent's."""
+    The branch is the first pair, in row-major order, with the fewest
+    atoms among those not done, its atoms taken in ``ATOMS`` order, with a
+    stack of (trail mark of the closed matrix, its pairs not done, pair,
+    atoms left).  A branch undoes the matrix to its mark, intersects its
+    atom and re-closes from that pair only, all on the trail; the pairs
+    still to fix are filtered from the parent's."""
     m, trail = matrix.m, matrix.trail
+    n = len(m)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     stack: List[Tuple[int, List[Pair], int, int, int]] = []
     closed = True
     while True:
@@ -624,8 +616,8 @@ def path_consistency(network: Qcsp) -> Optional[Qcsp]:
     constraint) empties; None is the ordinary "inconsistent" answer, not
     an error.
     """
-    closed = _closed_matrix(*_masks(network))
-    return None if closed is None else _network(network, closed[0].m)
+    matrix = _closed_matrix(*_masks(network))
+    return None if matrix is None else _network(network, matrix.m)
 
 
 def masks_consistent(n: int, constraints: Sequence[Tuple[int, int, int]]) -> bool:
@@ -635,18 +627,17 @@ def masks_consistent(n: int, constraints: Sequence[Tuple[int, int, int]]) -> boo
     own ``MaskMatrix`` closed as it goes and decides through
     ``MaskMatrix.consistent``, which branches the same way.
 
-    Branches only on declared pairs, and only until each lies in T, the
-    closure of the atoms and the universal relation: T lies in Ĥ8, where
-    path consistency decides consistency (Renz & Nebel, AIJ 108, 1999).
-    ``_scenario`` gives the argument.  Pairs no constraint names are never
-    branched on."""
-    closed = _closed_matrix(n, constraints)
-    return closed is not None and _scenario(*closed, _IN_CLOSURE)
+    Branches on the pairs outside T, the closure of the atoms and the
+    universal relation, until none is left: T lies in Ĥ8, where path
+    consistency decides consistency (Renz & Nebel, AIJ 108, 1999).
+    ``_scenario`` gives the argument."""
+    matrix = _closed_matrix(n, constraints)
+    return matrix is not None and _scenario(matrix, _IN_CLOSURE)
 
 
 def is_consistent(network: Qcsp) -> bool:
-    """Decide consistency: path consistency, then branching on the declared
-    pairs outside T, as ``masks_consistent`` does."""
+    """Decide consistency: path consistency, then branching on the pairs
+    outside T, as ``masks_consistent`` does."""
     return masks_consistent(*_masks(network))
 
 
@@ -656,16 +647,13 @@ def consistent_scenario(network: Qcsp) -> Optional[Qcsp]:
     The result fixes one atom for every ordered pair of variables of the
     input (missing pairs of the input count as full), and EQ for each
     declared self constraint, or None when the network is inconsistent.
-    It branches on every pair i < j, not only the declared ones, so it
-    does more work than ``is_consistent``.  No verdict path calls it:
-    ``check_witness`` decides through ``masks_consistent``, the search
-    through its ``MaskMatrix``, and only ``scene_from_witness`` builds a
-    scenario.
+    It branches until every pair is an atom, not only until every pair
+    lies in T, so it does more work than ``is_consistent``.  No verdict
+    path calls it: ``check_witness`` decides through ``masks_consistent``,
+    the search through its ``MaskMatrix``, and only ``scene_from_witness``
+    builds a scenario.
     """
-    closed = _closed_matrix(*_masks(network))
-    if closed is None:
+    matrix = _closed_matrix(*_masks(network))
+    if matrix is None or not _scenario(matrix, _ATOMIC):
         return None
-    matrix, _ = closed
-    n = len(matrix.m)
-    every_pair = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return _network(network, matrix.m) if _scenario(matrix, every_pair, _ATOMIC) else None
+    return _network(network, matrix.m)

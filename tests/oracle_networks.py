@@ -115,6 +115,56 @@ ORACLE_CONVERSE = _parse_converse()
 ORACLE_COMPOSITION = _parse_composition()
 
 
+# A network's atoms per ordered pair, and the compositions met so far.
+_Domains = Dict[Tuple[int, int], FrozenSet[str]]
+_Composed = Dict[Tuple[FrozenSet[str], FrozenSet[str]], FrozenSet[str]]
+
+
+def _compose(composed: _Composed, first: FrozenSet[str], second: FrozenSet[str]) -> FrozenSet[str]:
+    key = (first, second)
+    if key not in composed:
+        composed[key] = frozenset().union(
+            *(ORACLE_COMPOSITION[(a, b)] for a in first for b in second)
+        )
+    return composed[key]
+
+
+def _close(n_vars: int, composed: _Composed, d: _Domains, queue: List[Tuple[int, int]]) -> bool:
+    """Path consistency from the pairs in ``queue``, which it empties;
+    False once a pair has no atom left."""
+    while queue:
+        i, j = queue.pop()
+        for k in range(n_vars):
+            if k == i or k == j:
+                continue
+            # (i, k) through j, and (k, j) through i
+            for a, b, c in ((i, j, k), (k, i, j)):
+                narrowed = d[(a, c)] & _compose(composed, d[(a, b)], d[(b, c)])
+                if narrowed != d[(a, c)]:
+                    if not narrowed:
+                        return False
+                    d[(a, c)] = narrowed
+                    d[(c, a)] = frozenset(ORACLE_CONVERSE[x] for x in narrowed)
+                    queue.append((a, c))
+    return True
+
+
+def _search(n_vars: int, composed: _Composed, d: _Domains) -> bool:
+    open_pairs = [pair for pair, atoms in d.items() if pair[0] < pair[1] and len(atoms) > 1]
+    if not open_pairs:
+        return True
+    i, j = min(open_pairs, key=lambda pair: len(d[pair]))
+    for atom in ATOM_NAMES:
+        if atom not in d[(i, j)]:
+            continue
+        branch = dict(d)
+        branch[(i, j)] = frozenset((atom,))
+        branch[(j, i)] = frozenset((ORACLE_CONVERSE[atom],))
+        if _close(n_vars, composed, branch, [(i, j)]) and _search(n_vars, composed, branch):
+            return True
+    return False
+
+
 def oracle_consistent(
     n_vars: int,
     allowed: Dict[Tuple[int, int], FrozenSet[str]],
@@ -125,66 +175,25 @@ def oracle_consistent(
     ``allowed[(i, j)]`` with i < j lists the atoms permitted between
     variables i and j; missing pairs permit every atom.  ``selfs`` lists
     atoms permitted between a variable and itself, satisfiable only
-    through EQ.
+    through EQ.  The helpers are module functions that take their state as
+    arguments, so a call leaves no reference cycle behind.
     """
     for atoms in selfs.values():
         if "EQ" not in atoms:
             return False
 
     every = frozenset(ATOM_NAMES)
-    domains: Dict[Tuple[int, int], FrozenSet[str]] = {}
+    domains: _Domains = {}
     for i in range(n_vars):
         for j in range(i + 1, n_vars):
             atoms = every & allowed.get((i, j), every)
             domains[(i, j)] = atoms
             domains[(j, i)] = frozenset(ORACLE_CONVERSE[a] for a in atoms)
-    composed: Dict[Tuple[FrozenSet[str], FrozenSet[str]], FrozenSet[str]] = {}
-
-    def compose(first: FrozenSet[str], second: FrozenSet[str]) -> FrozenSet[str]:
-        key = (first, second)
-        if key not in composed:
-            composed[key] = frozenset().union(
-                *(ORACLE_COMPOSITION[(a, b)] for a in first for b in second)
-            )
-        return composed[key]
-
-    def close(d: Dict[Tuple[int, int], FrozenSet[str]], queue: List[Tuple[int, int]]) -> bool:
-        """Path consistency from the pairs in ``queue``, which it empties;
-        False once a pair has no atom left."""
-        while queue:
-            i, j = queue.pop()
-            for k in range(n_vars):
-                if k == i or k == j:
-                    continue
-                # (i, k) through j, and (k, j) through i
-                for a, b, c in ((i, j, k), (k, i, j)):
-                    narrowed = d[(a, c)] & compose(d[(a, b)], d[(b, c)])
-                    if narrowed != d[(a, c)]:
-                        if not narrowed:
-                            return False
-                        d[(a, c)] = narrowed
-                        d[(c, a)] = frozenset(ORACLE_CONVERSE[x] for x in narrowed)
-                        queue.append((a, c))
-        return True
-
-    def search(d: Dict[Tuple[int, int], FrozenSet[str]]) -> bool:
-        open_pairs = [pair for pair, atoms in d.items() if pair[0] < pair[1] and len(atoms) > 1]
-        if not open_pairs:
-            return True
-        i, j = min(open_pairs, key=lambda pair: len(d[pair]))
-        for atom in ATOM_NAMES:
-            if atom not in d[(i, j)]:
-                continue
-            branch = dict(d)
-            branch[(i, j)] = frozenset((atom,))
-            branch[(j, i)] = frozenset((ORACLE_CONVERSE[atom],))
-            if close(branch, [(i, j)]) and search(branch):
-                return True
-        return False
-
     if any(not atoms for atoms in domains.values()):
         return False
-    return close(domains, [pair for pair in domains if pair[0] < pair[1]]) and search(domains)
+    composed: _Composed = {}
+    queue = [pair for pair in domains if pair[0] < pair[1]]
+    return _close(n_vars, composed, domains, queue) and _search(n_vars, composed, domains)
 
 
 def oracle_consistent_atoms(n_vars: int, atoms: Dict[Tuple[int, int], str]) -> bool:

@@ -6,6 +6,7 @@ package's static data; the scenario searcher gives an independent
 consistency verdict.
 """
 
+import gc
 import hashlib
 import itertools
 import random
@@ -302,7 +303,7 @@ def _added_one_at_a_time(constraints):
             break
     else:
         before = [row[:] for row in incremental.m], incremental.trail[:]
-        verdict = incremental.consistent(constraints)
+        verdict = incremental.consistent()
         assert (incremental.m, incremental.trail) == before
     for mark, matrix in reversed(marks):
         incremental.undo(mark)
@@ -485,10 +486,25 @@ def test_mixed_networks_agree_with_oracle():
     assert digest == MIXED_SCENARIOS_SHA256
 
 
+def test_network_oracle_leaves_no_cyclic_garbage():
+    # the oracle runs beside the solver on every benchmark network, so the
+    # garbage of a call must be freed by reference counting alone, not left
+    # to a collection inside a later timed call
+    rng = random.Random(99)
+    networks = [random_mixed_network(rng, 6)[1] for _ in range(50)]
+    gc.collect()
+    gc.disable()
+    try:
+        verdicts = {on.oracle_consistent(6, allowed) for allowed in networks}
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert verdicts == {True, False}
+
+
 def test_sparse_networks_agree_with_oracle():
-    """is_consistent branches only on declared pairs and leaves the others
-    to path consistency; on networks with half their pairs undeclared it
-    still matches the brute-force oracle."""
+    """On networks with half their pairs undeclared, is_consistent matches
+    the brute-force oracle."""
     rng = random.Random(2024)
     inconsistent = 0
     for _ in range(400):
@@ -508,8 +524,8 @@ def test_sparse_networks_agree_with_oracle():
 
 def test_branching_refutes_a_path_consistent_network():
     """Path consistency leaves this inconsistent network non-empty, so
-    is_consistent must branch on its declared pairs to refute it (pair
-    (1, 2) is undeclared).  Found by random search: about one dense
+    is_consistent must branch to refute it (pair (1, 2) is undeclared).
+    Found by random search: about one dense
     network of 4-5 variables in 90 000 is like it."""
     allowed = {
         (0, 1): ("EC", "PO", "TPP", "TPPI"),
@@ -558,8 +574,11 @@ def test_is_consistent_closes_once_per_declared_pair(monkeypatch):
 def test_is_consistent_agrees_with_oracle_inside_and_outside_the_closure(monkeypatch):
     """Networks whose declared relations all lie in T are decided by path
     consistency alone, with no branch; networks over relations of at most
-    three atoms outside T still branch.  Both kinds match the brute-force
-    oracle, with both verdicts."""
+    three atoms outside T still branch.  Sparse ones over the same
+    relations, with pairs the closure narrows outside T, branch on some
+    undeclared pair, and a MaskMatrix that adds their constraints one at a
+    time decides them too.  All kinds match the brute-force oracle, with
+    both verdicts."""
     rng = random.Random(2718)
     outside = [
         frozenset(Relation(mask))
@@ -570,32 +589,43 @@ def test_is_consistent_agrees_with_oracle_inside_and_outside_the_closure(monkeyp
     closes = []
 
     def counted_close(m, queue, trail=None):
-        closes.append(queue)
+        closes.append(frozenset(queue))
         return close(m, queue, trail)
 
     monkeypatch.setattr(relalg, "_close", counted_close)
-    verdicts = {"inside": set(), "outside": set()}
-    branched = 0
-    for kind, pool in (("inside", CLOSURE_OF_ATOMS), ("outside", outside)):
+    verdicts = {"inside": set(), "outside": set(), "sparse": set()}
+    branched = branched_undeclared = 0
+    for kind, pool, density in (
+        ("inside", CLOSURE_OF_ATOMS, 0.8), ("outside", outside, 0.8), ("sparse", outside, 0.4)
+    ):
         for _ in range(300):
             n_vars = rng.randint(3, 7)
             builder = QcspBuilder(range(n_vars))
             allowed = {}
             for pair in itertools.combinations(range(n_vars), 2):
-                if rng.random() < 0.8:
+                if rng.random() < density:
                     atoms = rng.choice(pool)
                     builder.add(*pair, Relation.of(*atoms))
                     allowed[pair] = atoms
             closes.clear()
             got = is_consistent(builder.build())
-            assert got == on.oracle_consistent(n_vars, allowed), allowed
+            want = on.oracle_consistent(n_vars, allowed)
+            assert got == want, allowed
             verdicts[kind].add(got)
             if kind == "inside":
                 assert len(closes) <= 1, allowed
-            else:
+            elif kind == "outside":
                 branched += len(closes) > 1
-    assert verdicts == {"inside": {True, False}, "outside": {True, False}}
+            else:
+                # Every close after the first re-closes from a branched pair.
+                branched_undeclared += any(
+                    pair not in allowed for queue in closes[1:] for pair in queue
+                )
+                constraints = [(*pair, Relation.of(*atoms).mask) for pair, atoms in allowed.items()]
+                assert _added_one_at_a_time(constraints)[0] == want, allowed
+    assert verdicts == {"inside": {True, False}, "outside": {True, False}, "sparse": {True, False}}
     assert branched >= 100
+    assert branched_undeclared >= 1
 
 
 def _oracle_closure(n_vars, allowed):
