@@ -47,9 +47,10 @@ from qsta import (
     witness_to_json,
 )
 import qsta
+from qsta.cli import _witness_text
 from qsta.emptiness import _live_states, _trim
 
-from gen_random import direct_reading, random_nondet, random_nondet_shaped
+from gen_random import direct_reading, random_alternating, random_nondet, random_nondet_shaped
 from oracle_classic import classical_nonempty
 from oracle_networks import oracle_consistent
 from rebuild import replace
@@ -909,6 +910,32 @@ def test_search_outcomes_are_pinned(search_outcomes):
 def test_search_verdicts_and_witnesses_are_pinned(search_outcomes):
     digest = _outcomes_digest(row[:3] for row in search_outcomes)
     assert digest == SEARCH_VERDICTS_SHA256
+
+
+# sha256 of one line per decided draw of the stream below: its index, its
+# verdict and the sha256 of the witness text ``qsta emptiness --witness``
+# writes for ``decide(simulate(a))`` (of the empty string when there is none).
+# The stream is draws 0-1499 of ``random_alternating(Random(7), max_states=5,
+# max_k=2, allow_constraints=True)``.  It pins answers, not node counts, so a
+# prune that keeps the first witness passes it unedited.
+ALTERNATING_OUTCOMES_SHA256 = "c65b6462314f4ae1482e85990a23001ecd68bfbee6b7cc1b4b5b6abaf2f2d6cb"
+ALTERNATING_SEED = 7
+# Draws of that seed whose search runs for over 30 s: they are drawn, so the
+# stream stays the same, but neither decided nor hashed.
+ALTERNATING_UNDECIDED = frozenset({1133})
+
+
+def test_alternating_outcomes_are_pinned():
+    rng = random.Random(ALTERNATING_SEED)
+    lines = []
+    for index in range(1500):
+        automaton = random_alternating(rng, max_states=5, max_k=2, allow_constraints=True)
+        if index in ALTERNATING_UNDECIDED:
+            continue
+        decision = decide(simulate(automaton))
+        text = "" if decision.witness is None else _witness_text(witness_to_json(decision.witness))
+        lines.append(f"{index} {decision.verdict} {hashlib.sha256(text.encode()).hexdigest()}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ALTERNATING_OUTCOMES_SHA256
 
 
 def test_trim_keeps_the_classically_live_states_and_their_transitions():
