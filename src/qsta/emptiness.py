@@ -416,18 +416,21 @@ def ftm_search(
     When no kept transition has constraints, a signature is a state, so a
     model holds each state on one internal node at most and is a positional
     strategy of the classical Büchi game, which suffices for it (Grädel,
-    Thomas & Wilke, LNCS 2500, chapters 2 and 6).  So before a node whose
-    state has two or more kept transitions commits to one, the search
-    solves the same fixed point with the state of every live internal node
-    held to its picked transition, this one included, and skips the
-    transition when the initial state loses its run: no model extends that
-    configuration.  This lookahead prunes only subspaces without a model,
-    so the first witness found is the same as well.  It is also exact: a
-    transition it keeps extends to a model, so the search never backtracks
-    and creates exactly the witness's nodes, where chronological
-    backtracking used to rebuild doomed subtrees for minutes.  It is
-    recomputed from scratch at each such choice, and a search with
-    constraints never runs it.
+    Thomas & Wilke, LNCS 2500, chapters 2 and 6).  So at each fresh choice,
+    the cursor on a node's first slot before any child is built, the main
+    loop solves the same fixed point with the state of every live internal
+    node held to its picked transition, this one included; when the initial
+    state loses its run, no model extends the configuration, and the choice
+    is rejected like a fold that closes a non-accepting cycle or a failed
+    root check, by the same retract, which advances this node's choice
+    first.  Holding a state to its only kept transition changes no table, so
+    the check skips such a state, and a search with constraints never runs
+    it.  This lookahead prunes only subspaces without a model, so the first
+    witness found is the same as well.  It is also exact: a choice it keeps
+    extends to a model, so the search never backtracks and creates exactly
+    the witness's nodes, where chronological backtracking used to rebuild
+    doomed subtrees for minutes.  It is recomputed from scratch at each such
+    choice.
 
     No node is looked up by its word: a live node links to its parent and
     to the children built so far.  A fold is a link, not a node: the
@@ -631,31 +634,21 @@ def ftm_search(
                 walk(node, 0, None, node, constraint)
         return True
 
-    def apply_choice_with_lookahead(node: _SearchNode) -> bool:
-        """``apply_choice`` with the Büchi lookahead: skip each transition
-        after which the initial state has no classical Büchi run with the
-        state of every live internal node held to its picked transition."""
-        while apply_choice(node):
-            # Holding a state to its only transition changes no table.
-            if len(delta[node.state]) == 1:
-                return True
-            held = dict(delta)
-            for other in table.values():
-                if other.live:
-                    held[other.state] = (other.picked,)
-            if initial in _live_states(held, accepting, initial):
-                return True
-            node.choice += 1
-        return False
-
     # The lookahead needs one node per state, so that a node's pick is its
     # state's: a signature is its state when no kept transition has
     # constraints.  It can prune only where a state has a choice.
-    choose = apply_choice
-    if not any(t.constraints for transitions in delta.values() for t in transitions) and any(
-        len(transitions) > 1 for transitions in delta.values()
-    ):
-        choose = apply_choice_with_lookahead
+    lookahead = not any(
+        t.constraints for transitions in delta.values() for t in transitions
+    ) and any(len(transitions) > 1 for transitions in delta.values())
+
+    def game_lost() -> bool:
+        """Whether the initial state has no classical Büchi run with the
+        state of every live internal node held to its picked transition."""
+        held = dict(delta)
+        for other in table.values():
+            if other.live:
+                held[other.state] = (other.picked,)
+        return initial not in _live_states(held, accepting, initial)
 
     def retract() -> Optional[_SearchNode]:
         """Drop the live nodes registered after the most recent open
@@ -677,7 +670,7 @@ def ftm_search(
                 if refuted_at is not None and refuted_at >= resolved:
                     refuted_at = None
                 node.choice += 1
-                if choose(node):
+                if apply_choice(node):
                     return node
                 node.live = False
                 parent, slot = node.parent, node.slot
@@ -690,14 +683,17 @@ def ftm_search(
     model: Optional[FiniteTreeModel] = None
     try:
         register(None, 0, root)
-        node: Optional[_SearchNode] = root if choose(root) else None
+        node: Optional[_SearchNode] = root if apply_choice(root) else None
         j = 0
         while node is not None:
-            if j < k:
+            if j == 0 and lookahead and len(delta[node.state]) > 1 and game_lost():
+                # The fresh choice loses the Büchi game.
+                pass
+            elif j < k:
                 child = node.children[j]
                 if not child.live:
                     register(node, j, child)
-                    if choose(child):
+                    if apply_choice(child):
                         node, j = child, 0
                         continue
                 else:
